@@ -134,6 +134,16 @@ class NormalCdf:
         scalar = np.ndim(x) == 0
         return _as_float_or_array(log_ndtr(-self._z(x)), scalar)
 
+    def log_side(self, x: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """``log_sf(x)`` where ``right``, ``log_cdf(x)`` elsewhere.
+
+        One tail per element instead of both; negation is exact, so each
+        element equals the corresponding ``log_sf``/``log_cdf`` value bit
+        for bit.
+        """
+        z = self._z(x)
+        return log_ndtr(np.where(right, -z, z))
+
     def log_pdf(self, x: ArrayLike) -> ArrayLike:
         scalar = np.ndim(x) == 0
         z = self._z(x)
@@ -203,6 +213,13 @@ class MixtureCdf:
         )
         return _as_float_or_array(out, scalar)
 
+    def log_side(self, x: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """``log_sf(x)`` where ``right``, ``log_cdf(x)`` elsewhere."""
+        return np.logaddexp(
+            self._log_wa + self.component_a.log_side(x, right),
+            self._log_wb + self.component_b.log_side(x, right),
+        )
+
     def log_pdf(self, x: ArrayLike) -> ArrayLike:
         scalar = np.ndim(x) == 0
         out = np.logaddexp(
@@ -253,6 +270,11 @@ class GaussianFamilyParams:
     m0: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("sigma", "tau", "m0"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(
+                    f"{name} must be finite, got {getattr(self, name)}"
+                )
         if not self.sigma > 0:
             raise InvalidParameterError(f"sigma must be positive, got {self.sigma}")
         if not self.tau > 0:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, Union
 
@@ -31,6 +32,8 @@ from .beliefs import (
     make_mixture_model,
 )
 from .dynamics import R_CAP
+
+LOG_2 = math.log(2.0)
 
 __all__ = [
     "GaussianSpec",
@@ -137,6 +140,10 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"theta must be None, 'g' or 'b', got {self.theta}"
             )
+        if not math.isfinite(self.initial_r):
+            raise InvalidParameterError(
+                f"initial_r must be finite, got {self.initial_r}"
+            )
         if self.batch_size < 1 or self.workers < 1:
             raise InvalidParameterError("batch_size and workers must be >= 1")
 
@@ -195,6 +202,15 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
 
     Results depend only on (config, trajectory index), never on the batch
     boundaries, so any partition of the index range gives identical rows.
+
+    Each step evaluates every law's log tail once per trajectory, only on
+    the side its action took (``log_side``: the right tail at -r after a G
+    action, the left tail after a B): F_g and F_b always, since their
+    difference is the public-LLR jump, and F_0 only when the observer is
+    on.  Each value equals ``log_sf(-r)`` or ``log_cdf(-r)`` bit for bit,
+    because the side is picked by negating the standardized argument,
+    which is exact, before the single ``log_ndtr`` call; so the engine
+    stays bit-identical to the scalar ``simulate_trajectory``.
     """
     model = build_model(config.model)
     n = hi - lo
@@ -214,7 +230,7 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
         llrs[i] = model.sample(WorldState(omega=omega, theta=theta), rng, size=horizon)
 
     cdf_g, cdf_b, cdf_0 = model.cdf_g, model.cdf_b, model.cdf_0
-    r = np.full(n, config.initial_r)
+    r = np.full(n, config.initial_r, dtype=float)
     ll_info_g = np.zeros(n)
     ll_info_b = np.zeros(n)
     ll_noise = np.zeros(n)
@@ -232,8 +248,10 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     log_prior_noise = math.log((1.0 - config.gamma) / 2.0)
 
     def q_arrays():
+        # The two uninformative hypotheses have equal likelihoods, so their
+        # logaddexp is ll_noise + log 2 (numpy computes exactly that).
         info = np.logaddexp(ll_info_g, ll_info_b) + log_prior_info
-        noise = np.logaddexp(ll_noise, ll_noise) + log_prior_noise
+        noise = ll_noise + LOG_2 + log_prior_noise
         log_odds = info - noise
         return 1.0 / (1.0 + np.exp(-np.clip(log_odds, -709.0, 709.0))), log_odds
 
@@ -244,20 +262,16 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
             trace_actions[:, t] = np.where(took_g, GOOD, BAD)
 
         neg_r = -r
-        lsf_g = np.asarray(cdf_g.log_sf(neg_r))
-        lsf_b = np.asarray(cdf_b.log_sf(neg_r))
-        lcdf_g = np.asarray(cdf_g.log_cdf(neg_r))
-        lcdf_b = np.asarray(cdf_b.log_cdf(neg_r))
+        lt_g = cdf_g.log_side(neg_r, took_g)
+        lt_b = cdf_b.log_side(neg_r, took_g)
         if config.record_q:
-            lsf_0 = np.asarray(cdf_0.log_sf(neg_r))
-            lcdf_0 = np.asarray(cdf_0.log_cdf(neg_r))
-            ll_info_g += np.where(took_g, lsf_g, lcdf_g)
-            ll_info_b += np.where(took_g, lsf_b, lcdf_b)
-            ll_noise += np.where(took_g, lsf_0, lcdf_0)
+            ll_info_g += lt_g
+            ll_info_b += lt_b
+            ll_noise += cdf_0.log_side(neg_r, took_g)
             if config.record_traces:
                 trace_q[:, t] = q_arrays()[0]
 
-        r = r + np.where(took_g, lsf_g - lsf_b, lcdf_g - lcdf_b)
+        r += lt_g - lt_b
         np.clip(r, -R_CAP, R_CAP, out=r)
         absorbed |= np.abs(r) >= R_CAP
 
@@ -311,23 +325,30 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     perturb anything.
     """
     bounds = _batch_bounds(config.num_trajectories, config.batch_size)
-    parts: list = [None] * len(bounds)
-    completed: list = []
+    parts: list = []  # finished batches, in index order
     try:
         if config.workers > 1 and len(bounds) > 1:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            pool = ProcessPoolExecutor(max_workers=config.workers)
+            try:
                 futures = [
                     pool.submit(_simulate_batch, config, lo, hi) for lo, hi in bounds
                 ]
-                for k, fut in enumerate(futures):
-                    parts[k] = fut.result()
+                for fut in futures:
+                    parts.append(fut.result())
+            finally:
+                # After a failure, batches not yet started are not run.
+                pool.shutdown(cancel_futures=True)
         else:
-            for k, (lo, hi) in enumerate(bounds):
-                parts[k] = _simulate_batch(config, lo, hi)
-                completed.append(parts[k][0])
-    except MemoryError as exc:
-        done = np.concatenate(completed) if completed else np.empty(0, ROW_DTYPE)
-        raise ExperimentResourceError("out of memory during simulation", done) from exc
+            for lo, hi in bounds:
+                parts.append(_simulate_batch(config, lo, hi))
+    except (MemoryError, BrokenProcessPool) as exc:
+        done = np.concatenate([p[0] for p in parts] or [np.empty(0, ROW_DTYPE)])
+        reason = (
+            "out of memory during simulation"
+            if isinstance(exc, MemoryError)
+            else "a worker process died during simulation"
+        )
+        raise ExperimentResourceError(reason, done) from exc
 
     rows = np.concatenate([p[0] for p in parts])
     traces = None

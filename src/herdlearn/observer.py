@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .beliefs import BAD, GOOD, InvalidParameterError, LlrModel
-from .dynamics import update_public
+from .dynamics import R_CAP, update_public
 
 __all__ = [
     "HYPOTHESES",
@@ -65,9 +65,15 @@ class ObserverState:
 
     @property
     def q(self) -> float:
-        """Posterior probability that the source is informative."""
-        post = self.posterior
-        return float(post[0] + post[1])
+        """Posterior probability that the source is informative.
+
+        Formed as w_info / (w_info + w_noise) so that rounding can never
+        push it above 1, as adding two normalized weights can.
+        """
+        w = self.log_lik + _log_priors(self.gamma)
+        w = np.exp(w - w.max())
+        w_info = w[0] + w[1]
+        return float(w_info / (w_info + (w[2] + w[3])))
 
     @property
     def log_odds(self) -> float:
@@ -117,14 +123,17 @@ def observer_update(state: ObserverState, model: LlrModel, action: str) -> Obser
 
     Likelihoods are accumulated in the log domain and re-centered every
     step, so the filter stays well-conditioned over arbitrarily long
-    histories.
+    histories.  The public LLR moves by the difference of the two
+    informative terms, which is exactly the jump ``update_public`` takes.
     """
-    log_lik = state.log_lik + _action_log_liks(model, state.r_track, action)
+    terms = _action_log_liks(model, state.r_track, action)
+    log_lik = state.log_lik + terms
     log_lik = log_lik - log_lik.max()
+    r_track = min(max(state.r_track + (terms[0] - terms[1]), -R_CAP), R_CAP)
     return ObserverState(
         log_lik=log_lik,
         gamma=state.gamma,
-        r_track=update_public(model, state.r_track, action),
+        r_track=float(r_track),
         t=state.t + 1,
         initial_r=state.initial_r,
     )
@@ -150,9 +159,7 @@ def _history_log_liks(
     took_g = np.array([a == GOOD for a in actions])
     out = np.zeros(4)
     for k, regime in enumerate(("g", "b", "0")):
-        term_g = np.asarray(model.log_tail(regime, "right", -rs))
-        term_b = np.asarray(model.log_tail(regime, "left", rs))
-        total = float(np.sum(np.where(took_g, term_g, term_b)))
+        total = float(np.sum(model.cdf_for(regime).log_side(-rs, took_g)))
         if regime == "0":
             out[2] = out[3] = total
         else:

@@ -149,8 +149,8 @@ def classify_empirical(
     evidence only -- it cannot certify an asymptotic statement, so anything
     ambiguous comes back Undetermined with the grid attached.
     """
-    if not x_max > 0:
-        raise InvalidParameterError(f"x_max must be positive, got {x_max}")
+    if not (math.isfinite(x_max) and x_max > 0):
+        raise InvalidParameterError(f"x_max must be positive and finite, got {x_max}")
     if n_grid < 16:
         raise InvalidParameterError(f"n_grid must be >= 16, got {n_grid}")
     evidence = _evidence_grid(model, x_max, n_grid)

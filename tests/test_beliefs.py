@@ -56,6 +56,16 @@ class TestGaussianModel:
         with pytest.raises(InvalidParameterError):
             GaussianFamilyParams(sigma=sigma, tau=tau)
 
+    @pytest.mark.parametrize(
+        "sigma,tau,m0",
+        [(math.inf, 1.0, 0.0), (math.nan, 1.0, 0.0), (1.0, math.inf, 0.0),
+         (1.0, math.nan, 0.0), (1.0, 2.0, math.inf), (1.0, 2.0, -math.inf),
+         (1.0, 2.0, math.nan)],
+    )
+    def test_non_finite_parameters(self, sigma, tau, m0):
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            GaussianFamilyParams(sigma=sigma, tau=tau, m0=m0)
+
     @pytest.mark.parametrize("m0", [1.0, -1.0])
     def test_distinctness_violation(self, m0):
         with pytest.raises(DistinctnessError):
@@ -164,6 +174,17 @@ class TestLogTail:
             got = float(gauss_fat.log_tail("0", "left", x))
             want = oracles.normal_log_cdf(-x, mean=0.0, sd=4.0)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("regime", ["g", "b", "0"])
+    def test_side_selected_tail_is_bitwise_the_two_sided_pick(
+        self, gauss_fat, mixture_half, regime
+    ):
+        xs = np.concatenate([np.linspace(-60.0, 60.0, 241), [-1e3, 1e3, 0.0, -0.0]])
+        right = np.arange(len(xs)) % 3 == 0
+        for model in (gauss_fat, mixture_half):
+            cdf = model.cdf_for(regime)
+            picked = np.where(right, cdf.log_sf(xs), cdf.log_cdf(xs))
+            np.testing.assert_array_equal(cdf.log_side(xs, right), picked)
 
     def test_bad_regime_and_side(self, gauss_fat):
         with pytest.raises(InvalidParameterError):

@@ -311,3 +311,36 @@ class TestUsageErrors:
     def test_invalid_parameter_value(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "--sigma", "-1", "--tau", "2")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["simulate", "--sigma", "1", "--tau", "inf"], "tau"),
+            (["simulate", "--sigma", "inf", "--tau", "2"], "sigma"),
+            (["simulate", "--sigma", "nan", "--tau", "2"], "sigma"),
+            (["simulate", "--sigma", "1", "--tau", "2", "--m0", "inf"], "m0"),
+            (["simulate", "--sigma", "1", "--tau", "2", "--initial-r", "nan"],
+             "initial_r"),
+            (["simulate", "--sigma", "1", "--tau", "2", "--initial-r", "inf"],
+             "initial_r"),
+            (["simulate", "--sigma", "inf", "--mixture", "0.3"], "sigma"),
+            (["same-variance", "--sigma", "1", "--m0-grid", "0,inf"], "m0"),
+            (["path", "--sigma", "inf"], "sigma"),
+            (["classify", "--sigma", "1", "--tau", "2", "--x-max", "inf"], "x_max"),
+            (["observer-replay", "--sigma", "1", "--tau", "inf"], "tau"),
+            (["observer-replay", "--sigma", "1", "--tau", "2", "--m0", "nan"], "m0"),
+        ],
+    )
+    def test_non_finite_values_are_usage_errors(self, capsys, tmp_path, argv, name):
+        if argv[0] == "observer-replay":
+            actions = tmp_path / "actions.txt"
+            actions.write_text("G\nB\n")
+            argv = [*argv, "--actions-file", str(actions)]
+        if argv[0] in ("simulate", "same-variance"):
+            argv = [*argv, "--horizon", "5", "--trajectories", "3"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert err.startswith("herdlearn: error: ")
+        assert name in err and "finite" in err
+        assert "Traceback" not in err
+        assert out == ""

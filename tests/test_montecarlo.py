@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from herdlearn import (
     WorldState,
     simulate_trajectory,
 )
+from herdlearn import montecarlo
 from herdlearn.montecarlo import (
     ExperimentConfig,
     ExperimentResourceError,
@@ -23,6 +25,24 @@ from herdlearn.montecarlo import (
     spec_from_dict,
     spec_to_dict,
 )
+
+_simulate_batch = montecarlo._simulate_batch
+
+
+# Pool workers receive batch functions by reference, so the faulty stand-ins
+# live at module level; they fail by batch start, not by call order, since
+# each worker process counts its own calls.
+def _out_of_memory_from_200(config, lo, hi):
+    if lo >= 200:
+        raise MemoryError("boom")
+    return _simulate_batch(config, lo, hi)
+
+
+def _worker_dies_at_200(config, lo, hi):
+    if lo == 200:
+        os._exit(1)
+    return _simulate_batch(config, lo, hi)
+
 
 def small_config(**overrides):
     base = dict(
@@ -200,6 +220,23 @@ class TestResourceError:
         with pytest.raises(ExperimentResourceError) as err:
             run_experiment(small_config(batch_size=100))
         assert len(err.value.completed_rows) == 200
+
+    def test_partial_result_error_with_workers(self, monkeypatch):
+        full = run_experiment(small_config()).rows
+        monkeypatch.setattr(montecarlo, "_simulate_batch", _out_of_memory_from_200)
+        with pytest.raises(ExperimentResourceError, match="out of memory") as err:
+            run_experiment(small_config(batch_size=100, workers=2))
+        np.testing.assert_array_equal(err.value.completed_rows, full[:200])
+
+    def test_dead_worker_keeps_finished_batches(self, monkeypatch):
+        full = run_experiment(small_config()).rows
+        monkeypatch.setattr(montecarlo, "_simulate_batch", _worker_dies_at_200)
+        with pytest.raises(ExperimentResourceError, match="worker") as err:
+            run_experiment(small_config(batch_size=100, workers=2))
+        # Batches that finished before the pool broke come back in order.
+        done = err.value.completed_rows
+        assert len(done) in (0, 100, 200)
+        np.testing.assert_array_equal(done, full[: len(done)])
 
 
 class TestConsistencyWithConsensus:

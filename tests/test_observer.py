@@ -194,6 +194,13 @@ class TestLongRunStability:
         assert 0.0 <= state.q <= 1.0
         assert math.isfinite(state.log_odds)
 
+    def test_q_stays_a_probability_over_a_long_herd(self, gauss_fat):
+        # Once the noise weights are ~1e-16 of the informative ones, adding
+        # two normalized informative weights rounds above 1.
+        qs = [s.q for s in replay(gauss_fat, 0.5, 0.0, ["g"] * 3_000)]
+        assert all(0.0 <= q <= 1.0 for q in qs)
+        assert qs[-1] == 1.0
+
     def test_long_consensus_q_goes_informative(self, gauss_fat):
         # An unbroken herd looks informative: log-odds grow without NaNs.
         state = observer_init(0.5)
