@@ -20,10 +20,8 @@ from .beliefs import (
     MixtureCdf,
     NormalCdf,
     WorldState,
-    log_tail,
     make_gaussian_model,
     make_mixture_model,
-    sample_llr,
     sample_world,
 )
 from .consensus import (
@@ -33,17 +31,13 @@ from .consensus import (
     SumVerdict,
     consensus_path,
     divergence_test,
-    eventual_monotonicity_threshold,
     immediate_agreement_prob,
     phi,
 )
 from .dynamics import (
-    PublicBelief,
-    Trajectory,
     agent_action,
     jump_b,
     jump_g,
-    simulate_trajectory,
     update_public,
 )
 from .montecarlo import (
@@ -57,8 +51,6 @@ from .montecarlo import (
 )
 from .observer import (
     ObserverState,
-    batch_posterior,
-    history_log_prob,
     observer_init,
     observer_update,
     replay,

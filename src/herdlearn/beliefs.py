@@ -16,15 +16,13 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import log_ndtr, ndtri
+from scipy.special import log_ndtr
 
 __all__ = [
     "GOOD",
     "BAD",
     "ACTIONS",
     "REGIMES",
-    "SIDES",
     "InvalidParameterError",
     "DistinctnessError",
     "WorldState",
@@ -35,8 +33,6 @@ __all__ = [
     "LlrModel",
     "make_gaussian_model",
     "make_mixture_model",
-    "sample_llr",
-    "log_tail",
 ]
 
 GOOD = "g"
@@ -45,7 +41,6 @@ ACTIONS = (GOOD, BAD)
 
 # Regime keys for selecting one of the three conditional CDFs.
 REGIMES = ("g", "b", "0")
-SIDES = ("left", "right")
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -98,17 +93,14 @@ def sample_world(
     return WorldState(omega=omega, theta=theta)
 
 
-def _as_float_or_array(x: np.ndarray, scalar: bool) -> ArrayLike:
-    return float(x) if scalar else x
-
-
 @dataclass(frozen=True)
 class NormalCdf:
     """Normal distribution exposing stable log-tail evaluation.
 
     ``log_cdf``/``log_sf`` stay accurate far beyond the range where the
     plain CDF underflows (log-probabilities down to about -1e6 carry ~13
-    significant digits).
+    significant digits).  Every method maps a float to a numpy float and
+    an array elementwise.
     """
 
     mean: float
@@ -122,40 +114,27 @@ class NormalCdf:
         return (np.asarray(x, dtype=float) - self.mean) / self.sd
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
-        scalar = np.ndim(x) == 0
-        out = np.exp(log_ndtr(self._z(x)))
-        return _as_float_or_array(out, scalar)
+        return np.exp(log_ndtr(self._z(x)))
 
     def log_cdf(self, x: ArrayLike) -> ArrayLike:
-        scalar = np.ndim(x) == 0
-        return _as_float_or_array(log_ndtr(self._z(x)), scalar)
+        return log_ndtr(self._z(x))
 
     def log_sf(self, x: ArrayLike) -> ArrayLike:
-        scalar = np.ndim(x) == 0
-        return _as_float_or_array(log_ndtr(-self._z(x)), scalar)
+        return log_ndtr(-self._z(x))
 
-    def log_side(self, x: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """``log_sf(x)`` where ``right``, ``log_cdf(x)`` elsewhere.
+    def log_side(self, x: ArrayLike, sign: ArrayLike) -> ArrayLike:
+        """``log_sf(x)`` where ``sign`` is -1, ``log_cdf(x)`` where it is +1.
 
-        One tail per element instead of both; negation is exact, so each
-        element equals the corresponding ``log_sf``/``log_cdf`` value bit
-        for bit.
+        One tail per element: the standardized argument is multiplied by
+        ``sign``, which is exact, so each element equals the matching
+        ``log_sf``/``log_cdf`` value bit for bit, and floats and arrays
+        take the same path.
         """
-        z = self._z(x)
-        return log_ndtr(np.where(right, -z, z))
+        return log_ndtr((x - self.mean) / self.sd * sign)
 
     def log_pdf(self, x: ArrayLike) -> ArrayLike:
-        scalar = np.ndim(x) == 0
         z = self._z(x)
-        out = -0.5 * z * z - math.log(self.sd) - 0.5 * math.log(2.0 * math.pi)
-        return _as_float_or_array(out, scalar)
-
-    def quantile(self, u: ArrayLike) -> ArrayLike:
-        scalar = np.ndim(u) == 0
-        u_arr = np.asarray(u, dtype=float)
-        if np.any((u_arr <= 0.0) | (u_arr >= 1.0)):
-            raise InvalidParameterError("quantile argument must lie in (0, 1)")
-        return _as_float_or_array(self.mean + self.sd * ndtri(u_arr), scalar)
+        return -0.5 * z * z - math.log(self.sd) - 0.5 * math.log(2.0 * math.pi)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> ArrayLike:
         if size is None:
@@ -191,58 +170,34 @@ class MixtureCdf:
         return math.log1p(-self.weight_a)
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
-        scalar = np.ndim(x) == 0
-        out = self.weight_a * np.asarray(self.component_a.cdf(x)) + (
+        return self.weight_a * self.component_a.cdf(x) + (
             1.0 - self.weight_a
-        ) * np.asarray(self.component_b.cdf(x))
-        return _as_float_or_array(out, scalar)
+        ) * self.component_b.cdf(x)
 
     def log_cdf(self, x: ArrayLike) -> ArrayLike:
-        scalar = np.ndim(x) == 0
-        out = np.logaddexp(
-            self._log_wa + np.asarray(self.component_a.log_cdf(x)),
-            self._log_wb + np.asarray(self.component_b.log_cdf(x)),
+        return np.logaddexp(
+            self._log_wa + self.component_a.log_cdf(x),
+            self._log_wb + self.component_b.log_cdf(x),
         )
-        return _as_float_or_array(out, scalar)
 
     def log_sf(self, x: ArrayLike) -> ArrayLike:
-        scalar = np.ndim(x) == 0
-        out = np.logaddexp(
-            self._log_wa + np.asarray(self.component_a.log_sf(x)),
-            self._log_wb + np.asarray(self.component_b.log_sf(x)),
-        )
-        return _as_float_or_array(out, scalar)
-
-    def log_side(self, x: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """``log_sf(x)`` where ``right``, ``log_cdf(x)`` elsewhere."""
         return np.logaddexp(
-            self._log_wa + self.component_a.log_side(x, right),
-            self._log_wb + self.component_b.log_side(x, right),
+            self._log_wa + self.component_a.log_sf(x),
+            self._log_wb + self.component_b.log_sf(x),
+        )
+
+    def log_side(self, x: ArrayLike, sign: ArrayLike) -> ArrayLike:
+        """``log_sf(x)`` where ``sign`` is -1, ``log_cdf(x)`` where it is +1."""
+        return np.logaddexp(
+            self._log_wa + self.component_a.log_side(x, sign),
+            self._log_wb + self.component_b.log_side(x, sign),
         )
 
     def log_pdf(self, x: ArrayLike) -> ArrayLike:
-        scalar = np.ndim(x) == 0
-        out = np.logaddexp(
-            self._log_wa + np.asarray(self.component_a.log_pdf(x)),
-            self._log_wb + np.asarray(self.component_b.log_pdf(x)),
+        return np.logaddexp(
+            self._log_wa + self.component_a.log_pdf(x),
+            self._log_wb + self.component_b.log_pdf(x),
         )
-        return _as_float_or_array(out, scalar)
-
-    def quantile(self, u: ArrayLike) -> ArrayLike:
-        scalar = np.ndim(u) == 0
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        if np.any((u_arr <= 0.0) | (u_arr >= 1.0)):
-            raise InvalidParameterError("quantile argument must lie in (0, 1)")
-        out = np.empty_like(u_arr)
-        for i, ui in enumerate(u_arr):
-            # Bracket via the component quantiles, which straddle the mixture's.
-            lo = min(self.component_a.quantile(ui), self.component_b.quantile(ui))
-            hi = max(self.component_a.quantile(ui), self.component_b.quantile(ui))
-            if lo == hi:
-                out[i] = lo
-                continue
-            out[i] = brentq(lambda x: self.cdf(x) - ui, lo, hi, xtol=1e-13)
-        return _as_float_or_array(out if not scalar else out[0], scalar)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> ArrayLike:
         n = 1 if size is None else size
@@ -288,6 +243,27 @@ class GaussianFamilyParams:
                 "uninformative signal law coincides with an informative one "
                 f"(sigma={self.sigma}, tau={self.tau}, m0={self.m0})"
             )
+        # sigma^2 can under- or overflow even for finite sigma.
+        laws = self.llr_laws() if self.sigma * self.sigma > 0 else (math.inf,) * 4
+        if not (all(map(math.isfinite, laws)) and laws[1] > 0 and laws[3] > 0):
+            raise InvalidParameterError(
+                f"the LLR laws induced by sigma={self.sigma}, tau={self.tau}, "
+                f"m0={self.m0} must be finite with positive sd in double "
+                f"precision; got mean, sd {laws[0]}, {laws[1]} (informative) "
+                f"and {laws[2]}, {laws[3]} (noise)"
+            )
+
+    def llr_laws(self) -> tuple:
+        """(mean_info, sd_info, mean_noise, sd_noise) of the induced LLR laws.
+
+        A raw signal s maps to the LLR 2*s/sigma^2, so the three signal laws
+        push forward to
+            informative/good:  Normal(+2/sigma^2, 4/sigma^2)
+            informative/bad:   Normal(-2/sigma^2, 4/sigma^2)
+            uninformative:     Normal(2*m0/sigma^2, 4*tau^2/sigma^4).
+        """
+        s2 = self.sigma * self.sigma
+        return 2.0 / s2, 2.0 / self.sigma, 2.0 * self.m0 / s2, 2.0 * self.tau / s2
 
 
 @dataclass(frozen=True)
@@ -342,19 +318,9 @@ class LlrModel:
 
 
 def make_gaussian_model(params: GaussianFamilyParams) -> LlrModel:
-    """Build the LLR model induced by Gaussian raw signals.
-
-    A raw signal s maps to the LLR 2*s/sigma^2, so the three signal laws
-    push forward to
-        informative/good:  Normal(+2/sigma^2, 4/sigma^2)
-        informative/bad:   Normal(-2/sigma^2, 4/sigma^2)
-        uninformative:     Normal(2*m0/sigma^2, 4*tau^2/sigma^4).
-    """
-    s2 = params.sigma * params.sigma
-    mean_info = 2.0 / s2
-    sd_info = 2.0 / params.sigma
-    mean_noise = 2.0 * params.m0 / s2
-    sd_noise = 2.0 * params.tau / s2
+    """Build the LLR model induced by Gaussian raw signals (see
+    ``GaussianFamilyParams.llr_laws``)."""
+    mean_info, sd_info, mean_noise, sd_noise = params.llr_laws()
     return LlrModel(
         cdf_g=NormalCdf(mean_info, sd_info),
         cdf_b=NormalCdf(-mean_info, sd_info),
@@ -380,13 +346,3 @@ def make_mixture_model(base: LlrModel, alpha: float) -> LlrModel:
         cdf_0=MixtureCdf(alpha, base.cdf_g, base.cdf_b),
         jump_decreasing=base.jump_decreasing,
     )
-
-
-def sample_llr(model: LlrModel, world: WorldState, rng: np.random.Generator) -> float:
-    """Draw a single private LLR under the given world."""
-    return float(model.sample(world, rng, size=None))
-
-
-def log_tail(model: LlrModel, regime: str, side: str, x: ArrayLike) -> ArrayLike:
-    """Stable log tail of one conditional CDF; see ``LlrModel.log_tail``."""
-    return model.log_tail(regime, side, x)

@@ -29,7 +29,6 @@ import numpy as np
 from . import __version__
 from .beliefs import GaussianFamilyParams, InvalidParameterError
 from .consensus import (
-    SumVerdict,
     consensus_path,
     divergence_test,
     immediate_agreement_prob,
@@ -133,13 +132,15 @@ class _Manifest:
 def _load_config_file(path: str) -> dict:
     """Flat INI -> {key: string}; sections only group keys, names stay flat."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise InvalidParameterError(f"config file not found: {path}")
     flat: dict = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            flat[key.replace("-", "_")] = value
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise InvalidParameterError(f"config file not found: {path}")
+        for section in parser.sections():
+            for key, value in parser.items(section):
+                flat[key.replace("-", "_")] = value
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise InvalidParameterError(f"bad config file {path}: {exc}") from exc
     return flat
 
 
@@ -438,8 +439,8 @@ def _cmd_observer_replay(args: argparse.Namespace) -> int:
     if actions_file is None:
         raise InvalidParameterError("observer-replay needs --actions-file")
     try:
-        text = Path(actions_file).read_text()
-    except OSError as exc:
+        text = Path(actions_file).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(f"cannot read actions file: {exc}") from exc
     actions = []
     for line_no, line in enumerate(text.splitlines(), start=1):

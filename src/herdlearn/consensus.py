@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .beliefs import InvalidParameterError, LlrModel
-from .dynamics import R_CAP, jump_g
+from .dynamics import R_CAP, step
 
 __all__ = [
     "ConsensusPath",
@@ -39,7 +39,6 @@ __all__ = [
     "divergence_test",
     "tail_sum_upper_bound",
     "immediate_agreement_prob",
-    "eventual_monotonicity_threshold",
 ]
 
 DIVERGENCE_THRESHOLD = 20.0  # implied product < e^-20, below every tolerance used here
@@ -48,8 +47,9 @@ CONVERGENCE_TAIL_TOL = 1e-9
 
 
 def phi(model: LlrModel, r: float) -> float:
-    """One step of the public LLR under an unbroken run of G actions."""
-    return float(r + jump_g(model, r))
+    """One step of the public LLR under an unbroken run of G actions,
+    clipped to [-R_CAP, R_CAP] like every path value."""
+    return float(step(model, r, True, False)[0])
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,11 @@ def consensus_path(
     absorbed = False
     for t in range(horizon):
         values[t] = r
-        if absorbed:
-            continue
-        r = phi(model, r)
+        r = step(model, r, True, False)[0]
         if abs(r) >= R_CAP:
-            r = math.copysign(R_CAP, r)
+            values[t + 1 :] = r
             absorbed = True
+            break
     return ConsensusPath(initial_r=initial_r, values=values, absorbed=absorbed)
 
 
@@ -123,8 +122,6 @@ def _log_tail_values(
     model: LlrModel, regime: str, side: str, rs: np.ndarray
 ) -> np.ndarray:
     """log h(r) along the path: h = F(-r) on the left, 1 - F(r) on the right."""
-    if side not in ("left", "right"):
-        raise InvalidParameterError(f"side must be 'left' or 'right', got {side!r}")
     return np.asarray(model.log_tail(regime, side, rs), dtype=float)
 
 
@@ -395,25 +392,3 @@ def immediate_agreement_prob(
         truncated_product=trunc,
         tail_sum_bound=bound,
     )
-
-
-def eventual_monotonicity_threshold(
-    model: LlrModel, x_max: float, n_grid: int = 4001
-) -> Optional[float]:
-    """Smallest grid point from which phi is numerically non-decreasing.
-
-    Scans [-x_max, x_max]; returns None when no such point exists below
-    x_max.  For the built-in families the map is monotone everywhere, so
-    the scan returns its left edge.
-    """
-    if not x_max > 0:
-        raise InvalidParameterError(f"x_max must be positive, got {x_max}")
-    grid = np.linspace(-x_max, x_max, n_grid)
-    phis = grid + np.asarray(jump_g(model, grid), dtype=float)
-    decreasing = np.nonzero(np.diff(phis) < -1e-12)[0]
-    if decreasing.size == 0:
-        return float(grid[0])
-    idx = int(decreasing[-1]) + 1
-    if idx >= n_grid - 1:
-        return None
-    return float(grid[idx])

@@ -3,85 +3,30 @@
 Each agent observes the action history (summarized by the public LLR r) and
 a private LLR, and takes the action favoured by their sum.  Observing an
 action then moves the public LLR by a jump that depends only on which action
-was taken and on r.  This module implements the decision rule, the two jump
-functions, the one-step update, and full trajectory simulation.
+was taken and on r.  This module holds the decision rule and the one
+transition kernel, ``step``, that the experiment engine, the observer and
+the consensus path all use; the jump functions and the one-step update are
+views of it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 
-from .beliefs import (
-    ACTIONS,
-    BAD,
-    GOOD,
-    ArrayLike,
-    InvalidParameterError,
-    LlrModel,
-    WorldState,
-)
+from .beliefs import ACTIONS, BAD, GOOD, ArrayLike, InvalidParameterError, LlrModel
 
 __all__ = [
     "R_CAP",
-    "sigmoid",
-    "logit",
-    "PublicBelief",
     "agent_action",
+    "step",
     "jump_g",
     "jump_b",
     "update_public",
-    "Trajectory",
-    "simulate_trajectory",
 ]
 
 # Saturation cap on |r|: beyond this the jumps underflow to zero in double
 # precision, so further updates would only accumulate float drift.
 R_CAP = 1.0e6
-
-
-def sigmoid(r: ArrayLike) -> ArrayLike:
-    """Probability from log-odds, saturating gracefully at the extremes."""
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty_like(r_arr)
-    pos = r_arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-r_arr[pos]))
-    e = np.exp(r_arr[~pos])
-    out[~pos] = e / (1.0 + e)
-    return float(out[0]) if np.ndim(r) == 0 else out
-
-
-def logit(p: ArrayLike) -> ArrayLike:
-    """Log-odds from probability."""
-    p_arr = np.asarray(p, dtype=float)
-    if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
-        raise InvalidParameterError("probability must lie in (0, 1)")
-    out = np.log(p_arr) - np.log1p(-p_arr)
-    return float(out) if np.ndim(p) == 0 else out
-
-
-@dataclass(frozen=True)
-class PublicBelief:
-    """Public belief about the payoff state, held in log-odds form.
-
-    The log-odds value is primary; the probability view saturates in double
-    precision (1 - pi keeps 1e-12 relative accuracy only for |r| below
-    about 9), which is why every computation in this package works on r.
-    """
-
-    r: float
-
-    @property
-    def pi(self) -> float:
-        """The probability the public assigns to the good state."""
-        return sigmoid(self.r)
-
-    @classmethod
-    def from_probability(cls, pi: float) -> "PublicBelief":
-        return cls(r=logit(pi))
 
 
 def agent_action(r: float, llr: float) -> str:
@@ -93,120 +38,53 @@ def agent_action(r: float, llr: float) -> str:
     return GOOD if llr >= -r else BAD
 
 
+def step(model: LlrModel, r: ArrayLike, took_g, with_noise: bool) -> tuple:
+    """One observed action at public LLR ``r``: the transition kernel.
+
+    ``r`` is a float or an array, ``took_g`` a bool or a boolean array
+    marking G actions.  An agent plays G iff llr >= -r, so the action's
+    log-probability under a law F is the right tail of F at -r after G and
+    the left tail after B; each law's tail is evaluated once, on that side.
+    Returns ``(r_next, lt_g, lt_b, lt_0)``: the public LLR moved by the
+    jump ``lt_g - lt_b`` and clipped to [-R_CAP, R_CAP], and the log-
+    probabilities under F_g, F_b and (only ``with_noise``, else None) F_0.
+    """
+    sign = 1.0 - 2.0 * took_g  # -1 selects the right tail, +1 the left
+    neg_r = -r
+    lt_g = model.cdf_g.log_side(neg_r, sign)
+    lt_b = model.cdf_b.log_side(neg_r, sign)
+    lt_0 = model.cdf_0.log_side(neg_r, sign) if with_noise else None
+    r_next = np.minimum(np.maximum(r + (lt_g - lt_b), -R_CAP), R_CAP)
+    return r_next, lt_g, lt_b, lt_0
+
+
 def jump_g(model: LlrModel, r: ArrayLike) -> ArrayLike:
     """Public-LLR jump caused by observing a G action at public LLR r.
 
     Computed entirely from log tails so that |r| up to ~1e3 stays accurate.
     Always nonnegative: a G action can only push the public belief toward G.
     """
-    return np.subtract(
-        model.log_tail("g", "right", np.negative(r)),
-        model.log_tail("b", "right", np.negative(r)),
-    )
+    _, lt_g, lt_b, _ = step(model, r, True, False)
+    return lt_g - lt_b
 
 
 def jump_b(model: LlrModel, r: ArrayLike) -> ArrayLike:
     """Public-LLR jump caused by observing a B action; always nonpositive."""
-    return np.subtract(
-        model.log_tail("g", "left", r), model.log_tail("b", "left", r)
-    )
+    _, lt_g, lt_b, _ = step(model, r, False, False)
+    return lt_g - lt_b
+
+
+def is_g(action: str) -> bool:
+    """True for a G action, False for B; anything else is an error."""
+    if action not in ACTIONS:
+        raise InvalidParameterError(f"action must be one of {ACTIONS}, got {action!r}")
+    return action == GOOD
 
 
 def update_public(model: LlrModel, r: float, action: str) -> float:
     """One observed action moves the public LLR by the matching jump.
 
-    The result is clipped to [-R_CAP, R_CAP]; trajectory simulation marks
+    The result is clipped to [-R_CAP, R_CAP]; the experiment engine marks
     runs that touch the cap as absorbed.
     """
-    if action == GOOD:
-        out = r + float(jump_g(model, r))
-    elif action == BAD:
-        out = r + float(jump_b(model, r))
-    else:
-        raise InvalidParameterError(f"action must be one of {ACTIONS}, got {action!r}")
-    return float(np.clip(out, -R_CAP, R_CAP))
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One simulated run of the action process.
-
-    actions and llrs have length T; public_llrs has length T+1 with the
-    initial value first, so public_llrs[t] is the belief agent t+1 acts on.
-    observer_beliefs, when recorded, aligns with public_llrs (entry 0 is
-    the prior).  last_switch_time is the 1-based index of the last agent
-    whose action differed from their predecessor's, or None.
-    """
-
-    world: WorldState
-    actions: np.ndarray
-    llrs: np.ndarray
-    public_llrs: np.ndarray
-    switch_count: int
-    last_switch_time: Optional[int]
-    absorbed: bool = False
-    observer_beliefs: Optional[np.ndarray] = field(default=None)
-
-
-def simulate_trajectory(
-    model: LlrModel,
-    world: WorldState,
-    horizon: int,
-    rng: np.random.Generator,
-    initial_r: float = 0.0,
-    gamma: Optional[float] = None,
-) -> Trajectory:
-    """Simulate ``horizon`` agents acting in sequence.
-
-    Private LLRs are drawn from ``rng`` as a single block up front (the
-    block equals the sequence of one-at-a-time draws, and it is what the
-    batched experiment engine does, so the two stay bit-identical).  When
-    ``gamma`` is given, the outside observer's belief that the source is
-    informative is tracked alongside and recorded per step.
-    """
-    if horizon < 1:
-        raise InvalidParameterError(f"horizon must be >= 1, got {horizon}")
-    if not math.isfinite(initial_r):
-        raise InvalidParameterError("initial_r must be finite")
-
-    llrs = np.asarray(model.sample(world, rng, size=horizon), dtype=float)
-    actions = np.empty(horizon, dtype="U1")
-    public = np.empty(horizon + 1, dtype=float)
-    public[0] = initial_r
-
-    track_observer = gamma is not None
-    if track_observer:
-        from .observer import observer_init, observer_update
-
-        state = observer_init(gamma, initial_r)
-        qs = np.empty(horizon + 1, dtype=float)
-        qs[0] = state.q
-
-    r = initial_r
-    absorbed = False
-    switch_count = 0
-    last_switch: Optional[int] = None
-    for t in range(horizon):
-        a = agent_action(r, llrs[t])
-        actions[t] = a
-        if t > 0 and a != actions[t - 1]:
-            switch_count += 1
-            last_switch = t + 1
-        r = update_public(model, r, a)
-        if abs(r) >= R_CAP:
-            absorbed = True
-        public[t + 1] = r
-        if track_observer:
-            state = observer_update(state, model, a)
-            qs[t + 1] = state.q
-
-    return Trajectory(
-        world=world,
-        actions=actions,
-        llrs=llrs,
-        public_llrs=public,
-        switch_count=switch_count,
-        last_switch_time=last_switch,
-        absorbed=absorbed,
-        observer_beliefs=qs if track_observer else None,
-    )
+    return float(step(model, r, is_g(action), False)[0])

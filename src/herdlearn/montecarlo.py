@@ -27,11 +27,11 @@ from .beliefs import (
     GaussianFamilyParams,
     InvalidParameterError,
     LlrModel,
-    WorldState,
     make_gaussian_model,
     make_mixture_model,
+    sample_world,
 )
-from .dynamics import R_CAP
+from .dynamics import R_CAP, step
 
 LOG_2 = math.log(2.0)
 
@@ -144,6 +144,10 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"initial_r must be finite, got {self.initial_r}"
             )
+        if not 0 <= self.master_seed < 2**64:
+            raise InvalidParameterError(
+                f"master_seed must lie in [0, 2**64), got {self.master_seed}"
+            )
         if self.batch_size < 1 or self.workers < 1:
             raise InvalidParameterError("batch_size and workers must be >= 1")
 
@@ -203,14 +207,8 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     Results depend only on (config, trajectory index), never on the batch
     boundaries, so any partition of the index range gives identical rows.
 
-    Each step evaluates every law's log tail once per trajectory, only on
-    the side its action took (``log_side``: the right tail at -r after a G
-    action, the left tail after a B): F_g and F_b always, since their
-    difference is the public-LLR jump, and F_0 only when the observer is
-    on.  Each value equals ``log_sf(-r)`` or ``log_cdf(-r)`` bit for bit,
-    because the side is picked by negating the standardized argument,
-    which is exact, before the single ``log_ndtr`` call; so the engine
-    stays bit-identical to the scalar ``simulate_trajectory``.
+    Each step is one call of the transition kernel ``step`` on the whole
+    batch; it evaluates F_0's tail only when the observer is on.
     """
     model = build_model(config.model)
     n = hi - lo
@@ -220,16 +218,11 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     thetas = np.empty(n, dtype="U1")
     for i in range(n):
         rng = _trajectory_rng(config.master_seed, lo + i)
-        u_omega, u_theta = rng.random(2)
-        omega = config.omega if config.omega is not None else int(u_omega < config.gamma)
-        theta = config.theta if config.theta is not None else (
-            GOOD if u_theta < 0.5 else BAD
-        )
-        omegas[i] = omega
-        thetas[i] = theta
-        llrs[i] = model.sample(WorldState(omega=omega, theta=theta), rng, size=horizon)
+        world = sample_world(config.gamma, rng, config.omega, config.theta)
+        omegas[i] = world.omega
+        thetas[i] = world.theta
+        llrs[i] = model.sample(world, rng, size=horizon)
 
-    cdf_g, cdf_b, cdf_0 = model.cdf_g, model.cdf_b, model.cdf_0
     r = np.full(n, config.initial_r, dtype=float)
     ll_info_g = np.zeros(n)
     ll_info_b = np.zeros(n)
@@ -261,18 +254,13 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
             trace_r[:, t] = r
             trace_actions[:, t] = np.where(took_g, GOOD, BAD)
 
-        neg_r = -r
-        lt_g = cdf_g.log_side(neg_r, took_g)
-        lt_b = cdf_b.log_side(neg_r, took_g)
+        r, lt_g, lt_b, lt_0 = step(model, r, took_g, config.record_q)
         if config.record_q:
             ll_info_g += lt_g
             ll_info_b += lt_b
-            ll_noise += cdf_0.log_side(neg_r, took_g)
+            ll_noise += lt_0
             if config.record_traces:
                 trace_q[:, t] = q_arrays()[0]
-
-        r += lt_g - lt_b
-        np.clip(r, -R_CAP, R_CAP, out=r)
         absorbed |= np.abs(r) >= R_CAP
 
         if prev_g is not None:
@@ -423,6 +411,8 @@ def same_variance_experiment(
     switch count statistic), the late-switch fraction, and the median
     final observer belief.
     """
+    if len(m0_grid) == 0:
+        raise InvalidParameterError("the m0 grid must hold at least one value")
     table = []
     for m0 in m0_grid:
         config = ExperimentConfig(

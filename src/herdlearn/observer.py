@@ -12,20 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .beliefs import BAD, GOOD, InvalidParameterError, LlrModel
-from .dynamics import R_CAP, update_public
+from .dynamics import is_g, step
 
 __all__ = [
     "HYPOTHESES",
     "ObserverState",
     "observer_init",
     "observer_update",
-    "batch_posterior",
-    "history_log_prob",
     "replay",
 ]
 
@@ -103,94 +101,24 @@ def observer_init(gamma: float, initial_r: float = 0.0) -> ObserverState:
     )
 
 
-def _action_log_liks(model: LlrModel, r: float, action: str) -> np.ndarray:
-    """log P[action | hypothesis, public LLR r] for the four hypotheses."""
-    if action == GOOD:
-        lg = model.log_tail("g", "right", -r)
-        lb = model.log_tail("b", "right", -r)
-        l0 = model.log_tail("0", "right", -r)
-    elif action == BAD:
-        lg = model.log_tail("g", "left", r)
-        lb = model.log_tail("b", "left", r)
-        l0 = model.log_tail("0", "left", r)
-    else:
-        raise InvalidParameterError(f"action must be 'g' or 'b', got {action!r}")
-    return np.array([lg, lb, l0, l0], dtype=float)
-
-
 def observer_update(state: ObserverState, model: LlrModel, action: str) -> ObserverState:
     """Fold one observed action into the filter.
 
     Likelihoods are accumulated in the log domain and re-centered every
     step, so the filter stays well-conditioned over arbitrarily long
-    histories.  The public LLR moves by the difference of the two
-    informative terms, which is exactly the jump ``update_public`` takes.
+    histories.  The action's log-probabilities under the three laws and
+    the next public LLR come from the one transition kernel, ``step``.
     """
-    terms = _action_log_liks(model, state.r_track, action)
-    log_lik = state.log_lik + terms
-    log_lik = log_lik - log_lik.max()
-    r_track = min(max(state.r_track + (terms[0] - terms[1]), -R_CAP), R_CAP)
+    r_next, lt_g, lt_b, lt_0 = step(model, state.r_track, is_g(action), True)
+    log_lik = state.log_lik + np.array([lt_g, lt_b, lt_0, lt_0])
+    log_lik -= log_lik.max()
     return ObserverState(
         log_lik=log_lik,
         gamma=state.gamma,
-        r_track=float(r_track),
+        r_track=float(r_next),
         t=state.t + 1,
         initial_r=state.initial_r,
     )
-
-
-def _history_log_liks(
-    model: LlrModel, initial_r: float, actions: Sequence[str]
-) -> np.ndarray:
-    """Product-form log-likelihood of a whole history, one pass per hypothesis.
-
-    The public-LLR path is reconstructed first, then all per-step terms are
-    evaluated vectorized.  This is the batch twin of the incremental filter
-    and is used as its cross-check.
-    """
-    n = len(actions)
-    if n == 0:
-        return np.zeros(4)
-    rs = np.empty(n, dtype=float)
-    r = initial_r
-    for t, a in enumerate(actions):
-        rs[t] = r
-        r = update_public(model, r, a)
-    took_g = np.array([a == GOOD for a in actions])
-    out = np.zeros(4)
-    for k, regime in enumerate(("g", "b", "0")):
-        total = float(np.sum(model.cdf_for(regime).log_side(-rs, took_g)))
-        if regime == "0":
-            out[2] = out[3] = total
-        else:
-            out[k] = total
-    return out
-
-
-def batch_posterior(
-    model: LlrModel, gamma: float, initial_r: float, actions: Sequence[str]
-) -> float:
-    """q after a whole history, computed in one pass.
-
-    Agrees with folding ``observer_update`` to ~1e-15; an empty history
-    returns the prior.
-    """
-    if not 0.0 < gamma < 1.0:
-        raise InvalidParameterError(f"gamma must lie in (0, 1), got {gamma}")
-    w = _history_log_liks(model, initial_r, actions) + _log_priors(gamma)
-    w = np.exp(w - w.max())
-    return float((w[0] + w[1]) / w.sum())
-
-
-def history_log_prob(
-    model: LlrModel, gamma: float, initial_r: float, actions: Sequence[str]
-) -> float:
-    """Unconditional log-probability of observing the given action sequence."""
-    if not 0.0 < gamma < 1.0:
-        raise InvalidParameterError(f"gamma must lie in (0, 1), got {gamma}")
-    w = _history_log_liks(model, initial_r, actions) + _log_priors(gamma)
-    m = float(w.max())
-    return m + math.log(float(np.exp(w - m).sum()))
 
 
 def replay(

@@ -1,14 +1,21 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately computed by a different route than the
-library: extended-precision mpmath for normal tails, and the full
-four-hypothesis posterior for the decision rule.
+library: extended-precision mpmath for normal tails, the full
+four-hypothesis posterior for the decision rule, and a scalar trajectory
+simulator and one-pass history likelihood that take every tail from
+``log_cdf``/``log_sf`` directly, never through the transition kernel.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import mpmath as mp
 import numpy as np
+
+from herdlearn import InvalidParameterError, LlrModel, WorldState
+from herdlearn.dynamics import R_CAP
 
 mp.mp.dps = 50
 
@@ -67,6 +74,142 @@ def four_state_actions(
     score_good = w_good * normal_pdf(llr, info_mean, info_sd) + common
     score_bad = w_bad * normal_pdf(llr, -info_mean, info_sd) + common
     return score_good >= score_bad
+
+
+def action_log_probs(model: LlrModel, r: float, took_g: bool) -> tuple:
+    """log P[action | F] for F = F_g, F_b, F_0 at public LLR r.
+
+    A G action means llr >= -r, so its probability is the survival value
+    at -r; a B action's is the CDF at -r.
+    """
+    tail = "log_sf" if took_g else "log_cdf"
+    cdfs = (model.cdf_g, model.cdf_b, model.cdf_0)
+    return tuple(float(getattr(cdf, tail)(-r)) for cdf in cdfs)
+
+
+def next_public(model: LlrModel, r: float, took_g: bool) -> float:
+    """The public LLR after one action, clipped at the saturation cap."""
+    lt_g, lt_b, _ = action_log_probs(model, r, took_g)
+    return min(max(r + (lt_g - lt_b), -R_CAP), R_CAP)
+
+
+def _log_priors(gamma: float) -> np.ndarray:
+    lg = math.log(gamma / 2.0)
+    l0 = math.log((1.0 - gamma) / 2.0)
+    return np.array([lg, lg, l0, l0])
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """One simulated run of the action process.
+
+    actions and llrs have length T; public_llrs has length T+1 with the
+    initial value first, so public_llrs[t] is the belief agent t+1 acts on.
+    observer_beliefs, when recorded, aligns with public_llrs (entry 0 is
+    the prior).  last_switch_time is the 1-based index of the last agent
+    whose action differed from their predecessor's, or None.
+    """
+
+    world: WorldState
+    actions: np.ndarray
+    llrs: np.ndarray
+    public_llrs: np.ndarray
+    switch_count: int
+    last_switch_time: Optional[int]
+    observer_beliefs: Optional[np.ndarray] = None
+
+
+def simulate_trajectory(
+    model: LlrModel,
+    world: WorldState,
+    horizon: int,
+    rng: np.random.Generator,
+    initial_r: float = 0.0,
+    gamma: Optional[float] = None,
+) -> Trajectory:
+    """Simulate ``horizon`` agents acting in sequence, one at a time.
+
+    Private LLRs are drawn from ``rng`` as one block up front, as the
+    experiment engine does, so the two see the same draws.  When ``gamma``
+    is given, the observer's belief that the source is informative is
+    tracked alongside from the four hypotheses' log-likelihoods.
+    """
+    if horizon < 1:
+        raise InvalidParameterError(f"horizon must be >= 1, got {horizon}")
+    llrs = np.asarray(model.sample(world, rng, size=horizon), dtype=float)
+    actions = np.empty(horizon, dtype="U1")
+    public = np.empty(horizon + 1, dtype=float)
+    public[0] = initial_r
+    qs = np.empty(horizon + 1, dtype=float)
+    log_lik = np.zeros(4)
+    r = initial_r
+    switch_count = 0
+    last_switch: Optional[int] = None
+    for t in range(horizon):
+        took_g = bool(llrs[t] >= -r)
+        actions[t] = "g" if took_g else "b"
+        if t > 0 and actions[t] != actions[t - 1]:
+            switch_count += 1
+            last_switch = t + 1
+        if gamma is not None:
+            w = log_lik + _log_priors(gamma)
+            w = np.exp(w - w.max())
+            qs[t] = (w[0] + w[1]) / w.sum()
+            lt_g, lt_b, lt_0 = action_log_probs(model, r, took_g)
+            log_lik = log_lik + np.array([lt_g, lt_b, lt_0, lt_0])
+            log_lik -= log_lik.max()
+        r = next_public(model, r, took_g)
+        public[t + 1] = r
+    if gamma is not None:
+        w = log_lik + _log_priors(gamma)
+        w = np.exp(w - w.max())
+        qs[horizon] = (w[0] + w[1]) / w.sum()
+    return Trajectory(
+        world=world,
+        actions=actions,
+        llrs=llrs,
+        public_llrs=public,
+        switch_count=switch_count,
+        last_switch_time=last_switch,
+        observer_beliefs=qs if gamma is not None else None,
+    )
+
+
+def history_log_liks(model: LlrModel, initial_r: float, actions: Sequence[str]):
+    """Product-form log-likelihood of a whole history under each hypothesis.
+
+    The public-LLR path is reconstructed first, then every per-step term of
+    each law is evaluated in one vectorized pass.
+    """
+    took_g = np.array([a == "g" for a in actions], dtype=bool)
+    rs = np.empty(len(actions), dtype=float)
+    r = initial_r
+    for t, g in enumerate(took_g):
+        rs[t] = r
+        r = next_public(model, r, g)
+    lg, lb, l0 = (
+        float(np.sum(np.where(took_g, cdf.log_sf(-rs), cdf.log_cdf(-rs))))
+        for cdf in (model.cdf_g, model.cdf_b, model.cdf_0)
+    )
+    return np.array([lg, lb, l0, l0])
+
+
+def batch_posterior(
+    model: LlrModel, gamma: float, initial_r: float, actions: Sequence[str]
+) -> float:
+    """q after a whole history, computed in one pass; the prior if empty."""
+    w = history_log_liks(model, initial_r, actions) + _log_priors(gamma)
+    w = np.exp(w - w.max())
+    return float((w[0] + w[1]) / w.sum())
+
+
+def history_log_prob(
+    model: LlrModel, gamma: float, initial_r: float, actions: Sequence[str]
+) -> float:
+    """Unconditional log-probability of observing the given action sequence."""
+    w = history_log_liks(model, initial_r, actions) + _log_priors(gamma)
+    m = float(w.max())
+    return m + math.log(float(np.exp(w - m).sum()))
 
 
 # Frozen constants, all computed with mpmath at 50 digits.

@@ -21,7 +21,6 @@ from herdlearn import (
     GaussianFamilyParams,
     SumVerdict,
     agent_action,
-    batch_posterior,
     consensus_path,
     divergence_test,
     immediate_agreement_prob,
@@ -42,6 +41,7 @@ from herdlearn.montecarlo import (
 )
 
 import oracles
+from oracles import batch_posterior
 
 
 def philox(seed, index=0):

@@ -1,9 +1,21 @@
 """Command-line contract: output schemas, exit codes, digests, config layering."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import herdlearn
 
 from herdlearn.cli import (
     EXIT_OK,
@@ -329,6 +341,11 @@ class TestUsageErrors:
             (["classify", "--sigma", "1", "--tau", "2", "--x-max", "inf"], "x_max"),
             (["observer-replay", "--sigma", "1", "--tau", "inf"], "tau"),
             (["observer-replay", "--sigma", "1", "--tau", "2", "--m0", "nan"], "m0"),
+            # Finite flags whose induced LLR laws are not finite.
+            (["simulate", "--sigma", "1e-200", "--tau", "1"], "sigma"),
+            (["simulate", "--sigma", "1e-160", "--tau", "1"], "sigma"),
+            (["simulate", "--sigma", "1e200", "--tau", "1e200"], "tau"),
+            (["path", "--sigma", "1e-300"], "sigma"),
         ],
     )
     def test_non_finite_values_are_usage_errors(self, capsys, tmp_path, argv, name):
@@ -344,3 +361,189 @@ class TestUsageErrors:
         assert name in err and "finite" in err
         assert "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv,fragment",
+        [
+            (["same-variance", "--sigma", "1", "--m0-grid", ","], "m0 grid"),
+            (["classify", "--sigma", "1", "--tau", "2", "--x-max", "0.5"], "x_max"),
+            (["classify", "--sigma", "1", "--tau", "2", "--x-max", "1"], "x_max"),
+            (["simulate", "--sigma", "1", "--tau", "2", "--seed", "-1"], "master_seed"),
+            (["simulate", "--sigma", "1", "--tau", "2", "--seed", str(2**64)],
+             "master_seed"),
+        ],
+    )
+    def test_runs_that_cannot_do_work_are_usage_errors(self, capsys, argv, fragment):
+        if argv[0] in ("simulate", "same-variance"):
+            argv = [*argv, "--horizon", "5", "--trajectories", "3"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert err.startswith("herdlearn: error: ") and fragment in err
+        assert "Traceback" not in err
+        assert out == ""
+
+
+class TestBadInputFiles:
+    def _run(self, capsys, tmp_path, argv, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == EXIT_USAGE
+        assert err.startswith("herdlearn: error: ")
+        assert "Traceback" not in err
+        assert out == ""
+        return err
+
+    def test_config_without_section_header(self, capsys, tmp_path):
+        err = self._run(
+            capsys, tmp_path, ["path", "--config"], "run.ini", b"[model\nsigma = 1\n"
+        )
+        assert "bad config file" in err
+
+    def test_config_that_is_not_utf8(self, capsys, tmp_path):
+        err = self._run(
+            capsys, tmp_path, ["path", "--config"], "run.ini",
+            b"[model]\nsigma = 1\xff\n",
+        )
+        assert "bad config file" in err
+
+    def test_actions_file_that_is_not_utf8(self, capsys, tmp_path):
+        err = self._run(
+            capsys, tmp_path,
+            ["observer-replay", "--sigma", "1", "--tau", "2", "--actions-file"],
+            "actions.txt", b"G\n\xfe\xffB\n",
+        )
+        assert "cannot read actions file" in err
+
+
+# Values for the fuzz.  Every flag draws from a usable strategy (odds 3 in 4)
+# or a hostile one (non-finite, extreme or garbage), so that both runs that
+# get past validation and runs that do not are common.
+_HOSTILE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(
+        ["0", "-0", "1e-200", "1e-160", "1e-150", "1e150", "1e200", "1e308",
+         "-1e308", "5e-324", "nan", "inf", "-inf", "1e999"]
+    ),
+    st.text(max_size=6),
+)
+_REAL = st.floats(-10.0, 10.0).map(repr)
+_SCALE = st.floats(0.05, 5.0).map(repr)
+_PROB = st.floats(0.01, 0.99).map(repr)
+# Sizes stay small so that every run that is accepted finishes at once.
+_SIZE = (st.integers(1, 30).map(str),
+         st.sampled_from(["-3", "0", "", "x", "1.5", "1e3", "0x10"]))
+_SEED = (st.integers(0, 2**64 - 1).map(str),
+         st.one_of(st.integers(-(2**70), 2**70).map(str), st.text(max_size=4)))
+_COMMAND_FLAGS = {
+    "classify": {"--x-max": st.floats(1.5, 500.0).map(repr), "--grid": _SIZE,
+                 "--m0": _REAL},
+    "path": {"--horizon": _SIZE, "--initial-r": _REAL},
+    "agree-prob": {"--horizon": _SIZE, "--initial-r": _REAL, "--m0": _REAL},
+    "simulate": {"--gamma": _PROB, "--initial-r": _REAL, "--m0": _REAL,
+                 "--omega": (st.sampled_from(["0", "1"]), st.just("2")),
+                 "--theta": (st.sampled_from(["g", "b"]), st.just("x")),
+                 "--workers": (st.just("1"), st.sampled_from(["-1", "0"]))},
+    "same-variance": {"--m0-grid": st.lists(_REAL, max_size=3).map(",".join),
+                      "--gamma": _PROB},
+    "observer-replay": {"--gamma": _PROB, "--initial-r": _REAL, "--m0": _REAL},
+}
+# Config keys a file may set; sizes are left to the small flags.
+_CONFIG_KEYS = ["sigma", "tau", "m0", "mixture", "gamma", "initial_r", "seed",
+                "x_max", "regime", "omega", "theta"]
+
+
+@st.composite
+def _invocations(draw):
+    def value(strategies):
+        usable, hostile = strategies if isinstance(strategies, tuple) else (
+            strategies, _HOSTILE)
+        return draw(usable if draw(st.integers(0, 3)) else hostile)
+
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    needed = {"--sigma": _SCALE}
+    if command == "agree-prob":
+        needed["--regime"] = (st.sampled_from(["g", "b", "0", "f_0"]), st.just("zz"))
+    if command != "same-variance":
+        needed["--tau" if draw(st.booleans()) else "--mixture"] = (
+            _SCALE if draw(st.booleans()) else _PROB)
+    if command in ("simulate", "same-variance"):
+        needed.update({"--horizon": _SIZE, "--trajectories": _SIZE})
+    optional = {**_COMMAND_FLAGS[command], "--seed": _SEED}
+    chosen = draw(st.lists(st.sampled_from(sorted(optional)), unique=True, max_size=3))
+    # FLAG=VALUE keeps argparse from reading a value such as "-1e5" as a flag.
+    argv = [command] + [f"{flag}={value(needed[flag])}" for flag in needed]
+    argv += [f"{flag}={value(optional[flag])}" for flag in chosen if flag not in needed]
+    files = {}
+    if draw(st.integers(0, 2)) == 0:
+        lines = draw(st.lists(
+            st.tuples(st.sampled_from(_CONFIG_KEYS), _HOSTILE), max_size=3
+        ))
+        text = "[model]\n" + "".join(f"{k} = {v}\n" for k, v in lines)
+        files["--config"] = draw(st.one_of(st.binary(max_size=80), st.just(text.encode())))
+    if command == "observer-replay":
+        files["--actions-file"] = draw(st.one_of(
+            st.binary(max_size=40),
+            st.text(alphabet="GBgb \n", max_size=40).map(str.encode),
+        ))
+    return argv, files
+
+
+class TestFuzz:
+    """Whatever the flags and files, the CLI exits 0, 2 or 64 without a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(invocation=_invocations())
+    def test_exit_codes_and_no_traceback(self, invocation):
+        argv, files = invocation
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            for flag, data in files.items():
+                path = Path(tmp) / flag.strip("-")
+                path.write_bytes(data)
+                argv = [*argv, flag, str(path)]
+            old_cwd = os.getcwd()
+            os.chdir(tmp)
+            try:
+                with mock.patch.dict(os.environ), \
+                        contextlib.redirect_stdout(stdout), \
+                        contextlib.redirect_stderr(stderr):
+                    os.environ.pop("HERDLEARN_OUT_DIR", None)
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+            finally:
+                os.chdir(old_cwd)
+        assert code in (EXIT_OK, EXIT_UNDETERMINED, EXIT_USAGE), (argv, code)
+        assert "Traceback" not in stderr.getvalue()
+
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=MemoryError,
+        reason="numpy._core._exceptions._ArrayMemoryError: Unable to allocate "
+        "728. TiB for an array with shape (100000000000000,) and data type "
+        "float64 -- memory is not yet bounded regardless of horizon",
+    )
+    def test_horizon_too_large_for_memory_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "path", "--sigma", "1", "--horizon", "100000000000000"
+        )
+        assert code == EXIT_USAGE
+
+
+def test_cli_import_loads_neither_the_optimizer_nor_mpmath():
+    src = str(Path(herdlearn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+    probe = (
+        "import sys, herdlearn.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'mpmath') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -12,9 +12,9 @@ from herdlearn import (
     SumVerdict,
     consensus_path,
     divergence_test,
-    eventual_monotonicity_threshold,
     immediate_agreement_prob,
     jump_b,
+    jump_g,
     make_gaussian_model,
     phi,
 )
@@ -220,18 +220,13 @@ class TestImmediateAgreement:
 
 class TestEventualMonotonicity:
     def test_gaussian_map_is_monotone_from_the_left_edge(self, gauss_fat):
-        threshold = eventual_monotonicity_threshold(gauss_fat, 50.0)
-        assert threshold is not None
-        assert threshold == pytest.approx(-50.0)
+        xs = np.linspace(-50.0, 50.0, 4001)
+        phis = xs + np.asarray(jump_g(gauss_fat, xs))
+        assert np.all(np.diff(phis) >= -1e-12)
 
     def test_grid_property_beyond_threshold(self, gauss_fat):
-        threshold = eventual_monotonicity_threshold(gauss_fat, 30.0)
-        xs = np.linspace(threshold, 30.0, 2000)
+        xs = np.linspace(-30.0, 30.0, 2000)
         phis = xs + np.asarray(
             gauss_fat.log_tail("g", "right", -xs)
         ) - np.asarray(gauss_fat.log_tail("b", "right", -xs))
         assert np.all(np.diff(phis) >= -1e-12)
-
-    def test_validation(self, gauss_fat):
-        with pytest.raises(InvalidParameterError):
-            eventual_monotonicity_threshold(gauss_fat, -1.0)

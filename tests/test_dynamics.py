@@ -1,4 +1,5 @@
-"""Decision rule, belief jumps, and trajectory simulation."""
+"""Decision rule, the transition kernel, belief jumps, and the scalar
+trajectory oracle."""
 
 import math
 
@@ -10,48 +11,22 @@ from hypothesis import strategies as st
 from herdlearn import (
     GaussianFamilyParams,
     InvalidParameterError,
-    PublicBelief,
     WorldState,
     agent_action,
     jump_b,
     jump_g,
     make_gaussian_model,
-    make_mixture_model,
-    simulate_trajectory,
     update_public,
 )
-from herdlearn.dynamics import R_CAP, logit, sigmoid
+from herdlearn.dynamics import R_CAP, step
 from herdlearn.montecarlo import ExperimentConfig, GaussianSpec, run_experiment
 
 import oracles
+from oracles import simulate_trajectory
 
 
 def philox(seed, index=0):
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
-
-
-class TestPublicBelief:
-    def test_roundtrip(self):
-        # 1 - pi keeps 1e-12 relative accuracy only up to |r| ~ 9; beyond
-        # that the probability view saturates (log-odds stays primary).
-        for r in np.linspace(-9, 9, 61):
-            belief = PublicBelief(r=float(r))
-            assert logit(belief.pi) == pytest.approx(r, abs=1e-12)
-
-    def test_probability_stays_interior(self):
-        # float64 sigmoid saturates to exactly 0 or 1 past |r| ~ 36.
-        for r in np.linspace(-36, 36, 41):
-            assert 0.0 < PublicBelief(r=float(r)).pi < 1.0
-
-    def test_from_probability(self):
-        assert PublicBelief.from_probability(0.5).r == pytest.approx(0.0, abs=1e-15)
-        assert PublicBelief.from_probability(sigmoid(3.0)).r == pytest.approx(3.0, abs=1e-12)
-
-    def test_logit_domain(self):
-        with pytest.raises(InvalidParameterError):
-            logit(0.0)
-        with pytest.raises(InvalidParameterError):
-            logit(1.0)
 
 
 class TestAgentAction:
@@ -120,6 +95,37 @@ class TestJumps:
                 -r, -2.0, 2.0
             )
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+class TestStep:
+    """The one transition kernel, on floats and on arrays."""
+
+    @pytest.mark.parametrize("with_noise", [True, False])
+    def test_array_equals_elementwise_floats(self, gauss_fat, mixture_half, with_noise):
+        rs = np.concatenate([np.linspace(-60.0, 60.0, 121), [-1e3, 1e3, 0.0, R_CAP]])
+        took = np.arange(len(rs)) % 3 != 0
+        for model in (gauss_fat, mixture_half):
+            batch = step(model, rs, took, with_noise)
+            for k, (r, g) in enumerate(zip(rs, took)):
+                one = step(model, float(r), bool(g), with_noise)
+                for got, want in zip(batch, one):
+                    if want is None:
+                        assert got is None
+                    else:
+                        assert got[k] == want
+
+    def test_matches_direct_tails(self, mixture_half):
+        for r in (-7.5, 0.0, 3.25):
+            for took_g, tail in ((True, "log_sf"), (False, "log_cdf")):
+                r_next, lt_g, lt_b, lt_0 = step(mixture_half, r, took_g, True)
+                cdfs = (mixture_half.cdf_g, mixture_half.cdf_b, mixture_half.cdf_0)
+                want = [getattr(cdf, tail)(-r) for cdf in cdfs]
+                assert [lt_g, lt_b, lt_0] == want
+                assert r_next == r + (want[0] - want[1])
+
+    def test_clips_at_the_cap(self, gauss_fat):
+        r_next = step(gauss_fat, np.array([R_CAP, -R_CAP]), np.array([True, False]), False)[0]
+        np.testing.assert_array_equal(r_next, [R_CAP, -R_CAP])
 
 
 class TestUpdatePublic:

@@ -7,11 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from herdlearn import (
-    InvalidParameterError,
-    WorldState,
-    simulate_trajectory,
-)
+from herdlearn import InvalidParameterError, WorldState
 from herdlearn import montecarlo
 from herdlearn.montecarlo import (
     ExperimentConfig,
@@ -25,6 +21,8 @@ from herdlearn.montecarlo import (
     spec_from_dict,
     spec_to_dict,
 )
+
+from oracles import simulate_trajectory
 
 _simulate_batch = montecarlo._simulate_batch
 

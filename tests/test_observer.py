@@ -7,8 +7,6 @@ import pytest
 
 from herdlearn import (
     InvalidParameterError,
-    batch_posterior,
-    history_log_prob,
     observer_init,
     observer_update,
     replay,
@@ -22,6 +20,7 @@ from herdlearn.montecarlo import (
 )
 
 import oracles
+from oracles import batch_posterior, history_log_prob
 
 
 def philox(seed, index=0):
