@@ -7,9 +7,10 @@ purpose is to alter the stream updates them and says so.
 
 Simulations are pinned through the CLI (the files it writes) with the
 observer on, and through ``run_experiment`` with the observer off, since
-the CLI has no switch for that.  The replay pins only the ``t`` and
-``log_odds`` columns: ``q`` is derived from the same weights and may move
-in the last bit when its formula is made safer.
+the CLI has no switch for that.  ``test_replay_log_odds`` pins only the
+``t`` and ``log_odds`` columns of a replay, and ``test_replay_observer_csv``
+the whole ``observer.csv``, ``q`` included.  The CSV files of ``path``,
+``agree-prob``, ``classify`` and ``same-variance`` are pinned as written.
 """
 
 import hashlib
@@ -257,3 +258,100 @@ def test_replay_log_odds(capsys, tmp_path, case):
         f"{t},{log_odds}\n" for t, _, log_odds in (ln.split(",") for ln in lines[1:])
     )
     assert _sha(kept.encode()) == expected
+
+
+FILE_CASES = {
+    "path_plain": (
+        ["path", "--sigma", "1", "--horizon", "2000"],
+        "path.csv", 0,
+        "f79409dee28ad455fad17bb9a1b16870"
+        "f5855619a5697b440edc4cda68e0245b",
+    ),
+    "path_absorbed": (
+        ["path", "--sigma", "1", "--tau", "2", "--horizon", "500",
+         "--initial-r", "2000000"],
+        "path.csv", 0,
+        "eb3f47fffe19730e521ca9062fac356b"
+        "7744adb476c694f2e8d2e97b531ba44f",
+    ),
+    "agree_prob_0_gauss": (
+        ["agree-prob", "--sigma", "1", "--tau", "0.5", "--regime", "0",
+         "--horizon", "1500"],
+        "partial_sums.csv", 0,
+        "fca9e7ab013a455db2e679c0b06b3bb1"
+        "1e809878b402990bd265827ec2c7d0eb",
+    ),
+    "agree_prob_0_mixture": (
+        ["agree-prob", "--sigma", "1", "--mixture", "0.3", "--regime", "0",
+         "--horizon", "1500"],
+        "partial_sums.csv", 0,
+        "992eb89e749d79eb92e50c998bc29396"
+        "4f65854c77023a1274585ab91eb3a50c",
+    ),
+    "agree_prob_b": (
+        ["agree-prob", "--sigma", "1", "--regime", "b", "--horizon", "1500"],
+        "partial_sums.csv", 0,
+        "4b8209cc1cba69e40b3da308bef17564"
+        "0715128590242f1b10c4c36a59135474",
+    ),
+    "classify_closed_form": (
+        ["classify", "--sigma", "1", "--tau", "2"],
+        "evidence.csv", 0,
+        "e9a2696186801befbdcdbf1e41da3280"
+        "304d3c7374790b004d393755084f5baf",
+    ),
+    "classify_empirical": (
+        ["classify", "--sigma", "1", "--tau", "1", "--m0", "0.3", "--empirical"],
+        "evidence.csv", 2,
+        "b86dd70e2fd8d339bf71da8e77cd0529"
+        "76947dd9a65d3009a7cd8883927246db",
+    ),
+    "same_variance": (
+        ["same-variance", "--sigma", "1", "--m0-grid", "0,0.25,0.5",
+         "--horizon", "300", "--trajectories", "200", "--seed", "4"],
+        "same_variance.csv", 0,
+        "69bc3806012be9458723918d63334cdb"
+        "19a66a2c0585c302298e4fe3f0aca6ba",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_CASES))
+def test_command_files(capsys, tmp_path, case):
+    argv, name, exit_code, expected = FILE_CASES[case]
+    assert main([*argv, "--out", str(tmp_path)]) == exit_code
+    out = capsys.readouterr().out
+    data = (tmp_path / name).read_bytes()
+    assert data.decode() in out
+    assert _sha(data) == expected
+
+
+OBSERVER_CSV = {
+    "gauss_fat": (
+        "36065dd6d9851491d5a9aa392a33dba8"
+        "a29c929e286f10c42528b24651160ce9"
+    ),
+    "gauss_shifted_noise": (
+        "c3e127a19ccbe8d89c99e1f2d4a75ba5"
+        "d7526ad97e3590e8574d392b1bca9c8c"
+    ),
+    "mixture": (
+        "bd7c26f8cf323e95d066ea381a242852"
+        "bcca31a3c126ee07e585f98b7c1d7052"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_replay_observer_csv(capsys, tmp_path, case):
+    """The whole observer.csv, q column included."""
+    argv, _ = REPLAY_CASES[case]
+    actions = tmp_path / "actions.txt"
+    actions.write_text(_replay_actions())
+    code = main(["observer-replay", *argv, "--actions-file", str(actions),
+                 "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert code == 0
+    data = (tmp_path / "out" / "observer.csv").read_bytes()
+    assert data.decode() == out
+    assert _sha(data) == OBSERVER_CSV[case]
