@@ -68,23 +68,38 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _fmt(value) -> str:
-    """Locale-independent CSV cell: shortest round-trip for floats."""
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if np.isnan(value):
-            return ""
-        return repr(value)
-    return str(value)
+# Rows formatted per block: whole-column cell lists would hold every cell of
+# a large file in memory at once.
+CSV_BLOCK_ROWS = 1024
 
 
-def _csv_lines(header: Sequence[str], rows, comments: Sequence[str] = ()) -> str:
+def _cells(column: np.ndarray) -> list:
+    """Locale-independent CSV cells: shortest round-trip ``repr`` for floats
+    (an empty cell for NaN), ``str`` for everything else."""
+    values = column.tolist()
+    if column.dtype.kind != "f":
+        return list(map(str, values))
+    cells = list(map(repr, values))
+    for i in np.flatnonzero(np.isnan(column)).tolist():
+        cells[i] = ""
+    return cells
+
+
+def _csv_lines(
+    header: Sequence[str], columns: Sequence, comments: Sequence[str] = ()
+) -> str:
+    """CSV text from equal-length columns, after ``# `` comment lines."""
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError("CSV columns differ in length")
     buf = io.StringIO()
     for c in comments:
         buf.write(f"# {c}\n")
     buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
+    for lo in range(0, n, CSV_BLOCK_ROWS):
+        cells = [_cells(c[lo : lo + CSV_BLOCK_ROWS]) for c in columns]
+        buf.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return buf.getvalue()
 
 
@@ -211,11 +226,14 @@ def _out_dir(args: argparse.Namespace) -> Optional[Path]:
     return Path(out) if out else None
 
 
+def _steps(n: int) -> np.ndarray:
+    """The 1-based ``t`` column of an n-row file."""
+    return np.arange(1, n + 1)
+
+
 def _evidence_csv(result: TailClassification, comments: Sequence[str]) -> str:
     return _csv_lines(
-        TailClassification.EVIDENCE_COLUMNS,
-        (tuple(float(v) for v in row) for row in result.evidence),
-        comments=comments,
+        TailClassification.EVIDENCE_COLUMNS, result.evidence.T, comments=comments
     )
 
 
@@ -260,9 +278,7 @@ def _cmd_path(args: argparse.Namespace) -> int:
     path = consensus_path(model, initial_r=initial_r, horizon=horizon)
     comments = [f"initial_r: {initial_r!r}", f"absorbed: {path.absorbed}"]
     csv_text = _csv_lines(
-        ("t", "r"),
-        ((t + 1, _fmt(float(v))) for t, v in enumerate(path.values)),
-        comments=comments,
+        ("t", "r"), (_steps(len(path.values)), path.values), comments=comments
     )
     print(csv_text, end="")
     out = _out_dir(args)
@@ -312,7 +328,7 @@ def _cmd_agree_prob(args: argparse.Namespace) -> int:
     ]
     csv_text = _csv_lines(
         ("t", "partial_sum"),
-        ((t + 1, _fmt(float(s))) for t, s in enumerate(div.partial_sums)),
+        (_steps(len(div.partial_sums)), div.partial_sums),
         comments=comments,
     )
     print(f"diverged: {'true' if estimate.diverged else 'false'}")
@@ -347,28 +363,18 @@ def _experiment_config(args: argparse.Namespace, spec) -> ExperimentConfig:
 
 def _rows_csv(rows: np.ndarray) -> str:
     header = rows.dtype.names
-    return _csv_lines(
-        header,
-        (
-            [_fmt(row[name].item() if hasattr(row[name], "item") else row[name])
-             for name in header]
-            for row in rows
-        ),
-    )
+    return _csv_lines(header, [rows[name] for name in header])
 
 
 def _trace_csv(trace) -> str:
     return _csv_lines(
         ("t", "action", "llr", "r_before", "q"),
         (
-            (
-                t + 1,
-                trace.actions[t],
-                _fmt(float(trace.llrs[t])),
-                _fmt(float(trace.r_before[t])),
-                _fmt(float(trace.q[t])),
-            )
-            for t in range(len(trace.actions))
+            _steps(len(trace.actions)),
+            trace.actions,
+            trace.llrs,
+            trace.r_before,
+            trace.q,
         ),
     )
 
@@ -418,7 +424,7 @@ def _cmd_same_variance(args: argparse.Namespace) -> int:
         "frac_switch_after_half",
         "median_q_final",
     )
-    csv_text = _csv_lines(header, ([_fmt(row[k]) for k in header] for row in table))
+    csv_text = _csv_lines(header, [[row[k] for row in table] for k in header])
     print(csv_text, end="")
     out = _out_dir(args)
     if out is not None:
@@ -455,11 +461,10 @@ def _cmd_observer_replay(args: argparse.Namespace) -> int:
             raise InvalidParameterError(
                 f"line {line_no}: expected G or B, got {token!r}"
             )
-    rows = [
-        (state.t, _fmt(state.q), _fmt(state.log_odds))
-        for state in replay(model, gamma, initial_r, actions)
-    ]
-    csv_text = _csv_lines(("t", "q", "log_odds"), rows)
+    columns = zip(
+        *((s.t, s.q, s.log_odds) for s in replay(model, gamma, initial_r, actions))
+    )
+    csv_text = _csv_lines(("t", "q", "log_odds"), list(columns))
     print(csv_text, end="")
     out = _out_dir(args)
     if out is not None:

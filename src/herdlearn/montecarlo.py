@@ -194,11 +194,24 @@ class ExperimentResourceError(RuntimeError):
         self.completed_rows = completed_rows
 
 
-def _trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream from a stateless mix of (master_seed, index)."""
-    return np.random.Generator(
-        np.random.Philox(key=np.array([master_seed, index], dtype=np.uint64))
-    )
+def _trajectory_rng(
+    rng: np.random.Generator, master_seed: int, index: int
+) -> np.random.Generator:
+    """Re-key ``rng``'s Philox to the stream of (master_seed, index).
+
+    Key ``[master_seed, index]``, counter 0 and nothing buffered: the draws
+    are exactly those of a fresh ``Philox(key=[master_seed, index])``,
+    without building one (and its unused seed sequence) per trajectory.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (master_seed, index)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
@@ -216,8 +229,9 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     llrs = np.empty((n, horizon))
     omegas = np.empty(n, dtype=np.int8)
     thetas = np.empty(n, dtype="U1")
+    rng = np.random.Generator(np.random.Philox())
     for i in range(n):
-        rng = _trajectory_rng(config.master_seed, lo + i)
+        _trajectory_rng(rng, config.master_seed, lo + i)
         world = sample_world(config.gamma, rng, config.omega, config.theta)
         omegas[i] = world.omega
         thetas[i] = world.theta

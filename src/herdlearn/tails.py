@@ -90,8 +90,18 @@ def _evidence_grid(model: LlrModel, x_max: float, n_grid: int) -> np.ndarray:
     if not (math.isfinite(x_max) and x_max > 1.0):
         raise InvalidParameterError(f"x_max must be finite and > 1, got {x_max}")
     xs = np.geomspace(1.0, x_max, n_grid)
-    log_l_g, log_l_b, log_r_g, log_r_b = tail_ratios(model, xs)
-    return np.column_stack([xs, log_l_b, log_r_g, log_l_g, log_r_b])
+    # Far enough out both log tails of a ratio underflow to -inf, and their
+    # difference is NaN: such a grid holds no evidence.
+    with np.errstate(invalid="ignore"):
+        log_l_g, log_l_b, log_r_g, log_r_b = tail_ratios(model, xs)
+    evidence = np.column_stack([xs, log_l_b, log_r_g, log_l_g, log_r_b])
+    finite = np.isfinite(evidence).all(axis=1)
+    if not finite.all():
+        raise InvalidParameterError(
+            f"x_max={x_max!r} is too large: the log tail ratios are not finite "
+            f"from x={float(xs[~finite][0])!r} on"
+        )
+    return evidence
 
 
 def classify_gaussian(
@@ -165,7 +175,10 @@ def classify_empirical(
     fatter = slope_l_b >= -TREND_SLOPE_TOL and slope_r_g >= -TREND_SLOPE_TOL
     thinner = slope_l_g <= -TREND_SLOPE_TOL or slope_r_b <= -TREND_SLOPE_TOL
     if fatter and not thinner:
-        eps = math.exp(float(np.minimum(top[:, 1], top[:, 2]).min()))
+        try:
+            eps = math.exp(float(np.minimum(top[:, 1], top[:, 2]).min()))
+        except OverflowError:  # both ratios beyond exp's range on the top half
+            eps = math.inf
         return TailClassification(Verdict.FATTER, evidence, epsilon_estimate=eps)
     if thinner and not fatter:
         bounded = []

@@ -4,7 +4,8 @@ Everything here is deliberately computed by a different route than the
 library: extended-precision mpmath for normal tails, the full
 four-hypothesis posterior for the decision rule, and a scalar trajectory
 simulator and one-pass history likelihood that take every tail from
-``log_cdf``/``log_sf`` directly, never through the transition kernel.
+``log_cdf``/``log_sf`` directly, never through the transition kernel, and a
+CSV writer that formats one cell at a time.
 """
 
 import math
@@ -210,6 +211,24 @@ def history_log_prob(
     w = history_log_liks(model, initial_r, actions) + _log_priors(gamma)
     m = float(w.max())
     return m + math.log(float(np.exp(w - m).sum()))
+
+
+def csv_cell(value) -> str:
+    """Locale-independent CSV cell: shortest round-trip for floats."""
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        if np.isnan(value):
+            return ""
+        return repr(value)
+    return str(value)
+
+
+def csv_lines(header: Sequence[str], rows, comments: Sequence[str] = ()) -> str:
+    """CSV text written row by row and cell by cell with ``csv_cell``."""
+    lines = [f"# {c}\n" for c in comments]
+    lines.append(",".join(header) + "\n")
+    lines.extend(",".join(csv_cell(v) for v in row) + "\n" for row in rows)
+    return "".join(lines)
 
 
 # Frozen constants, all computed with mpmath at 50 digits.

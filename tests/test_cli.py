@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import herdlearn
 
+from herdlearn import cli
 from herdlearn.cli import (
     EXIT_OK,
     EXIT_UNDETERMINED,
@@ -277,6 +278,67 @@ class TestReproducibility:
         assert digests[0] == digests[1]
 
 
+_SPECIAL_FLOATS = [
+    np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-5, 1e16, -1e16,
+    1e-4, 0.1, 1.0 / 3.0, 2.0**53, 1.7976931348623157e308,
+]
+_B = cli.CSV_BLOCK_ROWS
+
+
+def _mixed_columns(n: int) -> dict:
+    """n rows of every column kind the commands write, specials first."""
+    rng = np.random.default_rng(n)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    k = min(n, len(_SPECIAL_FLOATS))
+    floats[:k] = _SPECIAL_FLOATS[:k]
+    return {
+        "index": np.arange(n, dtype=np.int64) + 2**62,
+        "omega": rng.integers(-128, 128, n).astype(np.int8),
+        "theta": np.where(rng.random(n) < 0.5, "g", "b"),
+        "x": floats,
+        "q": np.where(rng.random(n) < 0.2, np.nan, rng.random(n)),
+        "absorbed": rng.random(n) < 0.5,
+        "r": rng.standard_normal(n).astype(np.float32),
+    }
+
+
+class TestCsvWriter:
+    """The column-wise writer against the row-wise reference in oracles.py."""
+
+    @pytest.mark.parametrize("n", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 1])
+    def test_matches_row_writer(self, n):
+        columns = _mixed_columns(n)
+        comments = ["verdict: Fatter", "lower: 0.5"]
+        got = cli._csv_lines(list(columns), list(columns.values()), comments)
+        want = oracles.csv_lines(
+            list(columns), zip(*columns.values()), comments=comments
+        )
+        assert got == want
+        assert got.count("\n") == n + 3
+
+    def test_cells(self):
+        got = cli._csv_lines(
+            ("x", "flag", "action"),
+            (_SPECIAL_FLOATS[:4], [True, False, True, False], np.array(list("gbgb"))),
+        )
+        assert got == "x,flag,action\n,True,g\n0.0,False,b\n-0.0,True,g\ninf,False,b\n"
+
+    def test_columns_of_unequal_length(self):
+        with pytest.raises(ValueError):
+            cli._csv_lines(("a", "b"), ([1.0, 2.0], [1.0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(st.floats(), min_size=1, max_size=40),
+        n=st.integers(1, 2 * _B + 2),
+    )
+    def test_random_float_columns(self, values, n):
+        x = np.resize(np.array(values), n)
+        columns = (np.arange(1, n + 1), x, x[::-1].copy())
+        got = cli._csv_lines(("t", "x", "y"), columns)
+        assert got == oracles.csv_lines(("t", "x", "y"), zip(*columns))
+
+
 class TestConfigLayering:
     def test_file_values_then_flag_override(self, capsys, tmp_path):
         config = tmp_path / "run.ini"
@@ -371,6 +433,8 @@ class TestUsageErrors:
             (["simulate", "--sigma", "1", "--tau", "2", "--seed", "-1"], "master_seed"),
             (["simulate", "--sigma", "1", "--tau", "2", "--seed", str(2**64)],
              "master_seed"),
+            (["classify", "--sigma", "1", "--tau", "2", "--x-max", "1e200"], "x_max"),
+            (["classify", "--sigma", "1", "--tau", "2", "--x-max", "1e308"], "x_max"),
         ],
     )
     def test_runs_that_cannot_do_work_are_usage_errors(self, capsys, argv, fragment):

@@ -80,9 +80,13 @@ class TestDeterminism:
         assert a.aggregates == b.aggregates
 
     def test_batch_size_invariance(self):
-        a = run_experiment(small_config(batch_size=7))
-        b = run_experiment(small_config(batch_size=1024))
-        np.testing.assert_array_equal(a.rows, b.rows)
+        for spec in (GaussianSpec(sigma=1.0, tau=2.0), MixtureSpec(sigma=1.0, alpha=0.35)):
+            a, b, c = (
+                run_experiment(small_config(model=spec, batch_size=size))
+                for size in (1, 7, 1024)
+            )
+            np.testing.assert_array_equal(a.rows, c.rows)
+            np.testing.assert_array_equal(b.rows, c.rows)
 
     def test_worker_count_invariance(self):
         a = run_experiment(small_config(batch_size=64, workers=1))
@@ -93,6 +97,48 @@ class TestDeterminism:
         a = run_experiment(small_config())
         b = run_experiment(small_config(master_seed=12))
         assert not np.array_equal(a.rows, b.rows)
+
+
+def _philox_state(rng: np.random.Generator) -> dict:
+    state = rng.bit_generator.state
+    return {
+        "key": state["state"]["key"].tolist(),
+        "counter": state["state"]["counter"].tolist(),
+        "buffer_pos": state["buffer_pos"],
+        "has_uint32": state["has_uint32"],
+        "uinteger": state["uinteger"],
+    }
+
+
+class TestTrajectoryStream:
+    """Re-keying one generator per trajectory replays a fresh Philox stream."""
+
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+    def test_rekeyed_stream_is_a_fresh_philox(self, seed):
+        rng = np.random.Generator(np.random.Philox())
+        for index in (0, 1, 2**64 - 1):
+            # The previous trajectory left the generator mid-buffer, with
+            # half of a 64-bit word kept for the next 32-bit draw.
+            montecarlo._trajectory_rng(rng, seed ^ 5, (index + 3) % 2**64)
+            rng.random(5)
+            rng.integers(0, 2**32, dtype=np.uint32)
+            before = _philox_state(rng)
+            assert before["buffer_pos"] % 4 != 0 and before["has_uint32"] == 1
+
+            got = montecarlo._trajectory_rng(rng, seed, index)
+            fresh = np.random.Generator(
+                np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+            )
+            assert got is rng
+            assert _philox_state(got) == _philox_state(fresh)
+            for draw in (
+                lambda g: g.random(3),
+                lambda g: g.integers(0, 2**32, 3, dtype=np.uint32),
+                lambda g: g.standard_normal(9),
+                lambda g: g.random(2),
+            ):
+                np.testing.assert_array_equal(draw(got), draw(fresh))
+            assert _philox_state(got) == _philox_state(fresh)
 
 
 class TestEngineMatchesReferenceSimulator:

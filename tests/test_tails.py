@@ -96,6 +96,21 @@ class TestClassifyEmpirical:
         with pytest.raises(InvalidParameterError):
             classify_empirical(gauss_fat, x_max=100.0, n_grid=8)
 
+    @pytest.mark.parametrize("x_max", [1e200, 1e308])
+    def test_grid_beyond_finite_tail_ratios_is_rejected(self, gauss_fat, x_max):
+        # Both log tails of a ratio are -inf there, so the ratio is NaN.
+        with pytest.raises(InvalidParameterError, match="not finite"):
+            classify_empirical(gauss_fat, x_max=x_max)
+        with pytest.raises(InvalidParameterError, match="not finite"):
+            classify_gaussian(GaussianFamilyParams(sigma=1.0, tau=2.0), x_max=x_max)
+
+    def test_fatter_epsilon_saturates_beyond_exp_range(self, gauss_fat):
+        # On [100, 1e4] both log ratios exceed log(max float).
+        result = classify_empirical(gauss_fat, x_max=1e4)
+        assert result.verdict is Verdict.FATTER
+        assert result.epsilon_estimate == math.inf
+        assert np.isfinite(result.evidence).all()
+
     def test_mixture_is_fatter_with_half_floor(self, mixture_half):
         result = classify_empirical(mixture_half, x_max=200.0)
         assert result.verdict is Verdict.FATTER
