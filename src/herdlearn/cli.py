@@ -90,14 +90,11 @@ def _csv_lines(
 ) -> str:
     """CSV text from equal-length columns, after ``# `` comment lines."""
     columns = [np.asarray(c) for c in columns]
-    n = len(columns[0])
-    if any(len(c) != n for c in columns):
-        raise ValueError("CSV columns differ in length")
     buf = io.StringIO()
     for c in comments:
         buf.write(f"# {c}\n")
     buf.write(",".join(header) + "\n")
-    for lo in range(0, n, CSV_BLOCK_ROWS):
+    for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
         cells = [_cells(c[lo : lo + CSV_BLOCK_ROWS]) for c in columns]
         buf.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return buf.getvalue()
@@ -369,13 +366,7 @@ def _rows_csv(rows: np.ndarray) -> str:
 def _trace_csv(trace) -> str:
     return _csv_lines(
         ("t", "action", "llr", "r_before", "q"),
-        (
-            _steps(len(trace.actions)),
-            trace.actions,
-            trace.llrs,
-            trace.r_before,
-            trace.q,
-        ),
+        (_steps(len(trace.q)), trace.actions, trace.llrs, trace.r_before, trace.q),
     )
 
 
@@ -461,10 +452,9 @@ def _cmd_observer_replay(args: argparse.Namespace) -> int:
             raise InvalidParameterError(
                 f"line {line_no}: expected G or B, got {token!r}"
             )
-    columns = zip(
-        *((s.t, s.q, s.log_odds) for s in replay(model, gamma, initial_r, actions))
-    )
-    csv_text = _csv_lines(("t", "q", "log_odds"), list(columns))
+    states = replay(model, gamma, initial_r, actions)
+    columns = list(zip(*((s.t, s.q, s.log_odds) for s in states)))
+    csv_text = _csv_lines(("t", "q", "log_odds"), columns)
     print(csv_text, end="")
     out = _out_dir(args)
     if out is not None:

@@ -194,9 +194,7 @@ class ExperimentResourceError(RuntimeError):
         self.completed_rows = completed_rows
 
 
-def _trajectory_rng(
-    rng: np.random.Generator, master_seed: int, index: int
-) -> np.random.Generator:
+def _trajectory_rng(rng: np.random.Generator, master_seed: int, index: int) -> None:
     """Re-key ``rng``'s Philox to the stream of (master_seed, index).
 
     Key ``[master_seed, index]``, counter 0 and nothing buffered: the draws
@@ -211,7 +209,6 @@ def _trajectory_rng(
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return rng
 
 
 def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):

@@ -323,10 +323,6 @@ class TestCsvWriter:
         )
         assert got == "x,flag,action\n,True,g\n0.0,False,b\n-0.0,True,g\ninf,False,b\n"
 
-    def test_columns_of_unequal_length(self):
-        with pytest.raises(ValueError):
-            cli._csv_lines(("a", "b"), ([1.0, 2.0], [1.0]))
-
     @settings(max_examples=60, deadline=None)
     @given(
         values=st.lists(st.floats(), min_size=1, max_size=40),

@@ -125,20 +125,19 @@ class TestTrajectoryStream:
             before = _philox_state(rng)
             assert before["buffer_pos"] % 4 != 0 and before["has_uint32"] == 1
 
-            got = montecarlo._trajectory_rng(rng, seed, index)
+            montecarlo._trajectory_rng(rng, seed, index)
             fresh = np.random.Generator(
                 np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
             )
-            assert got is rng
-            assert _philox_state(got) == _philox_state(fresh)
+            assert _philox_state(rng) == _philox_state(fresh)
             for draw in (
                 lambda g: g.random(3),
                 lambda g: g.integers(0, 2**32, 3, dtype=np.uint32),
                 lambda g: g.standard_normal(9),
                 lambda g: g.random(2),
             ):
-                np.testing.assert_array_equal(draw(got), draw(fresh))
-            assert _philox_state(got) == _philox_state(fresh)
+                np.testing.assert_array_equal(draw(rng), draw(fresh))
+            assert _philox_state(rng) == _philox_state(fresh)
 
 
 class TestEngineMatchesReferenceSimulator:
