@@ -7,7 +7,10 @@ purpose is to alter the stream updates them and says so.
 
 Simulations are pinned through the CLI (the files it writes) with the
 observer on, and through ``run_experiment`` with the observer off, since
-the CLI has no switch for that.  ``test_replay_log_odds`` pins only the
+the CLI has no switch for that.  The ``_long`` cases run 4500 steps, so
+they cross at least two boundaries of the engine's time chunks; their
+untraced engine runs keep switching past step 4096, so their rows depend
+on the last chunk's draws.  ``test_replay_log_odds`` pins only the
 ``t`` and ``log_odds`` columns of a replay, and ``test_replay_observer_csv``
 the whole ``observer.csv``, ``q`` included.  The CSV files of ``path``,
 ``agree-prob``, ``classify`` and ``same-variance`` are pinned as written.
@@ -124,6 +127,44 @@ CLI_CASES = {
             "n_traces": 30,
         },
     ),
+    "gauss_fat_traced_long": (
+        ["--sigma", "1", "--tau", "2", "--horizon", "4500", "--trajectories", "5",
+         "--seed", "21", "--traces"],
+        {
+            "rows.csv": (
+                "53da4d6f0b5d750726aad0f9222dea38"
+                "106ca7991e6846b7bc05be5c7423d67f"
+            ),
+            "aggregates.json": (
+                "bd23d18f4f912a6272594a078a7adbf3"
+                "a27b1abdc93de3b02aed0723559d64fa"
+            ),
+            "traces": (
+                "0b8c2adc46611138ea3971358be429e5"
+                "ed3e6fe29a294206b2d39ba1ceac29d9"
+            ),
+            "n_traces": 5,
+        },
+    ),
+    "mixture_noise_traced_long": (
+        ["--sigma", "1", "--mixture", "0.3", "--omega", "0", "--horizon", "4500",
+         "--trajectories", "5", "--seed", "22", "--traces"],
+        {
+            "rows.csv": (
+                "9fb1baafab73b301c58d81ee676709f3"
+                "4e30631dc9fed735dc9662948469dec5"
+            ),
+            "aggregates.json": (
+                "0c22c3d7d2e244304add14110b3431ba"
+                "e7f095b9a656ed6b53409069cfc7a442"
+            ),
+            "traces": (
+                "23cf744c7c9de03ebed169c267d05468"
+                "fe3568de3ecd31a7ac98ae8ed4fc02b4"
+            ),
+            "n_traces": 5,
+        },
+    ),
 }
 
 
@@ -199,6 +240,36 @@ ENGINE_CASES = {
                 "557f1875a758943d79e7d2ca09a82a8d"
                 "fc501d1a340210645194c537541e4a3a"
             ),
+        },
+    ),
+    "gauss_fat_no_q_long": (
+        dict(model=GaussianSpec(sigma=1.0, tau=2.0), horizon=4500,
+             num_trajectories=7, master_seed=23, record_q=False, batch_size=3),
+        {
+            "rows.csv": (
+                "92e43540131eb9574835a73742e5d254"
+                "f226d49df2e127863bfe345169c9095b"
+            ),
+            "aggregates.json": (
+                "11c69d406c8287fbada400f2378d3fd6"
+                "fc499e79692b57e5ab7c3a26b38d4b5a"
+            ),
+            "traces": None,
+        },
+    ),
+    "mixture_noise_no_q_long": (
+        dict(model=MixtureSpec(sigma=0.5, alpha=0.5), omega=0, horizon=4500,
+             num_trajectories=16, master_seed=24, record_q=False, batch_size=5),
+        {
+            "rows.csv": (
+                "d83ae205c11cb3fd000f10d63fc73a57"
+                "5b0f8a6bab67cfaef5e0ea265e061781"
+            ),
+            "aggregates.json": (
+                "c1bcc4f665dc517420d146a52e8c7eae"
+                "37ab578637d1859a7b0b1824fdda4dc5"
+            ),
+            "traces": None,
         },
     ),
 }
