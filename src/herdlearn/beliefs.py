@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -141,6 +141,32 @@ class NormalCdf:
             return float(rng.normal(self.mean, self.sd))
         return rng.normal(self.mean, self.sd, size)
 
+    def sample_chunks(
+        self, rng: np.random.Generator, horizon: int, chunk: int
+    ) -> Iterator[np.ndarray]:
+        """Yield ``sample(rng, horizon)`` in consecutive pieces of ``chunk``
+        draws (the last may be shorter).
+
+        ``rng`` may serve other streams between pieces: the generator keeps
+        a cursor, the bit generator's state after its last piece, and
+        resumes from it, so the pieces join up bit for bit.  With
+        ``horizon <= chunk`` there is one piece and no cursor.  A suspended
+        generator holds its cursor only, never a piece it has yielded.
+        """
+        bits = rng.bit_generator
+        cursor = [None]
+
+        def draw(start: int) -> np.ndarray:
+            if start:
+                bits.state = cursor[0]
+            piece = self.sample(rng, min(chunk, horizon - start))
+            if start + chunk < horizon:
+                cursor[0] = bits.state
+            return piece
+
+        for start in range(0, horizon, chunk):
+            yield draw(start)
+
 
 @dataclass(frozen=True)
 class MixtureCdf:
@@ -201,11 +227,46 @@ class MixtureCdf:
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> ArrayLike:
         n = 1 if size is None else size
-        pick_a = rng.random(n) < self.weight_a
+        out = self._normals(rng, rng.random(n) < self.weight_a)
+        return float(out[0]) if size is None else out
+
+    def _normals(self, rng: np.random.Generator, pick_a: np.ndarray) -> np.ndarray:
         means = np.where(pick_a, self.component_a.mean, self.component_b.mean)
         sds = np.where(pick_a, self.component_a.sd, self.component_b.sd)
-        out = rng.normal(means, sds)
-        return float(out[0]) if size is None else out
+        return rng.normal(means, sds)
+
+    def sample_chunks(
+        self, rng: np.random.Generator, horizon: int, chunk: int
+    ) -> Iterator[np.ndarray]:
+        """Yield ``sample(rng, horizon)`` in consecutive pieces of ``chunk``
+        draws (the last may be shorter).
+
+        That stream holds the component picks of all ``horizon`` draws (one
+        uniform each), then their normals.  Over several pieces the
+        generator keeps two cursors, like ``NormalCdf.sample_chunks``: the
+        picks resume where the last piece's picks ended, and the normals
+        start where the horizon's picks end, reached by skipping one raw
+        draw per float64 uniform.
+        """
+        if horizon <= chunk:
+            yield self.sample(rng, horizon)
+            return
+        bits = rng.bit_generator
+        picks = bits.state
+        bits.random_raw(horizon, output=False)
+        cursors = [picks, bits.state]  # picks, normals
+
+        def draw(start: int) -> np.ndarray:
+            bits.state = cursors[0]
+            pick_a = rng.random(min(chunk, horizon - start)) < self.weight_a
+            cursors[0] = bits.state
+            bits.state = cursors[1]
+            piece = self._normals(rng, pick_a)
+            cursors[1] = bits.state
+            return piece
+
+        for start in range(0, horizon, chunk):
+            yield draw(start)
 
 
 Cdf = Union[NormalCdf, MixtureCdf]
@@ -307,14 +368,23 @@ class LlrModel:
             return cdf.log_sf(x)
         raise InvalidParameterError(f"side must be 'left' or 'right', got {side!r}")
 
+    def _law(self, world: WorldState) -> Cdf:
+        if world.omega == 0:
+            return self.cdf_0
+        return self.cdf_g if world.theta == GOOD else self.cdf_b
+
     def sample(
         self, world: WorldState, rng: np.random.Generator, size: int | None = None
     ) -> ArrayLike:
         """Draw private LLRs under the given world, i.i.d. across draws."""
-        if world.omega == 0:
-            return self.cdf_0.sample(rng, size)
-        cdf = self.cdf_g if world.theta == GOOD else self.cdf_b
-        return cdf.sample(rng, size)
+        return self._law(world).sample(rng, size)
+
+    def sample_chunks(
+        self, world: WorldState, rng: np.random.Generator, horizon: int, chunk: int
+    ) -> Iterator[np.ndarray]:
+        """The draws of ``sample(world, rng, horizon)`` in pieces of ``chunk``,
+        resumable while ``rng`` serves other trajectories in between."""
+        return self._law(world).sample_chunks(rng, horizon, chunk)
 
 
 def make_gaussian_model(params: GaussianFamilyParams) -> LlrModel:

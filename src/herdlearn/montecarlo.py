@@ -35,6 +35,10 @@ from .dynamics import R_CAP, step
 
 LOG_2 = math.log(2.0)
 
+# Steps of private LLRs drawn at a time: a batch holds batch_size x
+# CHUNK_STEPS draws whatever the horizon (traces excepted).
+CHUNK_STEPS = 2048
+
 __all__ = [
     "GaussianSpec",
     "MixtureSpec",
@@ -219,20 +223,30 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
 
     Each step is one call of the transition kernel ``step`` on the whole
     batch; it evaluates F_0's tail only when the observer is on.
+
+    The private LLRs are drawn CHUNK_STEPS steps at a time: each trajectory
+    keeps its stream (``LlrModel.sample_chunks``) and refills its row of
+    one reused block per chunk, so memory does not grow with the horizon.
+    A traced run draws straight into its trace matrix instead.
     """
     model = build_model(config.model)
     n = hi - lo
     horizon = config.horizon
-    llrs = np.empty((n, horizon))
+    llrs = np.empty((n, horizon if config.record_traces else min(horizon, CHUNK_STEPS)))
     omegas = np.empty(n, dtype=np.int8)
     thetas = np.empty(n, dtype="U1")
+    streams = []
     rng = np.random.Generator(np.random.Philox())
     for i in range(n):
         _trajectory_rng(rng, config.master_seed, lo + i)
         world = sample_world(config.gamma, rng, config.omega, config.theta)
         omegas[i] = world.omega
         thetas[i] = world.theta
-        llrs[i] = model.sample(world, rng, size=horizon)
+        if horizon <= CHUNK_STEPS:  # one chunk: no stream to resume
+            llrs[i] = model.sample(world, rng, size=horizon)
+        else:
+            streams.append(model.sample_chunks(world, rng, horizon, CHUNK_STEPS))
+            llrs[i, :CHUNK_STEPS] = next(streams[-1])
 
     r = np.full(n, config.initial_r, dtype=float)
     ll_info_g = np.zeros(n)
@@ -259,26 +273,32 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
         log_odds = info - noise
         return 1.0 / (1.0 + np.exp(-np.clip(log_odds, -709.0, 709.0))), log_odds
 
-    for t in range(horizon):
-        took_g = llrs[:, t] >= -r
-        if config.record_traces:
-            trace_r[:, t] = r
-            trace_actions[:, t] = np.where(took_g, GOOD, BAD)
-
-        r, lt_g, lt_b, lt_0 = step(model, r, took_g, config.record_q)
-        if config.record_q:
-            ll_info_g += lt_g
-            ll_info_b += lt_b
-            ll_noise += lt_0
+    for start in range(0, horizon, CHUNK_STEPS):
+        stop = min(start + CHUNK_STEPS, horizon)
+        block = llrs[:, start:stop] if config.record_traces else llrs
+        if start:
+            for i, stream in enumerate(streams):
+                block[i, : stop - start] = next(stream)
+        for t in range(start, stop):
+            took_g = block[:, t - start] >= -r
             if config.record_traces:
-                trace_q[:, t] = q_arrays()[0]
-        absorbed |= np.abs(r) >= R_CAP
+                trace_r[:, t] = r
+                trace_actions[:, t] = np.where(took_g, GOOD, BAD)
 
-        if prev_g is not None:
-            switched = took_g != prev_g
-            switch_count += switched
-            last_switch = np.where(switched, t + 1, last_switch)
-        prev_g = took_g
+            r, lt_g, lt_b, lt_0 = step(model, r, took_g, config.record_q)
+            if config.record_q:
+                ll_info_g += lt_g
+                ll_info_b += lt_b
+                ll_noise += lt_0
+                if config.record_traces:
+                    trace_q[:, t] = q_arrays()[0]
+            absorbed |= np.abs(r) >= R_CAP
+
+            if prev_g is not None:
+                switched = took_g != prev_g
+                switch_count += switched
+                last_switch = np.where(switched, t + 1, last_switch)
+            prev_g = took_g
 
     rows = np.empty(n, dtype=ROW_DTYPE)
     rows["index"] = np.arange(lo, hi)

@@ -289,6 +289,28 @@ class TestSampling:
         lag1 = np.corrcoef(draws[:-1], draws[1:])[0, 1]
         assert abs(lag1) < 4.0 / math.sqrt(100_000)
 
+    @pytest.mark.parametrize("horizon, chunk", [(10, 3), (9, 3), (5, 8), (3000, 1024)])
+    @pytest.mark.parametrize("law", ["gauss_info", "gauss_noise", "mixture_noise"])
+    def test_chunks_join_into_the_whole_draw(self, gauss_fat, mixture_half, law, horizon, chunk):
+        model, world = {
+            "gauss_info": (gauss_fat, WorldState(1, "b")),
+            "gauss_noise": (gauss_fat, WorldState(0, "g")),
+            "mixture_noise": (mixture_half, WorldState(0, "g")),
+        }[law]
+        whole = model.sample(world, philox(53, 7), size=horizon)
+        rng = philox(53, 7)
+        pieces = []
+        for piece in model.sample_chunks(world, rng, horizon, chunk):
+            pieces.append(piece)
+            # Another trajectory's stream runs between two pieces.
+            rng.bit_generator.state = philox(54, len(pieces)).bit_generator.state
+            rng.random(len(pieces))
+            rng.standard_normal(5)
+        assert [len(p) for p in pieces] == [
+            min(chunk, horizon - start) for start in range(0, horizon, chunk)
+        ]
+        np.testing.assert_array_equal(np.concatenate(pieces), whole)
+
     def test_noise_ignores_theta(self, gauss_fat):
         a = gauss_fat.sample(WorldState(0, "g"), philox(41), size=50)
         b = gauss_fat.sample(WorldState(0, "b"), philox(41), size=50)

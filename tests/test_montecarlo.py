@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,25 +149,58 @@ class TestEngineMatchesReferenceSimulator:
         "spec", [GaussianSpec(sigma=1.0, tau=2.0), MixtureSpec(sigma=1.0, alpha=0.35)]
     )
     def test_bitwise_agreement(self, spec):
+        self._assert_matches_reference(
+            ExperimentConfig(
+                model=spec,
+                gamma=0.4,
+                horizon=80,
+                num_trajectories=12,
+                master_seed=99,
+                record_traces=True,
+            )
+        )
+
+    @pytest.mark.parametrize(
+        "horizon",
+        [
+            montecarlo.CHUNK_STEPS - 1,
+            montecarlo.CHUNK_STEPS,
+            montecarlo.CHUNK_STEPS + 1,
+            2 * montecarlo.CHUNK_STEPS + 1,
+        ],
+    )
+    @pytest.mark.parametrize(
+        "spec", [GaussianSpec(sigma=1.0, tau=2.0), MixtureSpec(sigma=1.0, alpha=0.35)]
+    )
+    def test_agreement_across_chunk_boundaries(self, spec, horizon):
+        # Noise worlds, so the mixture runs draw from the mixture law.
         config = ExperimentConfig(
             model=spec,
             gamma=0.4,
-            horizon=80,
-            num_trajectories=12,
-            master_seed=99,
+            horizon=horizon,
+            num_trajectories=3,
+            omega=0,
+            master_seed=31,
             record_traces=True,
+            batch_size=2,
         )
+        traced = self._assert_matches_reference(config)
+        untraced = run_experiment(dataclasses.replace(config, record_traces=False))
+        np.testing.assert_array_equal(untraced.rows, traced.rows)
+
+    @staticmethod
+    def _assert_matches_reference(config):
         result = run_experiment(config)
-        model = build_model(spec)
+        model = build_model(config.model)
+        seed, gamma, horizon = config.master_seed, config.gamma, config.horizon
         for row, trace in zip(result.rows, result.traces):
             rng = np.random.Generator(
-                np.random.Philox(key=np.array([99, row["index"]], dtype=np.uint64))
+                np.random.Philox(key=np.array([seed, row["index"]], dtype=np.uint64))
             )
             u_omega, u_theta = rng.random(2)
-            world = WorldState(
-                omega=int(u_omega < 0.4), theta="g" if u_theta < 0.5 else "b"
-            )
-            traj = simulate_trajectory(model, world, 80, rng, gamma=0.4)
+            omega = int(u_omega < gamma) if config.omega is None else config.omega
+            world = WorldState(omega=omega, theta="g" if u_theta < 0.5 else "b")
+            traj = simulate_trajectory(model, world, horizon, rng, gamma=gamma)
             assert world.omega == row["omega"]
             assert world.theta == row["theta"]
             np.testing.assert_array_equal(traj.actions, trace.actions)
@@ -177,6 +211,32 @@ class TestEngineMatchesReferenceSimulator:
             )
             assert traj.switch_count == row["switch_count"]
             assert (traj.last_switch_time or 0) == row["last_switch_time"]
+        return result
+
+
+class TestMemory:
+    def test_peak_allocation_does_not_grow_with_the_horizon(self):
+        # The LLRs are drawn CHUNK_STEPS at a time, so ten times the horizon
+        # needs no more memory; a whole-horizon draw would need ten times
+        # the block.
+        def peak(horizon):
+            config = ExperimentConfig(
+                model=GaussianSpec(sigma=1.0, tau=2.0),
+                horizon=horizon,
+                num_trajectories=16,
+                master_seed=3,
+                record_q=False,
+            )
+            tracemalloc.start()
+            try:
+                run_experiment(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        chunk = montecarlo.CHUNK_STEPS
+        short, long = peak(2 * chunk), peak(20 * chunk)
+        assert long <= short + 32 * 1024, (short, long)
 
 
 class TestRegimeSelection:
