@@ -30,7 +30,6 @@ from . import __version__
 from .beliefs import GaussianFamilyParams, InvalidParameterError
 from .consensus import (
     consensus_path,
-    divergence_test,
     immediate_agreement_prob,
 )
 from .montecarlo import (
@@ -43,7 +42,7 @@ from .montecarlo import (
     spec_from_dict,
     spec_to_dict,
 )
-from .observer import replay
+from .observer import posterior_columns, replay
 from .tails import (
     TailClassification,
     Verdict,
@@ -313,8 +312,7 @@ def _cmd_agree_prob(args: argparse.Namespace) -> int:
     estimate = immediate_agreement_prob(
         model, regime, initial_r=initial_r, horizon=horizon
     )
-    path = consensus_path(model, initial_r=initial_r, horizon=horizon)
-    div = divergence_test(model, path, regime, "left")
+    div = estimate.divergence
     comments = [
         f"regime: {regime}",
         f"diverged: {'true' if estimate.diverged else 'false'}",
@@ -340,8 +338,7 @@ def _cmd_agree_prob(args: argparse.Namespace) -> int:
 
 def _experiment_config(args: argparse.Namespace, spec) -> ExperimentConfig:
     # --stress switches the defaults to the long-horizon scale (takes
-    # minutes); explicit size flags still win, and the smaller batches keep
-    # the per-batch draw matrix within memory.
+    # minutes); explicit size flags still win.
     stress = bool(getattr(args, "stress", False))
     return ExperimentConfig(
         model=spec,
@@ -353,7 +350,6 @@ def _experiment_config(args: argparse.Namespace, spec) -> ExperimentConfig:
         initial_r=_resolve(args, "initial_r", 0.0),
         master_seed=_resolve(args, "seed", 0),
         record_traces=bool(_resolve(args, "traces", False)),
-        batch_size=256 if stress else 1024,
         workers=_resolve(args, "workers", 1),
     )
 
@@ -452,9 +448,12 @@ def _cmd_observer_replay(args: argparse.Namespace) -> int:
             raise InvalidParameterError(
                 f"line {line_no}: expected G or B, got {token!r}"
             )
-    states = replay(model, gamma, initial_r, actions)
-    columns = list(zip(*((s.t, s.q, s.log_odds) for s in states)))
-    csv_text = _csv_lines(("t", "q", "log_odds"), columns)
+    # An impossible action makes the kernel's jump NaN before
+    # observer_update rejects it; that NaN is expected, not worth a warning.
+    with np.errstate(invalid="ignore"):
+        log_liks = np.array([s.log_lik for s in replay(model, gamma, initial_r, actions)])
+    q, log_odds = posterior_columns(log_liks, gamma)
+    csv_text = _csv_lines(("t", "q", "log_odds"), (_steps(len(q)), q, log_odds))
     print(csv_text, end="")
     out = _out_dir(args)
     if out is not None:

@@ -325,7 +325,8 @@ class AgreementEstimate:
     is an upper bound on the infinite product because every remaining
     factor is at most one.  ``lower`` corrects it downward by a certified
     bound on the neglected factors.  ``diverged`` is set when the
-    companion sum certifies the infinite product is zero to tolerance.
+    companion sum certifies the infinite product is zero to tolerance;
+    ``divergence`` is that sum's certificate along the consensus path.
     """
 
     lower: float
@@ -334,6 +335,7 @@ class AgreementEstimate:
     diverged: bool
     truncated_product: float
     tail_sum_bound: float
+    divergence: DivergenceResult
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.lower <= self.upper <= 1.0):
@@ -370,6 +372,7 @@ def immediate_agreement_prob(
             diverged=True,
             truncated_product=trunc,
             tail_sum_bound=math.inf,
+            divergence=div,
         )
 
     bound = div.tail_bound
@@ -391,4 +394,5 @@ def immediate_agreement_prob(
         diverged=False,
         truncated_product=trunc,
         tail_sum_bound=bound,
+        divergence=div,
     )

@@ -24,6 +24,7 @@ __all__ = [
     "ObserverState",
     "observer_init",
     "observer_update",
+    "posterior_columns",
     "replay",
 ]
 
@@ -63,27 +64,33 @@ class ObserverState:
 
     @property
     def q(self) -> float:
-        """Posterior probability that the source is informative.
-
-        Formed as w_info / (w_info + w_noise) so that rounding can never
-        push it above 1, as adding two normalized weights can.
-        """
-        w = self.log_lik + _log_priors(self.gamma)
-        w = np.exp(w - w.max())
-        w_info = w[0] + w[1]
-        return float(w_info / (w_info + (w[2] + w[3])))
+        """Posterior probability that the source is informative."""
+        return float(posterior_columns(self.log_lik, self.gamma)[0])
 
     @property
     def log_odds(self) -> float:
-        """log(q / (1-q)), stable even when q saturates in double precision.
+        """log(q / (1-q)), stable even when q saturates in double precision."""
+        return float(posterior_columns(self.log_lik, self.gamma)[1])
 
-        This is the primary convergence diagnostic: q approaches 0 or 1
-        exponentially fast when learning occurs.
-        """
-        ll = self.log_lik
-        info = np.logaddexp(ll[0], ll[1])
-        noise = np.logaddexp(ll[2], ll[3])
-        return float(info - noise + math.log(self.gamma) - math.log1p(-self.gamma))
+
+def posterior_columns(log_lik: np.ndarray, gamma: float) -> tuple:
+    """``(q, log_odds)`` of one row of log-likelihoods or of each row of a
+    stack (in ``HYPOTHESES`` order).
+
+    q, the posterior probability that the source is informative, is formed
+    as w_info / (w_info + w_noise) so that rounding can never push it above
+    1, as adding two normalized weights can.  log_odds = log(q / (1-q)) is
+    computed from the log-likelihoods directly, so it stays exact when q
+    saturates; it is the primary convergence diagnostic, since q approaches
+    0 or 1 exponentially fast when learning occurs.
+    """
+    w = log_lik + _log_priors(gamma)
+    w = np.exp(w - w.max(axis=-1, keepdims=True))
+    w_info = w[..., 0] + w[..., 1]
+    q = w_info / (w_info + (w[..., 2] + w[..., 3]))
+    info = np.logaddexp(log_lik[..., 0], log_lik[..., 1])
+    noise = np.logaddexp(log_lik[..., 2], log_lik[..., 3])
+    return q, info - noise + math.log(gamma) - math.log1p(-gamma)
 
 
 def observer_init(gamma: float, initial_r: float = 0.0) -> ObserverState:
@@ -108,10 +115,21 @@ def observer_update(state: ObserverState, model: LlrModel, action: str) -> Obser
     step, so the filter stays well-conditioned over arbitrarily long
     histories.  The action's log-probabilities under the three laws and
     the next public LLR come from the one transition kernel, ``step``.
+
+    An action that has probability 0 under every hypothesis (or under both
+    informative ones, which leaves the public LLR undefined) makes the
+    history impossible and raises ``InvalidParameterError``.
     """
     r_next, lt_g, lt_b, lt_0 = step(model, state.r_track, is_g(action), True)
     log_lik = state.log_lik + np.array([lt_g, lt_b, lt_0, lt_0])
-    log_lik -= log_lik.max()
+    top = log_lik.max()
+    if not (math.isfinite(top) and math.isfinite(r_next)):
+        raise InvalidParameterError(
+            f"action {state.t} ({action!r}) is impossible at public LLR "
+            f"{state.r_track!r}: it has probability 0 under "
+            + ("every hypothesis" if top == -math.inf else "both informative ones")
+        )
+    log_lik -= top
     return ObserverState(
         log_lik=log_lik,
         gamma=state.gamma,

@@ -146,9 +146,19 @@ def classify_mixture(
 
 
 def _slope(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Least-squares slope of ys against xs."""
+    """Least-squares slope of ys against xs.
+
+    The centred values are scaled by powers of two into [-1, 1] before the
+    dot products, which then cannot overflow, and the scale is undone on
+    the ratio; power-of-two scaling is exact, so the slope is the unscaled
+    formula's wherever that one does not overflow.
+    """
     x_c = xs - xs.mean()
-    return float(np.dot(x_c, ys - ys.mean()) / np.dot(x_c, x_c))
+    y_c = ys - ys.mean()
+    ex = int(np.frexp(np.abs(x_c).max())[1])
+    ey = int(np.frexp(np.abs(y_c).max())[1])
+    x_s = np.ldexp(x_c, -ex)
+    return float(np.ldexp(np.dot(x_s, np.ldexp(y_c, -ey)) / np.dot(x_s, x_s), ey - ex))
 
 
 def classify_empirical(

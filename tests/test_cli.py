@@ -82,6 +82,19 @@ class TestClassify:
         assert len(rows) == 64
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x_max", ["1e150", "1e154"])
+    def test_empirical_slopes_near_the_largest_grid(self, capsys, x_max):
+        # The centred grid's squares overflow double precision here; the
+        # slopes behind the verdict must not.
+        code, out, _ = run_cli(
+            capsys, "classify", "--sigma", "1", "--tau", "2", "--x-max", x_max,
+            "--empirical",
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "Fatter"
+
+
 class TestPath:
     def test_values(self, capsys):
         code, out, _ = run_cli(capsys, "path", "--sigma", "1", "--horizon", "3")
@@ -110,6 +123,23 @@ class TestAgreeProb:
         code, _, _ = run_cli(capsys, "agree-prob", "--regime", "zz", "--sigma", "1")
         assert code == EXIT_USAGE
 
+    def test_builds_the_consensus_path_once(self, capsys, monkeypatch):
+        calls = []
+        original = herdlearn.consensus.consensus_path
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(herdlearn.consensus, "consensus_path", counted)
+        monkeypatch.setattr(cli, "consensus_path", counted)
+        code, _, _ = run_cli(
+            capsys, "agree-prob", "--regime", "0", "--sigma", "1", "--tau", "0.5",
+            "--horizon", "300",
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
 
 class TestObserverReplay:
     def test_two_g_example(self, capsys, tmp_path):
@@ -128,6 +158,48 @@ class TestObserverReplay:
         assert float(rows[-1][1]) == pytest.approx(
             oracles.Q3_AFTER_GG_SIGMA1_TAU2, abs=1e-12
         )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv, history, action, why",
+        [
+            # Every law gives a B action probability 0 at r = 1e300.
+            (["--tau", "2", "--initial-r", "1e300"], "B\nG\nB\n", 1, "every hypothesis"),
+            # The very wide noise law keeps B possible; the informative
+            # laws do not, so the next public LLR is undefined.
+            (["--tau", "1e100", "--initial-r", "1e160"], "B\nG\n", 1,
+             "both informative ones"),
+        ],
+    )
+    def test_impossible_history_is_a_usage_error(
+        self, capsys, tmp_path, argv, history, action, why
+    ):
+        actions = tmp_path / "actions.txt"
+        actions.write_text(history)
+        code, out, err = run_cli(
+            capsys, "observer-replay", "--sigma", "1", *argv,
+            "--actions-file", str(actions),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"action {action} ('b') is impossible" in err
+        assert why in err
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_certain_action_clips_an_extreme_start(self, capsys, tmp_path):
+        # A G at r = 1e300 is certain; r is clipped to R_CAP, where B is
+        # possible again.
+        actions = tmp_path / "actions.txt"
+        actions.write_text("G\nB\nB\n")
+        code, out, _ = run_cli(
+            capsys, "observer-replay", "--sigma", "1", "--tau", "2",
+            "--initial-r", "1e300", "--actions-file", str(actions),
+        )
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert len(rows) == 4
+        assert all(np.isfinite(float(cell)) for row in rows for cell in row)
 
     def test_rejects_garbage(self, capsys, tmp_path):
         actions = tmp_path / "actions.txt"

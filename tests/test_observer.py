@@ -12,6 +12,8 @@ from herdlearn import (
     replay,
     update_public,
 )
+from herdlearn.dynamics import R_CAP
+from herdlearn.observer import posterior_columns
 from herdlearn.montecarlo import (
     ExperimentConfig,
     GaussianSpec,
@@ -181,6 +183,25 @@ class TestReplay:
         assert [s.t for s in states] == [1, 2, 3]
         assert states[0].q == 0.5
         assert states[2].q == pytest.approx(oracles.Q3_AFTER_GG_SIGMA1_TAU2, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.2])
+    def test_stacked_columns_equal_each_state(self, gauss_fat, mixture_half, gamma):
+        # A random history, then a long herd that drives q to 1.
+        actions = ["g" if u < 0.5 else "b" for u in philox(77).random(400)]
+        actions += ["g"] * 2_000
+        for model in (gauss_fat, mixture_half):
+            states = list(replay(model, gamma, 0.3, actions))
+            q, log_odds = posterior_columns(np.array([s.log_lik for s in states]), gamma)
+            assert q.tolist() == [s.q for s in states]
+            assert log_odds.tolist() == [s.log_odds for s in states]
+
+    def test_impossible_action_is_rejected(self, gauss_fat):
+        # At r = 1e300 a B action has probability 0 under every law.
+        state = observer_init(0.5, initial_r=1e300)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(InvalidParameterError, match="action 1 .* impossible"):
+                observer_update(state, gauss_fat, "b")
+        assert observer_update(state, gauss_fat, "g").r_track == R_CAP
 
 
 class TestLongRunStability:
