@@ -248,9 +248,6 @@ class MixtureCdf:
         start where the horizon's picks end, reached by skipping one raw
         draw per float64 uniform.
         """
-        if horizon <= chunk:
-            yield self.sample(rng, horizon)
-            return
         bits = rng.bit_generator
         picks = bits.state
         bits.random_raw(horizon, output=False)

@@ -232,7 +232,14 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     model = build_model(config.model)
     n = hi - lo
     horizon = config.horizon
-    llrs = np.empty((n, horizon if config.record_traces else min(horizon, CHUNK_STEPS)))
+    if config.record_traces:
+        llrs = np.empty((n, horizon))
+    else:
+        # Padded rows: with rows exactly CHUNK_STEPS doubles apart, each
+        # step's column falls into a few cache sets, and reading it took
+        # 1.5x as long (n=512).
+        width = min(horizon, CHUNK_STEPS)
+        llrs = np.empty((n, width + 8))[:, :width]
     omegas = np.empty(n, dtype=np.int8)
     thetas = np.empty(n, dtype="U1")
     streams = []
