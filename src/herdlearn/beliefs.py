@@ -242,11 +242,11 @@ class MixtureCdf:
         draws (the last may be shorter).
 
         That stream holds the component picks of all ``horizon`` draws (one
-        uniform each), then their normals.  Over several pieces the
-        generator keeps two cursors, like ``NormalCdf.sample_chunks``: the
-        picks resume where the last piece's picks ended, and the normals
-        start where the horizon's picks end, reached by skipping one raw
-        draw per float64 uniform.
+        uniform each), then their normals, so the generator keeps two
+        cursors where ``NormalCdf.sample_chunks`` keeps one: the picks
+        resume where the last piece's picks ended, and the normals start
+        where the horizon's picks end, reached by skipping one raw draw per
+        float64 uniform.
         """
         bits = rng.bit_generator
         picks = bits.state
