@@ -11,48 +11,30 @@ and certifies the deterministic consensus-path sums behind that dichotomy.
 __version__ = "0.1.0"
 
 from .beliefs import (
-    BAD,
-    GOOD,
-    DistinctnessError,
-    GaussianFamilyParams,
+    GaussianSpec,
     InvalidParameterError,
-    LlrModel,
-    MixtureCdf,
-    NormalCdf,
-    WorldState,
-    make_gaussian_model,
-    make_mixture_model,
-    sample_world,
+    MixtureSpec,
+    build_model,
 )
 from .consensus import (
-    AgreementEstimate,
-    ConsensusPath,
-    DivergenceResult,
     SumVerdict,
     consensus_path,
     divergence_test,
     immediate_agreement_prob,
-    phi,
 )
 from .dynamics import (
     agent_action,
-    jump_b,
-    jump_g,
     update_public,
 )
 from .montecarlo import (
     ExperimentConfig,
-    ExperimentResult,
-    GaussianSpec,
-    MixtureSpec,
-    build_model,
     run_experiment,
     same_variance_experiment,
 )
 from .observer import (
-    ObserverState,
     observer_init,
     observer_update,
+    posterior_columns,
     replay,
 )
 from .tails import (
@@ -61,5 +43,4 @@ from .tails import (
     classify_empirical,
     classify_gaussian,
     classify_mixture,
-    tail_ratios,
 )

@@ -7,12 +7,16 @@ informative/bad, and uninformative -- with numerically stable tail evaluation
 and exact sampling.  Everything downstream (agent decisions, the outside
 observer, tail classification, consensus analysis) is expressed in terms of
 these three CDFs.
+
+A model is specified by a ``GaussianSpec`` or a ``MixtureSpec``, which
+validate their parameters when built; ``build_model`` turns a spec into the
+three laws.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Union
 
 import numpy as np
@@ -25,14 +29,12 @@ __all__ = [
     "REGIMES",
     "InvalidParameterError",
     "DistinctnessError",
-    "WorldState",
-    "sample_world",
     "NormalCdf",
     "MixtureCdf",
-    "GaussianFamilyParams",
+    "GaussianSpec",
+    "MixtureSpec",
     "LlrModel",
-    "make_gaussian_model",
-    "make_mixture_model",
+    "build_model",
 ]
 
 GOOD = "g"
@@ -54,46 +56,6 @@ class DistinctnessError(InvalidParameterError):
 
 
 @dataclass(frozen=True)
-class WorldState:
-    """The latent pair drawn once at time zero and fixed thereafter.
-
-    omega: 1 if the source is informative, 0 if it is pure noise.
-    theta: the payoff state, "g" or "b".
-    """
-
-    omega: int
-    theta: str
-
-    def __post_init__(self) -> None:
-        if self.omega not in (0, 1):
-            raise InvalidParameterError(f"omega must be 0 or 1, got {self.omega!r}")
-        if self.theta not in ACTIONS:
-            raise InvalidParameterError(f"theta must be 'g' or 'b', got {self.theta!r}")
-
-
-def sample_world(
-    gamma: float,
-    rng: np.random.Generator,
-    omega: int | None = None,
-    theta: str | None = None,
-) -> WorldState:
-    """Draw the latent world: theta uniform, omega informative w.p. gamma.
-
-    Always consumes exactly two uniforms from ``rng``, even when a
-    coordinate is fixed by the caller, so that streams stay aligned across
-    experiment configurations that differ only in the regime selection.
-    """
-    if not 0.0 < gamma < 1.0:
-        raise InvalidParameterError(f"gamma must lie in (0, 1), got {gamma}")
-    u_omega, u_theta = rng.random(2)
-    if omega is None:
-        omega = 1 if u_omega < gamma else 0
-    if theta is None:
-        theta = GOOD if u_theta < 0.5 else BAD
-    return WorldState(omega=omega, theta=theta)
-
-
-@dataclass(frozen=True)
 class NormalCdf:
     """Normal distribution exposing stable log-tail evaluation.
 
@@ -106,15 +68,8 @@ class NormalCdf:
     mean: float
     sd: float
 
-    def __post_init__(self) -> None:
-        if not self.sd > 0:
-            raise InvalidParameterError(f"sd must be positive, got {self.sd}")
-
     def _z(self, x: ArrayLike) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.mean) / self.sd
-
-    def cdf(self, x: ArrayLike) -> ArrayLike:
-        return np.exp(log_ndtr(self._z(x)))
 
     def log_cdf(self, x: ArrayLike) -> ArrayLike:
         return log_ndtr(self._z(x))
@@ -131,10 +86,6 @@ class NormalCdf:
         take the same path.
         """
         return log_ndtr((x - self.mean) / self.sd * sign)
-
-    def log_pdf(self, x: ArrayLike) -> ArrayLike:
-        z = self._z(x)
-        return -0.5 * z * z - math.log(self.sd) - 0.5 * math.log(2.0 * math.pi)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> ArrayLike:
         if size is None:
@@ -181,12 +132,6 @@ class MixtureCdf:
     component_a: NormalCdf
     component_b: NormalCdf
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.weight_a < 1.0:
-            raise InvalidParameterError(
-                f"mixture weight must lie in (0, 1), got {self.weight_a}"
-            )
-
     @property
     def _log_wa(self) -> float:
         return math.log(self.weight_a)
@@ -194,11 +139,6 @@ class MixtureCdf:
     @property
     def _log_wb(self) -> float:
         return math.log1p(-self.weight_a)
-
-    def cdf(self, x: ArrayLike) -> ArrayLike:
-        return self.weight_a * self.component_a.cdf(x) + (
-            1.0 - self.weight_a
-        ) * self.component_b.cdf(x)
 
     def log_cdf(self, x: ArrayLike) -> ArrayLike:
         return np.logaddexp(
@@ -217,12 +157,6 @@ class MixtureCdf:
         return np.logaddexp(
             self._log_wa + self.component_a.log_side(x, sign),
             self._log_wb + self.component_b.log_side(x, sign),
-        )
-
-    def log_pdf(self, x: ArrayLike) -> ArrayLike:
-        return np.logaddexp(
-            self._log_wa + self.component_a.log_pdf(x),
-            self._log_wb + self.component_b.log_pdf(x),
         )
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> ArrayLike:
@@ -269,9 +203,44 @@ class MixtureCdf:
 Cdf = Union[NormalCdf, MixtureCdf]
 
 
+def _require(spec, finite: tuple, positive: tuple) -> None:
+    """The named fields of ``spec`` must be finite, and those in ``positive``
+    positive."""
+    for name in finite:
+        if not math.isfinite(getattr(spec, name)):
+            raise InvalidParameterError(
+                f"{name} must be finite, got {getattr(spec, name)}"
+            )
+    for name in positive:
+        if not getattr(spec, name) > 0:
+            raise InvalidParameterError(
+                f"{name} must be positive, got {getattr(spec, name)}"
+            )
+
+
+def _require_llr_laws(spec, laws: tuple) -> None:
+    """The (mean, sd) pairs of ``spec.llr_laws()`` must be finite with
+    positive sds and a positive informative mean.
+
+    sigma^2 can under- or overflow even for finite sigma; an overflow takes
+    the informative mean to 0, where F_g and F_b coincide.
+    """
+    if all(map(math.isfinite, laws)) and laws[0] > 0 and min(laws[1::2]) > 0:
+        return
+    params = ", ".join(f"{f.name}={getattr(spec, f.name)}" for f in fields(spec))
+    got = " and ".join(
+        f"{mean}, {sd} ({label})"
+        for label, mean, sd in zip(("informative", "noise"), laws[::2], laws[1::2])
+    )
+    raise InvalidParameterError(
+        f"the LLR laws induced by {params} must be finite with positive sd in "
+        f"double precision; got mean, sd {got}"
+    )
+
+
 @dataclass(frozen=True)
-class GaussianFamilyParams:
-    """Raw-signal parameters of the Gaussian family.
+class GaussianSpec:
+    """Gaussian raw signals, validated on construction.
 
     The informative source emits Normal(+1, sigma^2) signals in the good
     state and Normal(-1, sigma^2) in the bad state; the uninformative
@@ -282,16 +251,10 @@ class GaussianFamilyParams:
     tau: float
     m0: float = 0.0
 
+    kind = "gaussian"
+
     def __post_init__(self) -> None:
-        for name in ("sigma", "tau", "m0"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(
-                    f"{name} must be finite, got {getattr(self, name)}"
-                )
-        if not self.sigma > 0:
-            raise InvalidParameterError(f"sigma must be positive, got {self.sigma}")
-        if not self.tau > 0:
-            raise InvalidParameterError(f"tau must be positive, got {self.tau}")
+        _require(self, finite=("sigma", "tau", "m0"), positive=("sigma", "tau"))
         # An uninformative law exactly equal to one of the informative laws
         # would let pure noise perfectly mimic the source; excluded.
         if abs(self.tau - self.sigma) < 1e-12 and (
@@ -301,15 +264,8 @@ class GaussianFamilyParams:
                 "uninformative signal law coincides with an informative one "
                 f"(sigma={self.sigma}, tau={self.tau}, m0={self.m0})"
             )
-        # sigma^2 can under- or overflow even for finite sigma.
         laws = self.llr_laws() if self.sigma * self.sigma > 0 else (math.inf,) * 4
-        if not (all(map(math.isfinite, laws)) and laws[1] > 0 and laws[3] > 0):
-            raise InvalidParameterError(
-                f"the LLR laws induced by sigma={self.sigma}, tau={self.tau}, "
-                f"m0={self.m0} must be finite with positive sd in double "
-                f"precision; got mean, sd {laws[0]}, {laws[1]} (informative) "
-                f"and {laws[2]}, {laws[3]} (noise)"
-            )
+        _require_llr_laws(self, laws)
 
     def llr_laws(self) -> tuple:
         """(mean_info, sd_info, mean_noise, sd_noise) of the induced LLR laws.
@@ -325,6 +281,35 @@ class GaussianFamilyParams:
 
 
 @dataclass(frozen=True)
+class MixtureSpec:
+    """Noise law alpha*F_g + (1-alpha)*F_b over the informative pair of a
+    ``GaussianSpec`` with the same sigma, validated on construction.
+
+    This is the law of a source that ignores the state but draws from the
+    informative laws with fixed weights.
+    """
+
+    sigma: float
+    alpha: float
+
+    kind = "mixture"
+
+    def __post_init__(self) -> None:
+        _require(self, finite=("sigma",), positive=("sigma",))
+        if not 0.0 < self.alpha < 1.0:
+            raise InvalidParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
+        laws = self.llr_laws() if self.sigma * self.sigma > 0 else (math.inf,) * 2
+        _require_llr_laws(self, laws)
+
+    def llr_laws(self) -> tuple:
+        """(mean_info, sd_info), as in ``GaussianSpec.llr_laws``."""
+        return 2.0 / (self.sigma * self.sigma), 2.0 / self.sigma
+
+
+ModelSpec = Union[GaussianSpec, MixtureSpec]
+
+
+@dataclass(frozen=True)
 class LlrModel:
     """The triple of conditional CDFs of the private LLR.
 
@@ -336,10 +321,10 @@ class LlrModel:
     ``jump_decreasing`` records a certified analytic property of the
     informative pair -- that the one-step public-LLR jump after a G action
     is non-increasing in the public LLR -- which the consensus module
-    requires before issuing convergence certificates.  Both built-in
-    factories set it (it holds for any Gaussian informative pair because
-    the inverse Mills ratio is strictly decreasing); leave it False for
-    hand-built models unless you can prove it.
+    requires before issuing convergence certificates.  ``build_model`` sets
+    it (it holds for any Gaussian informative pair because the inverse Mills
+    ratio is strictly decreasing); leave it False for hand-built models
+    unless you can prove it.
     """
 
     cdf_g: Cdf
@@ -365,51 +350,35 @@ class LlrModel:
             return cdf.log_sf(x)
         raise InvalidParameterError(f"side must be 'left' or 'right', got {side!r}")
 
-    def _law(self, world: WorldState) -> Cdf:
-        if world.omega == 0:
+    def law(self, omega: int, theta: str) -> Cdf:
+        """The private LLR's law in the world (omega, theta)."""
+        if omega == 0:
             return self.cdf_0
-        return self.cdf_g if world.theta == GOOD else self.cdf_b
+        return self.cdf_g if theta == GOOD else self.cdf_b
 
     def sample(
-        self, world: WorldState, rng: np.random.Generator, size: int | None = None
+        self, omega: int, theta: str, rng: np.random.Generator, size: int | None = None
     ) -> ArrayLike:
-        """Draw private LLRs under the given world, i.i.d. across draws."""
-        return self._law(world).sample(rng, size)
+        """Draw private LLRs in the world (omega, theta), i.i.d. across draws."""
+        return self.law(omega, theta).sample(rng, size)
 
     def sample_chunks(
-        self, world: WorldState, rng: np.random.Generator, horizon: int, chunk: int
+        self, omega: int, theta: str, rng: np.random.Generator, horizon: int, chunk: int
     ) -> Iterator[np.ndarray]:
-        """The draws of ``sample(world, rng, horizon)`` in pieces of ``chunk``,
-        resumable while ``rng`` serves other trajectories in between."""
-        return self._law(world).sample_chunks(rng, horizon, chunk)
+        """The draws of ``sample(omega, theta, rng, horizon)`` in pieces of
+        ``chunk``, resumable while ``rng`` serves other trajectories in
+        between."""
+        return self.law(omega, theta).sample_chunks(rng, horizon, chunk)
 
 
-def make_gaussian_model(params: GaussianFamilyParams) -> LlrModel:
-    """Build the LLR model induced by Gaussian raw signals (see
-    ``GaussianFamilyParams.llr_laws``)."""
-    mean_info, sd_info, mean_noise, sd_noise = params.llr_laws()
-    return LlrModel(
-        cdf_g=NormalCdf(mean_info, sd_info),
-        cdf_b=NormalCdf(-mean_info, sd_info),
-        cdf_0=NormalCdf(mean_noise, sd_noise),
-        jump_decreasing=True,
-    )
-
-
-def make_mixture_model(base: LlrModel, alpha: float) -> LlrModel:
-    """Replace the uninformative law by alpha*F_g + (1-alpha)*F_b.
-
-    The informative pair is kept; the resulting noise law is the one a
-    source would produce if it ignored the state but drew from the
-    informative laws with fixed weights.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    if not isinstance(base.cdf_g, NormalCdf) or not isinstance(base.cdf_b, NormalCdf):
-        raise InvalidParameterError("mixture base must have normal informative laws")
-    return LlrModel(
-        cdf_g=base.cdf_g,
-        cdf_b=base.cdf_b,
-        cdf_0=MixtureCdf(alpha, base.cdf_g, base.cdf_b),
-        jump_decreasing=base.jump_decreasing,
-    )
+def build_model(spec: ModelSpec) -> LlrModel:
+    """The LLR model a spec induces: the Normal informative pair of
+    ``llr_laws`` and the spec's noise law."""
+    laws = spec.llr_laws()
+    cdf_g = NormalCdf(laws[0], laws[1])
+    cdf_b = NormalCdf(-laws[0], laws[1])
+    if isinstance(spec, MixtureSpec):
+        cdf_0 = MixtureCdf(spec.alpha, cdf_g, cdf_b)
+    else:
+        cdf_0 = NormalCdf(laws[2], laws[3])
+    return LlrModel(cdf_g, cdf_b, cdf_0, jump_decreasing=True)

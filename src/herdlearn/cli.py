@@ -19,7 +19,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
@@ -27,21 +27,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .beliefs import GaussianFamilyParams, InvalidParameterError
+from .beliefs import GaussianSpec, InvalidParameterError, MixtureSpec, build_model
 from .consensus import (
     consensus_path,
     immediate_agreement_prob,
 )
-from .montecarlo import (
-    ExperimentConfig,
-    GaussianSpec,
-    MixtureSpec,
-    build_model,
-    run_experiment,
-    same_variance_experiment,
-    spec_from_dict,
-    spec_to_dict,
-)
+from .montecarlo import ExperimentConfig, run_experiment, same_variance_experiment
 from .observer import posterior_columns, replay
 from .tails import (
     TailClassification,
@@ -244,11 +235,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         comments = [f"verdict: {result.verdict.value} (finite grid, advisory)"]
     else:
         if isinstance(spec, GaussianSpec):
-            result = classify_gaussian(
-                GaussianFamilyParams(spec.sigma, spec.tau, spec.m0), x_max, n_grid
-            )
+            result = classify_gaussian(spec, x_max, n_grid)
         else:
-            result = classify_mixture(spec.alpha, model, x_max, n_grid)
+            result = classify_mixture(spec, x_max, n_grid)
         comments = [
             f"verdict: {result.verdict.value} (closed form, authoritative)",
             f"empirical verdict: {advisory.verdict.value} (finite grid, advisory)",
@@ -469,9 +458,10 @@ def _make_manifest(
     spec,
     config: Optional[ExperimentConfig] = None,
 ) -> _Manifest:
+    model = {"kind": spec.kind, **asdict(spec)}
     if config is not None:
         echo = {
-            "model": spec_to_dict(config.model),
+            "model": model,
             "gamma": config.gamma,
             "horizon": config.horizon,
             "trajectories": config.num_trajectories,
@@ -483,8 +473,17 @@ def _make_manifest(
         }
         seed = config.master_seed
     else:
-        echo = {"model": spec_to_dict(spec)}
-        for key in ("gamma", "horizon", "initial_r", "regime", "x_max", "grid"):
+        echo = {"model": model}
+        for key in (
+            "gamma",
+            "horizon",
+            "trajectories",
+            "initial_r",
+            "regime",
+            "x_max",
+            "grid",
+            "actions_file",
+        ):
             value = _resolve(args, key)
             if value is not None:
                 echo[key] = value
@@ -494,22 +493,6 @@ def _make_manifest(
         config=echo,
         master_seed=seed,
         started_utc=datetime.now(timezone.utc).isoformat(),
-    )
-
-
-def config_from_manifest(manifest: dict) -> ExperimentConfig:
-    """Rebuild the experiment configuration echoed in a simulate manifest."""
-    echo = manifest["config"]
-    return ExperimentConfig(
-        model=spec_from_dict(echo["model"]),
-        gamma=echo["gamma"],
-        horizon=echo["horizon"],
-        num_trajectories=echo["trajectories"],
-        omega=echo["omega"],
-        theta=echo["theta"],
-        initial_r=echo["initial_r"],
-        master_seed=echo["seed"],
-        record_traces=echo["traces"],
     )
 
 

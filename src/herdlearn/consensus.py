@@ -44,6 +44,9 @@ __all__ = [
 DIVERGENCE_THRESHOLD = 20.0  # implied product < e^-20, below every tolerance used here
 CONVERGENCE_INCREMENT_CUTOFF = 1e-15
 CONVERGENCE_TAIL_TOL = 1e-9
+# Cell width and extent of the integral behind ``tail_sum_upper_bound``.
+TAIL_BOUND_CELL = 0.01
+TAIL_BOUND_WIDTH = 2000.0
 
 
 def phi(model: LlrModel, r: float) -> float:
@@ -64,12 +67,6 @@ class ConsensusPath:
     initial_r: float
     values: np.ndarray
     absorbed: bool = False
-
-    def mirrored(self) -> "ConsensusPath":
-        """The all-B path; for a zero initial LLR it is the exact negation."""
-        return ConsensusPath(
-            initial_r=-self.initial_r, values=-self.values, absorbed=self.absorbed
-        )
 
 
 def consensus_path(
@@ -141,14 +138,7 @@ def _log_jump_lower_bound(model: LlrModel, rs: np.ndarray) -> np.ndarray:
     return np.where(diff >= -1e-15, -np.inf, out)
 
 
-def tail_sum_upper_bound(
-    model: LlrModel,
-    regime: str,
-    side: str,
-    rho: float,
-    step: float = 0.01,
-    max_width: float = 2000.0,
-) -> float:
+def tail_sum_upper_bound(model: LlrModel, regime: str, side: str, rho: float) -> float:
     """Certified upper bound on sum_{t>=1} h(s_t) for the path s_1 = rho,
     s_{t+1} = phi(s_t).
 
@@ -156,9 +146,10 @@ def tail_sum_upper_bound(
     at most jump(s_t) (requires ``model.jump_decreasing``) and h is at
     least h(s_{t+1}), so each integral cell is at least the next summand;
     hence the sum is at most h(rho) + integral_rho^inf h(r)/jump(r) dr.
-    The integral is over-estimated cell by cell: on [r_k, r_k + step] the
-    numerator is at most h(r_k) (tails shrink along the path) and the
-    denominator is at least jump_lb(r_k + step) (the difference of the two
+    The integral, cut at ``rho + TAIL_BOUND_WIDTH``, is over-estimated cell
+    by cell: on [r_k, r_k + TAIL_BOUND_CELL] the numerator is at most h(r_k)
+    (tails shrink along the path) and the denominator is at least
+    jump_lb(r_k + TAIL_BOUND_CELL) (the difference of the two
     informative left tails is decreasing wherever the left density ratio
     is below one).  A geometric end slack is added from the last observed
     decay ratio once the integrand is negligible against the accumulated
@@ -172,42 +163,41 @@ def tail_sum_upper_bound(
         return math.inf
     h_rho = math.exp(float(_log_tail_values(model, regime, side, np.array([rho]))[0]))
 
+    cell = TAIL_BOUND_CELL
     chunk = 4096
     total = 0.0
     offset = 0
-    max_steps = int(max_width / step)
+    max_steps = int(TAIL_BOUND_WIDTH / cell)
     f_last: Optional[float] = None
     slack = math.inf
     while offset < max_steps:
         ks = np.arange(offset, min(offset + chunk, max_steps))
-        rs = rho + step * ks
+        rs = rho + cell * ks
         logf = _log_tail_values(model, regime, side, rs) - _log_jump_lower_bound(
-            model, rs + step
+            model, rs + cell
         )
         with np.errstate(over="ignore"):
             f = np.exp(logf)
-        if np.any(np.isnan(f)) or (f.size and np.isinf(f[0]) and offset == 0):
-            return math.inf
-        if np.any(np.isinf(f)):
+        if np.any(np.isnan(f)) or np.any(np.isinf(f)):
             return math.inf
         # Stop once contributions are negligible against what is accumulated.
         floor = max(total, h_rho, 1e-250) * 1e-20
         below = np.nonzero(f <= floor)[0]
         if below.size:
             cut = int(below[0])
-            total += step * float(f[: cut + 1].sum())
+            total += cell * float(f[: cut + 1].sum())
             last = float(f[cut])
             prev = float(f[cut - 1]) if cut >= 1 else (f_last if f_last else last)
             if last <= 0.0:
                 slack = 1e-300  # underflowed: remainder below double-precision floor
             elif last < prev:
                 ratio = last / prev
-                slack = step * last / (1.0 - ratio)
+                slack = cell * last / (1.0 - ratio)
             break
-        total += step * float(f.sum())
+        total += cell * float(f.sum())
         if not math.isfinite(total):
             return math.inf
-        f_last = float(f[-1]) if f.size else f_last
+        f_last = float(f[-1])
         offset += chunk
     else:
         return math.inf
@@ -216,22 +206,16 @@ def tail_sum_upper_bound(
 
 
 def divergence_test(
-    model: LlrModel,
-    path: ConsensusPath,
-    regime: str,
-    side: str,
-    divergence_threshold: float = DIVERGENCE_THRESHOLD,
-    increment_cutoff: float = CONVERGENCE_INCREMENT_CUTOFF,
-    tail_tol: float = CONVERGENCE_TAIL_TOL,
+    model: LlrModel, path: ConsensusPath, regime: str, side: str
 ) -> DivergenceResult:
     """Certify the behaviour of the tail sum for one regime/side pair.
 
-    Diverges: the partial sum crosses ``divergence_threshold`` while its
-    increments are still above ``increment_cutoff``, or (for the
+    Diverges: the partial sum crosses DIVERGENCE_THRESHOLD while its
+    increments are still above CONVERGENCE_INCREMENT_CUTOFF, or (for the
     informative-pair sums whose values dominate the path increments) the
     telescoping argument certifies an infinite sum.  Converges: increments
-    fell below ``increment_cutoff`` and the remainder is certified below
-    ``tail_tol``.  Otherwise Inconclusive.
+    fell below CONVERGENCE_INCREMENT_CUTOFF and the remainder is certified
+    below CONVERGENCE_TAIL_TOL.  Otherwise Inconclusive.
     """
     rs = path.values
     if rs.size == 0:
@@ -241,8 +225,8 @@ def divergence_test(
     partial = np.cumsum(hs)
 
     # Threshold crossing with non-vanishing increments.
-    crossing = np.nonzero(partial >= divergence_threshold)[0]
-    crossed = crossing.size > 0 and hs[crossing[0]] > increment_cutoff
+    crossing = np.nonzero(partial >= DIVERGENCE_THRESHOLD)[0]
+    crossed = crossing.size > 0 and hs[crossing[0]] > CONVERGENCE_INCREMENT_CUTOFF
 
     # Structural domination: the tail values of the informative pair bound
     # the path increments from below (up to the bounded factor 1 - F_b(-r_1)),
@@ -283,10 +267,10 @@ def divergence_test(
             reason="; ".join(reason),
         )
 
-    if hs[-1] < increment_cutoff and not path.absorbed:
+    if hs[-1] < CONVERGENCE_INCREMENT_CUTOFF and not path.absorbed:
         rho = phi(model, float(rs[-1]))
         bound = tail_sum_upper_bound(model, regime, side, rho)
-        if bound < tail_tol:
+        if bound < CONVERGENCE_TAIL_TOL:
             return DivergenceResult(
                 regime=regime,
                 side=side,

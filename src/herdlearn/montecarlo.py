@@ -16,20 +16,18 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .beliefs import (
     BAD,
     GOOD,
-    GaussianFamilyParams,
+    GaussianSpec,
     InvalidParameterError,
-    LlrModel,
-    make_gaussian_model,
-    make_mixture_model,
-    sample_world,
+    ModelSpec,
+    build_model,
 )
 from .dynamics import R_CAP, step
 
@@ -40,9 +38,6 @@ LOG_2 = math.log(2.0)
 CHUNK_STEPS = 2048
 
 __all__ = [
-    "GaussianSpec",
-    "MixtureSpec",
-    "build_model",
     "ExperimentConfig",
     "ExperimentResult",
     "ExperimentResourceError",
@@ -51,58 +46,6 @@ __all__ = [
     "compute_aggregates",
     "same_variance_experiment",
 ]
-
-
-@dataclass(frozen=True)
-class GaussianSpec:
-    """Gaussian-family model: informative sd sigma, noise sd tau, noise mean m0."""
-
-    sigma: float
-    tau: float
-    m0: float = 0.0
-
-    kind = "gaussian"
-
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Noise law alpha*F_g + (1-alpha)*F_b over the sigma informative pair."""
-
-    sigma: float
-    alpha: float
-
-    kind = "mixture"
-
-
-ModelSpec = Union[GaussianSpec, MixtureSpec]
-
-
-def build_model(spec: ModelSpec) -> LlrModel:
-    if isinstance(spec, GaussianSpec):
-        return make_gaussian_model(
-            GaussianFamilyParams(sigma=spec.sigma, tau=spec.tau, m0=spec.m0)
-        )
-    if isinstance(spec, MixtureSpec):
-        base = make_gaussian_model(
-            GaussianFamilyParams(sigma=spec.sigma, tau=2.0 * spec.sigma, m0=0.0)
-        )
-        return make_mixture_model(base, spec.alpha)
-    raise InvalidParameterError(f"unknown model spec {spec!r}")
-
-
-def spec_to_dict(spec: ModelSpec) -> dict:
-    d = asdict(spec)
-    d["kind"] = spec.kind
-    return d
-
-
-def spec_from_dict(d: dict) -> ModelSpec:
-    kind = d.get("kind")
-    if kind == "gaussian":
-        return GaussianSpec(sigma=d["sigma"], tau=d["tau"], m0=d.get("m0", 0.0))
-    if kind == "mixture":
-        return MixtureSpec(sigma=d["sigma"], alpha=d["alpha"])
-    raise InvalidParameterError(f"unknown model spec kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -240,20 +183,31 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
         # 1.5x as long (n=512).
         width = min(horizon, CHUNK_STEPS)
         llrs = np.empty((n, width + 8))[:, :width]
-    omegas = np.empty(n, dtype=np.int8)
-    thetas = np.empty(n, dtype="U1")
+    omegas = []
+    thetas = []
     streams = []
+    seed, gamma = config.master_seed, config.gamma
     rng = np.random.Generator(np.random.Philox())
     for i in range(n):
-        _trajectory_rng(rng, config.master_seed, lo + i)
-        world = sample_world(config.gamma, rng, config.omega, config.theta)
-        omegas[i] = world.omega
-        thetas[i] = world.theta
+        _trajectory_rng(rng, seed, lo + i)
+        # The world: omega informative w.p. gamma, theta uniform.  Both
+        # uniforms are drawn even when the config fixes omega or theta, so
+        # the LLR draws that follow do not depend on the fixing.
+        u_omega, u_theta = rng.random(2).tolist()
+        omega = config.omega
+        if omega is None:
+            omega = int(u_omega < gamma)
+        theta = config.theta
+        if theta is None:
+            theta = GOOD if u_theta < 0.5 else BAD
+        omegas.append(omega)
+        thetas.append(theta)
         if horizon <= CHUNK_STEPS:  # one chunk: no stream to resume
-            llrs[i] = model.sample(world, rng, size=horizon)
+            llrs[i] = model.sample(omega, theta, rng, size=horizon)
         else:
-            streams.append(model.sample_chunks(world, rng, horizon, CHUNK_STEPS))
-            llrs[i, :CHUNK_STEPS] = next(streams[-1])
+            stream = model.sample_chunks(omega, theta, rng, horizon, CHUNK_STEPS)
+            llrs[i, :CHUNK_STEPS] = next(stream)
+            streams.append(stream)
 
     r = np.full(n, config.initial_r, dtype=float)
     ll_info_g = np.zeros(n)

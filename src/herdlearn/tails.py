@@ -18,10 +18,11 @@ import numpy as np
 
 from .beliefs import (
     ArrayLike,
-    GaussianFamilyParams,
+    GaussianSpec,
     InvalidParameterError,
     LlrModel,
-    make_gaussian_model,
+    MixtureSpec,
+    build_model,
 )
 
 __all__ = [
@@ -105,7 +106,7 @@ def _evidence_grid(model: LlrModel, x_max: float, n_grid: int) -> np.ndarray:
 
 
 def classify_gaussian(
-    params: GaussianFamilyParams, x_max: float = 200.0, n_grid: int = 64
+    spec: GaussianSpec, x_max: float = 200.0, n_grid: int = 64
 ) -> TailClassification:
     """Closed-form rule for the Gaussian family: the variances decide.
 
@@ -114,11 +115,10 @@ def classify_gaussian(
     the law and cannot change the tail order.  This verdict is exact;
     the attached grid is illustration, not evidence.
     """
-    model = make_gaussian_model(params)
-    evidence = _evidence_grid(model, x_max, n_grid)
-    if abs(params.tau - params.sigma) < 1e-12:
+    evidence = _evidence_grid(build_model(spec), x_max, n_grid)
+    if abs(spec.tau - spec.sigma) < 1e-12:
         verdict = Verdict.NEITHER
-    elif params.tau > params.sigma:
+    elif spec.tau > spec.sigma:
         verdict = Verdict.FATTER
     else:
         verdict = Verdict.THINNER
@@ -126,7 +126,7 @@ def classify_gaussian(
 
 
 def classify_mixture(
-    alpha: float, model: LlrModel, x_max: float = 200.0, n_grid: int = 64
+    spec: MixtureSpec, x_max: float = 200.0, n_grid: int = 64
 ) -> TailClassification:
     """Closed-form rule for mixture noise: always fatter.
 
@@ -134,13 +134,11 @@ def classify_mixture(
     L_b >= 1-alpha and R_g >= alpha pointwise, so the fatter-tails
     condition holds with epsilon = min(alpha, 1-alpha) exactly.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    evidence = _evidence_grid(model, x_max, n_grid)
+    evidence = _evidence_grid(build_model(spec), x_max, n_grid)
     return TailClassification(
         verdict=Verdict.FATTER,
         evidence=evidence,
-        epsilon_estimate=min(alpha, 1.0 - alpha),
+        epsilon_estimate=min(spec.alpha, 1.0 - spec.alpha),
         authoritative=True,
     )
 

@@ -1,28 +1,27 @@
 import pytest
 
-from herdlearn import GaussianFamilyParams, make_gaussian_model, make_mixture_model
+from herdlearn import GaussianSpec, MixtureSpec, build_model
 
 
 @pytest.fixture(scope="session")
 def gauss_fat():
     """sigma=1, tau=2: noise has fatter tails than the informative laws."""
-    return make_gaussian_model(GaussianFamilyParams(sigma=1.0, tau=2.0))
+    return build_model(GaussianSpec(sigma=1.0, tau=2.0))
 
 
 @pytest.fixture(scope="session")
 def gauss_thin():
     """sigma=1, tau=0.5: noise has thinner tails."""
-    return make_gaussian_model(GaussianFamilyParams(sigma=1.0, tau=0.5))
+    return build_model(GaussianSpec(sigma=1.0, tau=0.5))
 
 
 @pytest.fixture(scope="session")
 def gauss_boundary():
     """sigma=tau=1, symmetric noise: neither fatter nor thinner."""
-    return make_gaussian_model(GaussianFamilyParams(sigma=1.0, tau=1.0))
+    return build_model(GaussianSpec(sigma=1.0, tau=1.0))
 
 
 @pytest.fixture(scope="session")
 def mixture_half():
     """Noise indistinguishable a priori from the informative marginal."""
-    base = make_gaussian_model(GaussianFamilyParams(sigma=1.0, tau=2.0))
-    return make_mixture_model(base, 0.5)
+    return build_model(MixtureSpec(sigma=1.0, alpha=0.5))

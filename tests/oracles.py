@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from herdlearn import InvalidParameterError, LlrModel, WorldState
+from herdlearn import InvalidParameterError
+from herdlearn.beliefs import LlrModel
 from herdlearn.dynamics import R_CAP
 
 mp.mp.dps = 50
@@ -111,7 +112,6 @@ class Trajectory:
     whose action differed from their predecessor's, or None.
     """
 
-    world: WorldState
     actions: np.ndarray
     llrs: np.ndarray
     public_llrs: np.ndarray
@@ -122,13 +122,15 @@ class Trajectory:
 
 def simulate_trajectory(
     model: LlrModel,
-    world: WorldState,
+    omega: int,
+    theta: str,
     horizon: int,
     rng: np.random.Generator,
     initial_r: float = 0.0,
     gamma: Optional[float] = None,
 ) -> Trajectory:
-    """Simulate ``horizon`` agents acting in sequence, one at a time.
+    """Simulate ``horizon`` agents acting in sequence, one at a time, in
+    the world (omega, theta).
 
     Private LLRs are drawn from ``rng`` as one block up front, as the
     experiment engine does, so the two see the same draws.  When ``gamma``
@@ -137,7 +139,7 @@ def simulate_trajectory(
     """
     if horizon < 1:
         raise InvalidParameterError(f"horizon must be >= 1, got {horizon}")
-    llrs = np.asarray(model.sample(world, rng, size=horizon), dtype=float)
+    llrs = np.asarray(model.sample(omega, theta, rng, size=horizon), dtype=float)
     actions = np.empty(horizon, dtype="U1")
     public = np.empty(horizon + 1, dtype=float)
     public[0] = initial_r
@@ -166,7 +168,6 @@ def simulate_trajectory(
         w = np.exp(w - w.max())
         qs[horizon] = (w[0] + w[1]) / w.sum()
     return Trajectory(
-        world=world,
         actions=actions,
         llrs=llrs,
         public_llrs=public,

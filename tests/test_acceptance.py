@@ -18,27 +18,22 @@ import numpy as np
 import pytest
 
 from herdlearn import (
-    GaussianFamilyParams,
-    SumVerdict,
-    agent_action,
-    consensus_path,
-    divergence_test,
-    immediate_agreement_prob,
-    make_gaussian_model,
-    make_mixture_model,
-    observer_init,
-    observer_update,
-    update_public,
-)
-from herdlearn.cli import main as cli_main
-from herdlearn.montecarlo import (
     ExperimentConfig,
     GaussianSpec,
     MixtureSpec,
+    SumVerdict,
+    agent_action,
     build_model,
+    consensus_path,
+    divergence_test,
+    immediate_agreement_prob,
+    observer_init,
+    observer_update,
     run_experiment,
     same_variance_experiment,
+    update_public,
 )
+from herdlearn.cli import main as cli_main
 
 import oracles
 from oracles import batch_posterior
@@ -87,14 +82,13 @@ def test_criterion_02_overturning_principle():
     for k in range(n_models):
         sigma = float(rng.uniform(0.4, 2.5))
         if k % 5 == 0:
-            base = make_gaussian_model(GaussianFamilyParams(sigma, 2.0 * sigma))
-            model = make_mixture_model(base, float(rng.uniform(0.05, 0.95)))
+            model = build_model(MixtureSpec(sigma, float(rng.uniform(0.05, 0.95))))
         else:
             tau = float(rng.uniform(0.3, 3.0))
             m0 = float(rng.uniform(-2.0, 2.0))
             if abs(tau - sigma) < 1e-9 and abs(abs(m0) - 1.0) < 1e-9:
                 m0 += 0.1
-            model = make_gaussian_model(GaussianFamilyParams(sigma, tau, m0))
+            model = build_model(GaussianSpec(sigma, tau, m0))
         for r in rng.uniform(-30.0, 30.0, n_r):
             worst_g = min(worst_g, update_public(model, float(r), "g"))
             worst_b = min(worst_b, -update_public(model, float(r), "b"))

@@ -8,18 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from herdlearn import (
-    DistinctnessError,
-    GaussianFamilyParams,
-    InvalidParameterError,
-    LlrModel,
-    MixtureCdf,
-    NormalCdf,
-    WorldState,
-    make_gaussian_model,
-    make_mixture_model,
-    sample_world,
-)
+from herdlearn import GaussianSpec, InvalidParameterError, MixtureSpec, build_model
+from herdlearn.beliefs import DistinctnessError, NormalCdf
 
 import oracles
 
@@ -28,11 +18,16 @@ def philox(seed, index=0):
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
+def cdf(law, x):
+    """F(x) from the law's stable log CDF."""
+    return np.exp(np.asarray(law.log_cdf(x)))
+
+
 class TestGaussianModel:
     """The raw-signal laws push forward to the documented normal LLR laws."""
 
     def test_induced_laws_sigma1_tau2(self):
-        model = make_gaussian_model(GaussianFamilyParams(sigma=1.0, tau=2.0))
+        model = build_model(GaussianSpec(sigma=1.0, tau=2.0))
         assert model.cdf_g.mean == pytest.approx(2.0, abs=1e-15)
         assert model.cdf_g.sd == pytest.approx(2.0, abs=1e-15)
         assert model.cdf_b.mean == pytest.approx(-2.0, abs=1e-15)
@@ -40,19 +35,19 @@ class TestGaussianModel:
         assert model.cdf_0.sd == pytest.approx(4.0, abs=1e-15)
 
     def test_equal_variance_case(self):
-        model = make_gaussian_model(GaussianFamilyParams(sigma=1.0, tau=1.0))
+        model = build_model(GaussianSpec(sigma=1.0, tau=1.0))
         assert model.cdf_0.mean == 0.0
         assert model.cdf_0.sd == pytest.approx(2.0, abs=1e-15)
 
     def test_cdf_values_at_zero(self):
-        model = make_gaussian_model(GaussianFamilyParams(sigma=1.0, tau=2.0))
-        assert model.cdf_g.cdf(0.0) == pytest.approx(oracles.PHI_MINUS_1, abs=1e-12)
-        assert model.cdf_b.cdf(0.0) == pytest.approx(oracles.PHI_PLUS_1, abs=1e-12)
+        model = build_model(GaussianSpec(sigma=1.0, tau=2.0))
+        assert cdf(model.cdf_g, 0.0) == pytest.approx(oracles.PHI_MINUS_1, abs=1e-12)
+        assert cdf(model.cdf_b, 0.0) == pytest.approx(oracles.PHI_PLUS_1, abs=1e-12)
 
     @pytest.mark.parametrize("sigma,tau", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
     def test_invalid_scale_parameters(self, sigma, tau):
         with pytest.raises(InvalidParameterError):
-            GaussianFamilyParams(sigma=sigma, tau=tau)
+            GaussianSpec(sigma=sigma, tau=tau)
 
     @pytest.mark.parametrize(
         "sigma,tau,m0",
@@ -65,16 +60,16 @@ class TestGaussianModel:
     )
     def test_non_finite_parameters(self, sigma, tau, m0):
         with pytest.raises(InvalidParameterError, match="must be finite"):
-            GaussianFamilyParams(sigma=sigma, tau=tau, m0=m0)
+            GaussianSpec(sigma=sigma, tau=tau, m0=m0)
 
     @pytest.mark.parametrize("m0", [1.0, -1.0])
     def test_distinctness_violation(self, m0):
         with pytest.raises(DistinctnessError):
-            GaussianFamilyParams(sigma=1.0, tau=1.0, m0=m0)
+            GaussianSpec(sigma=1.0, tau=1.0, m0=m0)
 
     def test_near_coincidence_allowed(self):
-        GaussianFamilyParams(sigma=1.0, tau=1.0, m0=0.999)
-        GaussianFamilyParams(sigma=1.0, tau=1.001, m0=1.0)
+        GaussianSpec(sigma=1.0, tau=1.0, m0=0.999)
+        GaussianSpec(sigma=1.0, tau=1.001, m0=1.0)
 
 
 class TestPairSymmetry:
@@ -82,15 +77,15 @@ class TestPairSymmetry:
 
     def test_grid_sigma1(self, gauss_fat):
         xs = np.linspace(-50.0, 50.0, 1000)
-        total = np.asarray(gauss_fat.cdf_g.cdf(xs)) + np.asarray(gauss_fat.cdf_b.cdf(-xs))
+        total = cdf(gauss_fat.cdf_g, xs) + cdf(gauss_fat.cdf_b, -xs)
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(sigma=st.floats(0.3, 3.0))
     def test_random_sigma(self, sigma):
-        model = make_gaussian_model(GaussianFamilyParams(sigma=sigma, tau=2.0))
+        model = build_model(GaussianSpec(sigma=sigma, tau=2.0))
         xs = np.linspace(-20.0, 20.0, 100)
-        total = np.asarray(model.cdf_g.cdf(xs)) + np.asarray(model.cdf_b.cdf(-xs))
+        total = cdf(model.cdf_g, xs) + cdf(model.cdf_b, -xs)
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
     def test_mixture_pair_unchanged(self, gauss_fat, mixture_half):
@@ -103,9 +98,10 @@ class TestDensityRatio:
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     def test_identity_on_grid(self, sigma):
-        model = make_gaussian_model(GaussianFamilyParams(sigma=sigma, tau=1.5))
+        model = build_model(GaussianSpec(sigma=sigma, tau=1.5))
         xs = np.linspace(-40.0, 40.0, 401)
-        diff = np.asarray(model.cdf_g.log_pdf(xs)) - np.asarray(model.cdf_b.log_pdf(xs))
+        g, b = model.cdf_g, model.cdf_b
+        diff = stats.norm.logpdf(xs, g.mean, g.sd) - stats.norm.logpdf(xs, b.mean, b.sd)
         np.testing.assert_allclose(diff, xs, atol=1e-10)
 
 
@@ -123,16 +119,16 @@ class TestSupportAndContinuity:
         xs = np.linspace(-12.0, 12.0, 500)
         width = xs[1] - xs[0]
         for model in (gauss_fat, mixture_half):
-            for cdf in (model.cdf_g, model.cdf_b, model.cdf_0):
-                increments = np.diff(np.asarray(cdf.cdf(xs)))
+            for law in (model.cdf_g, model.cdf_b, model.cdf_0):
+                increments = np.diff(cdf(law, xs))
                 assert np.all(increments > 0)
                 assert np.all(increments < width * 0.5)
 
     def test_mutual_absolute_continuity_on_grid(self, gauss_fat):
         # Every interval gets positive mass from all three laws.
         xs = np.linspace(-10.0, 10.0, 81)
-        for cdf in (gauss_fat.cdf_g, gauss_fat.cdf_b, gauss_fat.cdf_0):
-            mass = np.diff(np.asarray(cdf.cdf(xs)))
+        for law in (gauss_fat.cdf_g, gauss_fat.cdf_b, gauss_fat.cdf_0):
+            mass = np.diff(cdf(law, xs))
             assert np.all(mass > 0)
 
 
@@ -162,10 +158,11 @@ class TestLogTail:
             oracles.LOG_PHI_MINUS_1414, rel=1e-10
         )
 
-    def test_matches_direct_cdf_where_representable(self, gauss_fat):
+    def test_matches_oracle_cdf_where_representable(self, gauss_fat):
         xs = np.linspace(-35.0, 35.0, 141)
         for regime in ("g", "b", "0"):
-            direct = np.asarray(gauss_fat.cdf_for(regime).cdf(-xs))
+            law = gauss_fat.cdf_for(regime)
+            direct = np.array([oracles.normal_cdf(-x, law.mean, law.sd) for x in xs])
             stable = np.exp(np.asarray(gauss_fat.log_tail(regime, "left", xs)))
             keep = direct > 1e-300
             np.testing.assert_allclose(stable[keep], direct[keep], rtol=1e-10)
@@ -198,29 +195,42 @@ class TestLogTail:
 
 
 class TestMixtureModel:
-    def test_alpha_validation(self, gauss_fat):
-        for alpha in (0.0, 1.0, -0.2, 1.7):
-            with pytest.raises(InvalidParameterError):
-                make_mixture_model(gauss_fat, alpha)
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.7, math.nan])
+    def test_alpha_validation(self, alpha):
+        with pytest.raises(InvalidParameterError, match="alpha must lie in"):
+            MixtureSpec(sigma=1.0, alpha=alpha)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, 1e-160, 1.5e154])
+    def test_non_finite_sigma(self, sigma):
+        # 1e-160 overflows the informative mean 2/sigma^2; 1.5e154 takes it
+        # to 0, where F_g and F_b would coincide.
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            MixtureSpec(sigma=sigma, alpha=0.5)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_non_positive_sigma(self, sigma):
+        with pytest.raises(InvalidParameterError, match="sigma must be positive"):
+            MixtureSpec(sigma=sigma, alpha=0.5)
 
     def test_symmetric_mixture_median(self, mixture_half):
-        assert mixture_half.cdf_0.cdf(0.0) == pytest.approx(0.5, abs=1e-14)
+        assert cdf(mixture_half.cdf_0, 0.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_pointwise_combination(self, gauss_fat):
-        model = make_mixture_model(gauss_fat, 0.3)
+        model = build_model(MixtureSpec(sigma=1.0, alpha=0.3))
         xs = np.linspace(-30.0, 30.0, 121)
-        expected = 0.3 * np.asarray(gauss_fat.cdf_g.cdf(xs)) + 0.7 * np.asarray(
-            gauss_fat.cdf_b.cdf(xs)
+        g, b = gauss_fat.cdf_g, gauss_fat.cdf_b
+        expected = np.array(
+            [
+                0.3 * oracles.normal_cdf(x, g.mean, g.sd)
+                + 0.7 * oracles.normal_cdf(x, b.mean, b.sd)
+                for x in xs
+            ]
         )
-        np.testing.assert_allclose(np.asarray(model.cdf_0.cdf(xs)), expected, atol=1e-12)
-        # And through the log-domain path.
-        np.testing.assert_allclose(
-            np.exp(np.asarray(model.cdf_0.log_cdf(xs))), expected, rtol=1e-12
-        )
+        np.testing.assert_allclose(cdf(model.cdf_0, xs), expected, rtol=1e-12)
 
-    def test_alpha03_value_at_minus4(self, gauss_fat):
-        model = make_mixture_model(gauss_fat, 0.3)
-        assert model.cdf_0.cdf(-4.0) == pytest.approx(
+    def test_alpha03_value_at_minus4(self):
+        model = build_model(MixtureSpec(sigma=1.0, alpha=0.3))
+        assert cdf(model.cdf_0, -4.0) == pytest.approx(
             oracles.MIX_ALPHA03_CDF0_AT_M4, abs=1e-12
         )
 
@@ -232,75 +242,51 @@ class TestMixtureModel:
         assert np.all(log_f0 - log_fb >= math.log(0.5) - 1e-12)
 
 
-class TestWorldSampling:
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            WorldState(omega=2, theta="g")
-        with pytest.raises(InvalidParameterError):
-            WorldState(omega=1, theta="x")
-        with pytest.raises(InvalidParameterError):
-            sample_world(0.0, philox(0))
-
-    def test_law(self):
-        rng = philox(7)
-        worlds = [sample_world(0.3, rng) for _ in range(20000)]
-        frac_info = np.mean([w.omega for w in worlds])
-        frac_good = np.mean([w.theta == "g" for w in worlds])
-        assert abs(frac_info - 0.3) < 3 * math.sqrt(0.3 * 0.7 / 20000)
-        assert abs(frac_good - 0.5) < 3 * math.sqrt(0.25 / 20000)
-
-    def test_fixed_coordinates_consume_stream_identically(self):
-        free = sample_world(0.3, philox(9))
-        fixed = sample_world(0.3, philox(9), omega=free.omega, theta=free.theta)
-        assert free == fixed
-
-
 class TestSampling:
     def test_deterministic_given_stream(self, gauss_fat):
-        w = WorldState(omega=1, theta="g")
-        a = gauss_fat.sample(w, philox(3), size=100)
-        b = gauss_fat.sample(w, philox(3), size=100)
+        a = gauss_fat.sample(1, "g", philox(3), size=100)
+        b = gauss_fat.sample(1, "g", philox(3), size=100)
         np.testing.assert_array_equal(a, b)
-        assert gauss_fat.sample(w, philox(3)) == a[0]
+        assert gauss_fat.sample(1, "g", philox(3)) == a[0]
 
     def test_informative_mean(self, gauss_fat):
         # Law is Normal(2, 4); the mean of 1e5 draws is within 3 standard errors.
-        draws = gauss_fat.sample(WorldState(1, "g"), philox(11), size=100_000)
+        draws = gauss_fat.sample(1, "g", philox(11), size=100_000)
         assert abs(draws.mean() - 2.0) < 3.0 * 2.0 / math.sqrt(100_000)
 
     def test_pushforward_matches_raw_signal_mapping(self):
         # Drawing a raw signal s ~ Normal(1, sigma^2) and mapping 2 s / sigma^2
         # must match sampling the induced LLR law.
         sigma = 1.3
-        model = make_gaussian_model(GaussianFamilyParams(sigma=sigma, tau=2.0))
+        model = build_model(GaussianSpec(sigma=sigma, tau=2.0))
         raw = philox(23).normal(1.0, sigma, 100_000)
         mapped = 2.0 * raw / sigma**2
-        stat = stats.kstest(mapped, lambda x: np.asarray(model.cdf_g.cdf(x))).statistic
+        stat = stats.kstest(mapped, lambda x: cdf(model.cdf_g, x)).statistic
         assert stat < 1.63 / math.sqrt(100_000)  # 1% critical value
 
     def test_mixture_distribution(self, mixture_half):
-        draws = mixture_half.sample(WorldState(0, "g"), philox(29), size=100_000)
-        stat = stats.kstest(draws, lambda x: np.asarray(mixture_half.cdf_0.cdf(x))).statistic
+        draws = mixture_half.sample(0, "g", philox(29), size=100_000)
+        stat = stats.kstest(draws, lambda x: cdf(mixture_half.cdf_0, x)).statistic
         assert stat < 1.63 / math.sqrt(100_000)
 
     def test_mixture_draws_are_independent(self, mixture_half):
         # A component reused across draws would correlate neighbours at ~0.5.
-        draws = mixture_half.sample(WorldState(0, "g"), philox(31), size=100_000)
+        draws = mixture_half.sample(0, "g", philox(31), size=100_000)
         lag1 = np.corrcoef(draws[:-1], draws[1:])[0, 1]
         assert abs(lag1) < 4.0 / math.sqrt(100_000)
 
     @pytest.mark.parametrize("horizon, chunk", [(10, 3), (9, 3), (5, 8), (3000, 1024)])
     @pytest.mark.parametrize("law", ["gauss_info", "gauss_noise", "mixture_noise"])
     def test_chunks_join_into_the_whole_draw(self, gauss_fat, mixture_half, law, horizon, chunk):
-        model, world = {
-            "gauss_info": (gauss_fat, WorldState(1, "b")),
-            "gauss_noise": (gauss_fat, WorldState(0, "g")),
-            "mixture_noise": (mixture_half, WorldState(0, "g")),
+        model, omega, theta = {
+            "gauss_info": (gauss_fat, 1, "b"),
+            "gauss_noise": (gauss_fat, 0, "g"),
+            "mixture_noise": (mixture_half, 0, "g"),
         }[law]
-        whole = model.sample(world, philox(53, 7), size=horizon)
+        whole = model.sample(omega, theta, philox(53, 7), size=horizon)
         rng = philox(53, 7)
         pieces = []
-        for piece in model.sample_chunks(world, rng, horizon, chunk):
+        for piece in model.sample_chunks(omega, theta, rng, horizon, chunk):
             pieces.append(piece)
             # Another trajectory's stream runs between two pieces.
             rng.bit_generator.state = philox(54, len(pieces)).bit_generator.state
@@ -312,6 +298,6 @@ class TestSampling:
         np.testing.assert_array_equal(np.concatenate(pieces), whole)
 
     def test_noise_ignores_theta(self, gauss_fat):
-        a = gauss_fat.sample(WorldState(0, "g"), philox(41), size=50)
-        b = gauss_fat.sample(WorldState(0, "b"), philox(41), size=50)
+        a = gauss_fat.sample(0, "g", philox(41), size=50)
+        b = gauss_fat.sample(0, "b", philox(41), size=50)
         np.testing.assert_array_equal(a, b)

@@ -17,15 +17,13 @@ from hypothesis import strategies as st
 
 import herdlearn
 
-from herdlearn import cli
+from herdlearn import GaussianSpec, cli
 from herdlearn.cli import (
     EXIT_OK,
     EXIT_UNDETERMINED,
     EXIT_USAGE,
-    config_from_manifest,
     main,
 )
-from herdlearn.montecarlo import ExperimentConfig, GaussianSpec
 
 import oracles
 
@@ -237,30 +235,6 @@ class TestSimulate:
 
             assert hashlib.sha256(data).hexdigest() == entry["sha256"]
 
-    def test_config_roundtrip(self, capsys, tmp_path):
-        out_dir = tmp_path / "run"
-        run_cli(
-            capsys,
-            "simulate",
-            "--sigma", "1", "--tau", "0.5", "--m0", "0.25",
-            "--omega", "0",
-            "--horizon", "30", "--trajectories", "10",
-            "--seed", "9", "--out", str(out_dir),
-        )
-        manifest = read_manifest(out_dir)
-        rebuilt = config_from_manifest(manifest)
-        assert rebuilt == ExperimentConfig(
-            model=GaussianSpec(sigma=1.0, tau=0.5, m0=0.25),
-            gamma=0.5,
-            horizon=30,
-            num_trajectories=10,
-            omega=0,
-            theta=None,
-            initial_r=0.0,
-            master_seed=9,
-            record_traces=False,
-        )
-
     def test_stress_preset_yields_to_explicit_sizes(self, capsys, tmp_path):
         out_dir = tmp_path / "run"
         code, _, _ = run_cli(
@@ -331,6 +305,52 @@ class TestReproducibility:
             )
         assert digests[0] == digests[1]
         assert digests[0], "expected at least one output file"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (
+                "simulate", "--sigma", "1", "--tau", "0.5", "--m0", "0.25",
+                "--omega", "0", "--horizon", "30", "--trajectories", "10",
+                "--seed", "9",
+            ),
+            (
+                "same-variance", "--sigma", "1", "--m0-grid", "0,0.5",
+                "--horizon", "50", "--trajectories", "30", "--seed", "4",
+            ),
+            ("observer-replay", "--mixture", "0.3", "--sigma", "1.5", "--gamma", "0.4"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_manifest_config_reproduces_the_run(self, capsys, tmp_path, argv):
+        """A config file holding only the manifest's config echo (and its
+        seed) reruns the command to the same digests."""
+        if argv[0] == "observer-replay":
+            actions = tmp_path / "actions.txt"
+            actions.write_text("G\nG\nB\nG\n")
+            argv = [*argv, "--actions-file", str(actions)]
+        assert main([*argv, "--out", str(tmp_path / "a")]) == EXIT_OK
+        manifest = read_manifest(tmp_path / "a")
+        echo = dict(manifest["config"])
+        if argv[0] == "same-variance":
+            assert echo["trajectories"] == 30
+        if argv[0] == "observer-replay":
+            assert echo["actions_file"] == str(actions)
+        model = echo.pop("model")
+        values = {"mixture" if k == "alpha" else k: v for k, v in model.items()}
+        values.update(echo, seed=manifest["master_seed"])
+        lines = ["[run]"]
+        for key, value in values.items():
+            if isinstance(value, list):
+                value = ",".join(map(repr, value))
+            if value is not None and key != "kind":
+                lines.append(f"{key} = {value}")
+        config = tmp_path / "rerun.ini"
+        config.write_text("\n".join(lines) + "\n")
+        rerun = [argv[0], "--config", str(config), "--out", str(tmp_path / "b")]
+        assert main(rerun) == EXIT_OK
+        capsys.readouterr()
+        assert read_manifest(tmp_path / "b")["outputs"] == manifest["outputs"]
 
     def test_observer_replay_digests(self, capsys, tmp_path):
         actions = tmp_path / "actions.txt"

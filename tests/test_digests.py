@@ -24,12 +24,7 @@ import numpy as np
 import pytest
 
 from herdlearn.cli import _rows_csv, _trace_csv, main
-from herdlearn.montecarlo import (
-    ExperimentConfig,
-    GaussianSpec,
-    MixtureSpec,
-    run_experiment,
-)
+from herdlearn import ExperimentConfig, GaussianSpec, MixtureSpec, run_experiment
 
 
 def _sha(data: bytes) -> str:

@@ -9,17 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from herdlearn import (
-    GaussianFamilyParams,
+    ExperimentConfig,
+    GaussianSpec,
     InvalidParameterError,
-    WorldState,
     agent_action,
-    jump_b,
-    jump_g,
-    make_gaussian_model,
+    build_model,
+    run_experiment,
     update_public,
 )
-from herdlearn.dynamics import R_CAP, step
-from herdlearn.montecarlo import ExperimentConfig, GaussianSpec, run_experiment
+from herdlearn.dynamics import R_CAP, jump_b, jump_g, step
 
 import oracles
 from oracles import simulate_trajectory
@@ -160,7 +158,7 @@ class TestUpdatePublic:
     def test_overturning_randomized(self, sigma, tau, m0, r):
         """One action is enough to pull the public belief to its side."""
         assume(abs(tau - sigma) > 1e-9 or abs(abs(m0) - 1.0) > 1e-9)
-        model = make_gaussian_model(GaussianFamilyParams(sigma=sigma, tau=tau, m0=m0))
+        model = build_model(GaussianSpec(sigma=sigma, tau=tau, m0=m0))
         assert update_public(model, r, "g") >= -1e-9
         assert update_public(model, r, "b") <= 1e-9
 
@@ -172,8 +170,7 @@ class TestUpdatePublic:
 
 class TestTrajectory:
     def test_invariants(self, gauss_fat):
-        world = WorldState(omega=0, theta="g")
-        traj = simulate_trajectory(gauss_fat, world, 400, philox(5), gamma=0.5)
+        traj = simulate_trajectory(gauss_fat, 0, "g", 400, philox(5), gamma=0.5)
         assert len(traj.actions) == 400
         assert len(traj.llrs) == 400
         assert len(traj.public_llrs) == 401
@@ -198,12 +195,12 @@ class TestTrajectory:
 
     def test_single_step_rule(self, gauss_fat):
         for seed in range(6):
-            traj = simulate_trajectory(gauss_fat, WorldState(1, "g"), 1, philox(seed))
+            traj = simulate_trajectory(gauss_fat, 1, "g", 1, philox(seed))
             assert (traj.actions[0] == "g") == (traj.llrs[0] >= 0.0)
 
     def test_bitwise_determinism(self, mixture_half):
-        a = simulate_trajectory(mixture_half, WorldState(0, "b"), 200, philox(77), gamma=0.3)
-        b = simulate_trajectory(mixture_half, WorldState(0, "b"), 200, philox(77), gamma=0.3)
+        a = simulate_trajectory(mixture_half, 0, "b", 200, philox(77), gamma=0.3)
+        b = simulate_trajectory(mixture_half, 0, "b", 200, philox(77), gamma=0.3)
         np.testing.assert_array_equal(a.actions, b.actions)
         np.testing.assert_array_equal(a.llrs, b.llrs)
         np.testing.assert_array_equal(a.public_llrs, b.public_llrs)
@@ -211,19 +208,19 @@ class TestTrajectory:
 
     def test_horizon_validation(self, gauss_fat):
         with pytest.raises(InvalidParameterError):
-            simulate_trajectory(gauss_fat, WorldState(1, "g"), 0, philox(0))
+            simulate_trajectory(gauss_fat, 1, "g", 0, philox(0))
 
     def test_informative_herds_correctly(self, gauss_fat):
         hits = 0
         n = 300
         for i in range(n):
-            traj = simulate_trajectory(gauss_fat, WorldState(1, "b"), 500, philox(1234, i))
+            traj = simulate_trajectory(gauss_fat, 1, "b", 500, philox(1234, i))
             hits += traj.actions[-1] == "b"
         assert hits / n >= 0.95
 
     def test_nonzero_initial_r(self, gauss_fat):
         traj = simulate_trajectory(
-            gauss_fat, WorldState(1, "g"), 50, philox(9), initial_r=3.0
+            gauss_fat, 1, "g", 50, philox(9), initial_r=3.0
         )
         assert traj.public_llrs[0] == 3.0
 

@@ -8,20 +8,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from herdlearn import InvalidParameterError, WorldState
-from herdlearn import montecarlo
-from herdlearn.montecarlo import (
+from herdlearn import (
     ExperimentConfig,
-    ExperimentResourceError,
     GaussianSpec,
+    InvalidParameterError,
     MixtureSpec,
     build_model,
-    compute_aggregates,
+    montecarlo,
     run_experiment,
     same_variance_experiment,
-    spec_from_dict,
-    spec_to_dict,
 )
+from herdlearn.montecarlo import ExperimentResourceError, compute_aggregates
 
 from oracles import simulate_trajectory
 
@@ -67,10 +64,6 @@ class TestValidation:
             small_config(omega=2)
         with pytest.raises(InvalidParameterError):
             small_config(theta="q")
-
-    def test_spec_roundtrip(self):
-        for spec in (GaussianSpec(1.0, 2.0, 0.3), MixtureSpec(1.0, 0.4)):
-            assert spec_from_dict(spec_to_dict(spec)) == spec
 
 
 class TestDeterminism:
@@ -199,10 +192,10 @@ class TestEngineMatchesReferenceSimulator:
             )
             u_omega, u_theta = rng.random(2)
             omega = int(u_omega < gamma) if config.omega is None else config.omega
-            world = WorldState(omega=omega, theta="g" if u_theta < 0.5 else "b")
-            traj = simulate_trajectory(model, world, horizon, rng, gamma=gamma)
-            assert world.omega == row["omega"]
-            assert world.theta == row["theta"]
+            theta = "g" if u_theta < 0.5 else "b"
+            traj = simulate_trajectory(model, omega, theta, horizon, rng, gamma=gamma)
+            assert omega == row["omega"]
+            assert theta == row["theta"]
             np.testing.assert_array_equal(traj.actions, trace.actions)
             np.testing.assert_array_equal(traj.llrs, trace.llrs)
             np.testing.assert_array_equal(traj.public_llrs[:-1], trace.r_before)
@@ -248,7 +241,22 @@ class TestRegimeSelection:
     def test_random_world_frequencies(self):
         result = run_experiment(small_config(gamma=0.3, num_trajectories=4000, horizon=5))
         frac_info = float(np.mean(result.rows["omega"]))
+        frac_good = float(np.mean(result.rows["theta"] == "g"))
         assert abs(frac_info - 0.3) < 3 * math.sqrt(0.3 * 0.7 / 4000)
+        assert abs(frac_good - 0.5) < 3 * math.sqrt(0.25 / 4000)
+
+    def test_fixing_the_world_keeps_the_stream(self):
+        # Both world uniforms are drawn even when the config fixes omega or
+        # theta, so a trajectory whose drawn world matches the fixed one
+        # gets the same LLRs and the same row.
+        free = run_experiment(small_config()).rows
+        for fixed in (dict(omega=0), dict(theta="b"), dict(omega=1, theta="g")):
+            rows = run_experiment(small_config(**fixed)).rows
+            same = np.ones(len(free), dtype=bool)
+            for key, value in fixed.items():
+                same &= free[key] == value
+            assert 0 < same.sum() < len(free)
+            np.testing.assert_array_equal(rows[same], free[same])
 
     def test_herding_when_informative(self):
         result = run_experiment(

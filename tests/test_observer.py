@@ -14,12 +14,7 @@ from herdlearn import (
 )
 from herdlearn.dynamics import R_CAP
 from herdlearn.observer import posterior_columns
-from herdlearn.montecarlo import (
-    ExperimentConfig,
-    GaussianSpec,
-    build_model,
-    run_experiment,
-)
+from herdlearn import ExperimentConfig, GaussianSpec, build_model, run_experiment
 
 import oracles
 from oracles import batch_posterior, history_log_prob

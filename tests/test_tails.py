@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from herdlearn import (
-    GaussianFamilyParams,
+    GaussianSpec,
     InvalidParameterError,
-    LlrModel,
-    NormalCdf,
+    MixtureSpec,
     Verdict,
+    build_model,
     classify_empirical,
     classify_gaussian,
     classify_mixture,
-    make_gaussian_model,
-    tail_ratios,
 )
+from herdlearn.beliefs import LlrModel, NormalCdf
+from herdlearn.tails import tail_ratios
 
 import oracles
 
@@ -53,37 +53,37 @@ class TestTailRatios:
 
 class TestClassifyGaussian:
     def test_fatter(self):
-        result = classify_gaussian(GaussianFamilyParams(sigma=1.0, tau=2.0))
+        result = classify_gaussian(GaussianSpec(sigma=1.0, tau=2.0))
         assert result.verdict is Verdict.FATTER
         assert result.authoritative
 
     def test_thinner(self):
-        result = classify_gaussian(GaussianFamilyParams(sigma=1.0, tau=0.5))
+        result = classify_gaussian(GaussianSpec(sigma=1.0, tau=0.5))
         assert result.verdict is Verdict.THINNER
 
     def test_neither_with_shifted_mean(self):
-        result = classify_gaussian(GaussianFamilyParams(sigma=1.0, tau=1.0, m0=0.3))
+        result = classify_gaussian(GaussianSpec(sigma=1.0, tau=1.0, m0=0.3))
         assert result.verdict is Verdict.NEITHER
 
     def test_mean_never_changes_verdict(self):
         for m0 in (-2.0, -0.5, 0.0, 0.5, 2.0):
             assert (
-                classify_gaussian(GaussianFamilyParams(1.0, 2.0, m0)).verdict
+                classify_gaussian(GaussianSpec(1.0, 2.0, m0)).verdict
                 is Verdict.FATTER
             )
             assert (
-                classify_gaussian(GaussianFamilyParams(1.0, 0.5, m0)).verdict
+                classify_gaussian(GaussianSpec(1.0, 0.5, m0)).verdict
                 is Verdict.THINNER
             )
 
     def test_evidence_shape(self):
-        result = classify_gaussian(GaussianFamilyParams(1.0, 2.0), n_grid=32)
+        result = classify_gaussian(GaussianSpec(1.0, 2.0), n_grid=32)
         assert result.evidence.shape == (32, 5)
 
 
 class TestClassifyMixture:
-    def test_always_fatter_with_exact_floor(self, mixture_half):
-        result = classify_mixture(0.5, mixture_half)
+    def test_always_fatter_with_exact_floor(self):
+        result = classify_mixture(MixtureSpec(sigma=1.0, alpha=0.5))
         assert result.verdict is Verdict.FATTER
         assert result.epsilon_estimate == pytest.approx(0.5)
         assert result.authoritative
@@ -102,7 +102,7 @@ class TestClassifyEmpirical:
         with pytest.raises(InvalidParameterError, match="not finite"):
             classify_empirical(gauss_fat, x_max=x_max)
         with pytest.raises(InvalidParameterError, match="not finite"):
-            classify_gaussian(GaussianFamilyParams(sigma=1.0, tau=2.0), x_max=x_max)
+            classify_gaussian(GaussianSpec(sigma=1.0, tau=2.0), x_max=x_max)
 
     def test_fatter_epsilon_saturates_beyond_exp_range(self, gauss_fat):
         # On [100, 1e4] both log ratios exceed log(max float).
@@ -142,17 +142,17 @@ class TestClassifyEmpirical:
             if abs(tau - sigma) <= 0.1:
                 continue
             m0 = rng.uniform(-1.5, 1.5)
-            params = GaussianFamilyParams(sigma=sigma, tau=tau, m0=m0)
+            params = GaussianSpec(sigma=sigma, tau=tau, m0=m0)
             closed = classify_gaussian(params).verdict
             empirical = classify_empirical(
-                make_gaussian_model(params), x_max=200.0
+                build_model(params), x_max=200.0
             ).verdict
             assert closed is empirical, (sigma, tau, m0, closed, empirical)
 
     def test_monotone_separation_for_fatter(self):
         # tau > sigma: log L_b runs away along the grid.
-        params = GaussianFamilyParams(sigma=1.0, tau=2.0)
-        result = classify_empirical(make_gaussian_model(params), x_max=120.0)
+        params = GaussianSpec(sigma=1.0, tau=2.0)
+        result = classify_empirical(build_model(params), x_max=120.0)
         log_l_b = result.evidence[:, 1]
         assert log_l_b[-1] - log_l_b[0] > 10.0
 
