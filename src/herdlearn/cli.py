@@ -3,11 +3,15 @@
 Subcommands: classify, path, agree-prob, simulate, same-variance,
 observer-replay.  Every run is pure given its resolved configuration and
 seed; runs that write files also write a manifest listing each output with
-its SHA-256 digest, and re-running with the manifest's config reproduces
-the digests exactly.
+its SHA-256 digest.
 
 Configuration can come from a flat INI file (sections [model], [run],
-[output]); command-line flags win over file values.
+[output]); it accepts exactly the subcommand's flags, by destination name
+(x_max, initial_r, ...), with true/false for flags that take no value.
+Command-line flags win over file values.  The manifest's config echoes every
+setting that can change the outputs, defaults included, so a config file
+holding that echo, with master_seed as seed, reruns the command to the same
+digests.
 """
 
 from __future__ import annotations
@@ -32,7 +36,12 @@ from .consensus import (
     consensus_path,
     immediate_agreement_prob,
 )
-from .montecarlo import ExperimentConfig, run_experiment, same_variance_experiment
+from .montecarlo import (
+    ExperimentConfig,
+    ExperimentResourceError,
+    run_experiment,
+    same_variance_experiment,
+)
 from .observer import posterior_columns, replay
 from .tails import (
     TailClassification,
@@ -146,45 +155,6 @@ def _load_config_file(path: str) -> dict:
     return flat
 
 
-_CONFIG_TYPES = {
-    "sigma": float,
-    "tau": float,
-    "m0": float,
-    "mixture": float,
-    "gamma": float,
-    "horizon": int,
-    "trajectories": int,
-    "initial_r": float,
-    "seed": int,
-    "omega": int,
-    "theta": str,
-    "workers": int,
-    "x_max": float,
-    "grid": int,
-    "regime": str,
-    "out": str,
-    "traces": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-    "actions_file": str,
-}
-
-
-def _resolve(args: argparse.Namespace, key: str, default=None):
-    """Flag value if given, else config-file value, else default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    file_values = getattr(args, "_file_values", {})
-    if key in file_values:
-        caster = _CONFIG_TYPES.get(key, str)
-        try:
-            return caster(file_values[key])
-        except ValueError as exc:
-            raise InvalidParameterError(
-                f"bad config value for {key}: {file_values[key]!r}"
-            ) from exc
-    return default
-
-
 def _model_spec(args: argparse.Namespace, noise_optional: bool = False):
     """Model spec from flags/config.
 
@@ -192,24 +162,20 @@ def _model_spec(args: argparse.Namespace, noise_optional: bool = False):
     agreement products for regimes g/b) may omit the noise law; a
     placeholder tau = 2*sigma is then filled in and never evaluated.
     """
-    sigma = _resolve(args, "sigma")
+    sigma = args.sigma
     if sigma is None:
         raise InvalidParameterError("a model needs --sigma")
-    mixture = _resolve(args, "mixture")
-    if mixture is not None:
-        return MixtureSpec(sigma=sigma, alpha=mixture)
-    tau = _resolve(args, "tau")
-    if tau is None:
+    if args.mixture is not None:
+        return MixtureSpec(sigma=sigma, alpha=args.mixture)
+    if args.tau is None:
         if noise_optional:
             return GaussianSpec(sigma=sigma, tau=2.0 * sigma, m0=0.0)
         raise InvalidParameterError("a Gaussian model needs --tau (or use --mixture)")
-    return GaussianSpec(sigma=sigma, tau=tau, m0=_resolve(args, "m0", 0.0))
+    return GaussianSpec(sigma=sigma, tau=args.tau, m0=args.m0)
 
 
 def _out_dir(args: argparse.Namespace) -> Optional[Path]:
-    out = _resolve(args, "out")
-    if out is None:
-        out = os.environ.get(OUT_DIR_ENV)
+    out = os.environ.get(OUT_DIR_ENV) if args.out is None else args.out
     return Path(out) if out else None
 
 
@@ -226,18 +192,16 @@ def _evidence_csv(result: TailClassification, comments: Sequence[str]) -> str:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     spec = _model_spec(args)
-    x_max = _resolve(args, "x_max", 200.0)
-    n_grid = _resolve(args, "grid", 64)
     model = build_model(spec)
-    advisory = classify_empirical(model, x_max=x_max, n_grid=n_grid)
-    if getattr(args, "empirical", False):
+    advisory = classify_empirical(model, x_max=args.x_max, n_grid=args.grid)
+    if args.empirical:
         result = advisory
         comments = [f"verdict: {result.verdict.value} (finite grid, advisory)"]
     else:
         if isinstance(spec, GaussianSpec):
-            result = classify_gaussian(spec, x_max, n_grid)
+            result = classify_gaussian(spec, args.x_max, args.grid)
         else:
-            result = classify_mixture(spec, x_max, n_grid)
+            result = classify_mixture(spec, args.x_max, args.grid)
         comments = [
             f"verdict: {result.verdict.value} (closed form, authoritative)",
             f"empirical verdict: {advisory.verdict.value} (finite grid, advisory)",
@@ -249,7 +213,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     print(csv_text, end="")
     out = _out_dir(args)
     if out is not None:
-        manifest = _make_manifest(args, "classify", spec)
+        manifest = _make_manifest(args, spec)
         manifest.add(out / "evidence.csv", csv_text)
         manifest.write(out)
     return EXIT_UNDETERMINED if result.verdict is Verdict.UNDETERMINED else EXIT_OK
@@ -258,17 +222,15 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_path(args: argparse.Namespace) -> int:
     spec = _model_spec(args, noise_optional=True)
     model = build_model(spec)
-    horizon = _resolve(args, "horizon", 1000)
-    initial_r = _resolve(args, "initial_r", 0.0)
-    path = consensus_path(model, initial_r=initial_r, horizon=horizon)
-    comments = [f"initial_r: {initial_r!r}", f"absorbed: {path.absorbed}"]
+    path = consensus_path(model, initial_r=args.initial_r, horizon=args.horizon)
+    comments = [f"initial_r: {args.initial_r!r}", f"absorbed: {path.absorbed}"]
     csv_text = _csv_lines(
         ("t", "r"), (_steps(len(path.values)), path.values), comments=comments
     )
     print(csv_text, end="")
     out = _out_dir(args)
     if out is not None:
-        manifest = _make_manifest(args, "path", spec)
+        manifest = _make_manifest(args, spec)
         manifest.add(out / "path.csv", csv_text)
         manifest.write(out)
     return EXIT_OK
@@ -288,7 +250,7 @@ _REGIME_ALIASES = {
 
 
 def _cmd_agree_prob(args: argparse.Namespace) -> int:
-    regime_raw = _resolve(args, "regime")
+    regime_raw = args.regime
     if regime_raw is None or regime_raw.lower() not in _REGIME_ALIASES:
         raise InvalidParameterError(
             f"--regime must be one of g/b/0 (or f_g/f_b/f_0), got {regime_raw!r}"
@@ -296,10 +258,8 @@ def _cmd_agree_prob(args: argparse.Namespace) -> int:
     regime = _REGIME_ALIASES[regime_raw.lower()]
     spec = _model_spec(args, noise_optional=regime != "0")
     model = build_model(spec)
-    horizon = _resolve(args, "horizon", 1000)
-    initial_r = _resolve(args, "initial_r", 0.0)
     estimate = immediate_agreement_prob(
-        model, regime, initial_r=initial_r, horizon=horizon
+        model, regime, initial_r=args.initial_r, horizon=args.horizon
     )
     div = estimate.divergence
     comments = [
@@ -319,27 +279,31 @@ def _cmd_agree_prob(args: argparse.Namespace) -> int:
     print(csv_text, end="")
     out = _out_dir(args)
     if out is not None:
-        manifest = _make_manifest(args, "agree-prob", spec)
+        manifest = _make_manifest(args, spec)
         manifest.add(out / "partial_sums.csv", csv_text)
         manifest.write(out)
     return EXIT_OK
 
 
 def _experiment_config(args: argparse.Namespace, spec) -> ExperimentConfig:
-    # --stress switches the defaults to the long-horizon scale (takes
-    # minutes); explicit size flags still win.
-    stress = bool(getattr(args, "stress", False))
+    # --stress switches the size defaults to the long-horizon scale (takes
+    # minutes); explicit size flags still win.  The sizes are resolved into
+    # ``args`` so that the manifest echoes the ones that ran.
+    if args.horizon is None:
+        args.horizon = 100_000 if args.stress else 2000
+    if args.trajectories is None:
+        args.trajectories = 10_000 if args.stress else 2000
     return ExperimentConfig(
         model=spec,
-        gamma=_resolve(args, "gamma", 0.5),
-        horizon=_resolve(args, "horizon", 100_000 if stress else 2000),
-        num_trajectories=_resolve(args, "trajectories", 10_000 if stress else 2000),
-        omega=_resolve(args, "omega"),
-        theta=_resolve(args, "theta"),
-        initial_r=_resolve(args, "initial_r", 0.0),
-        master_seed=_resolve(args, "seed", 0),
-        record_traces=bool(_resolve(args, "traces", False)),
-        workers=_resolve(args, "workers", 1),
+        gamma=args.gamma,
+        horizon=args.horizon,
+        num_trajectories=args.trajectories,
+        omega=args.omega,
+        theta=args.theta,
+        initial_r=args.initial_r,
+        master_seed=args.seed,
+        record_traces=args.traces,
+        workers=args.workers,
     )
 
 
@@ -363,7 +327,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(agg_text, end="")
     out = _out_dir(args)
     if out is not None:
-        manifest = _make_manifest(args, "simulate", spec, config)
+        manifest = _make_manifest(args, spec)
         manifest.add(out / "rows.csv", _rows_csv(result.rows))
         manifest.add(out / "aggregates.json", agg_text)
         if result.traces:
@@ -376,22 +340,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_same_variance(args: argparse.Namespace) -> int:
-    sigma = _resolve(args, "sigma")
+    sigma = args.sigma
     if sigma is None:
         raise InvalidParameterError("same-variance needs --sigma")
-    grid_raw = _resolve(args, "m0_grid", "0,0.25,0.5")
     try:
-        m0_grid = [float(v) for v in str(grid_raw).split(",") if v.strip() != ""]
+        m0_grid = [float(v) for v in args.m0_grid.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise InvalidParameterError(f"bad --m0-grid: {grid_raw!r}") from exc
+        raise InvalidParameterError(f"bad --m0-grid: {args.m0_grid!r}") from exc
     table = same_variance_experiment(
         sigma=sigma,
         m0_grid=m0_grid,
-        gamma=_resolve(args, "gamma", 0.5),
-        horizon=_resolve(args, "horizon", 2000),
-        num_trajectories=_resolve(args, "trajectories", 2000),
-        master_seed=_resolve(args, "seed", 0),
-        workers=_resolve(args, "workers", 1),
+        gamma=args.gamma,
+        horizon=args.horizon,
+        num_trajectories=args.trajectories,
+        master_seed=args.seed,
+        workers=args.workers,
     )
     header = (
         "m0",
@@ -405,8 +368,7 @@ def _cmd_same_variance(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     if out is not None:
         spec = GaussianSpec(sigma=sigma, tau=sigma, m0=0.0)
-        manifest = _make_manifest(args, "same-variance", spec)
-        manifest.config["m0_grid"] = m0_grid
+        manifest = _make_manifest(args, spec)
         manifest.add(out / "same_variance.csv", csv_text)
         manifest.write(out)
     return EXIT_OK
@@ -415,13 +377,11 @@ def _cmd_same_variance(args: argparse.Namespace) -> int:
 def _cmd_observer_replay(args: argparse.Namespace) -> int:
     spec = _model_spec(args)
     model = build_model(spec)
-    gamma = _resolve(args, "gamma", 0.5)
-    initial_r = _resolve(args, "initial_r", 0.0)
-    actions_file = _resolve(args, "actions_file")
-    if actions_file is None:
+    gamma, initial_r = args.gamma, args.initial_r
+    if args.actions_file is None:
         raise InvalidParameterError("observer-replay needs --actions-file")
     try:
-        text = Path(actions_file).read_text(encoding="utf-8")
+        text = Path(args.actions_file).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(f"cannot read actions file: {exc}") from exc
     actions = []
@@ -446,52 +406,27 @@ def _cmd_observer_replay(args: argparse.Namespace) -> int:
     print(csv_text, end="")
     out = _out_dir(args)
     if out is not None:
-        manifest = _make_manifest(args, "observer-replay", spec)
+        manifest = _make_manifest(args, spec)
         manifest.add(out / "observer.csv", csv_text)
         manifest.write(out)
     return EXIT_OK
 
 
-def _make_manifest(
-    args: argparse.Namespace,
-    command: str,
-    spec,
-    config: Optional[ExperimentConfig] = None,
-) -> _Manifest:
-    model = {"kind": spec.kind, **asdict(spec)}
-    if config is not None:
-        echo = {
-            "model": model,
-            "gamma": config.gamma,
-            "horizon": config.horizon,
-            "trajectories": config.num_trajectories,
-            "omega": config.omega,
-            "theta": config.theta,
-            "initial_r": config.initial_r,
-            "seed": config.master_seed,
-            "traces": config.record_traces,
-        }
-        seed = config.master_seed
-    else:
-        echo = {"model": model}
-        for key in (
-            "gamma",
-            "horizon",
-            "trajectories",
-            "initial_r",
-            "regime",
-            "x_max",
-            "grid",
-            "actions_file",
-        ):
-            value = _resolve(args, key)
-            if value is not None:
-                echo[key] = value
-        seed = _resolve(args, "seed")
+# Namespace entries the manifest does not echo: the model flags (echoed as the
+# spec that ran), plumbing, the --stress preset (its sizes are echoed) and
+# --workers (results are bit-identical across worker counts).
+_NOT_ECHOED = frozenset(
+    ("sigma", "tau", "m0", "mixture", "command", "func", "config", "out", "stress",
+     "workers")
+)
+
+
+def _make_manifest(args: argparse.Namespace, spec) -> _Manifest:
+    echo = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
     return _Manifest(
-        command=command,
-        config=echo,
-        master_seed=seed,
+        command=args.command,
+        config={"model": {"kind": spec.kind, **asdict(spec)}, **echo},
+        master_seed=args.seed,
         started_utc=datetime.now(timezone.utc).isoformat(),
     )
 
@@ -499,7 +434,7 @@ def _make_manifest(
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=float, help="informative signal sd")
     p.add_argument("--tau", type=float, help="uninformative signal sd")
-    p.add_argument("--m0", type=float, help="uninformative signal mean (default 0)")
+    p.add_argument("--m0", type=float, default=0.0, help="uninformative signal mean")
     p.add_argument(
         "--mixture",
         type=float,
@@ -510,90 +445,115 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat INI config file; flags override it")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument(
-        "--out", help=f"output directory (default from ${OUT_DIR_ENV} if set)"
-    )
+    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--out", help=f"output directory (else ${OUT_DIR_ENV}, if set)")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; ``parser.commands`` maps each subcommand to its parser."""
     parser = _Parser(prog="herdlearn", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
 
-    p = sub.add_parser("classify", help="relative tail thickness of the noise law")
-    _add_model_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--x-max", dest="x_max", type=float, help="grid upper end")
-    p.add_argument("--grid", type=int, help="grid size (default 64)")
+    def command(name, func, help, model_flags=True) -> argparse.ArgumentParser:
+        p = parser.commands[name] = sub.add_parser(name, help=help)
+        if model_flags:
+            _add_model_flags(p)
+        _add_common_flags(p)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("classify", _cmd_classify, "relative tail thickness of the noise law")
+    p.add_argument(
+        "--x-max", dest="x_max", type=float, default=200.0, help="grid upper end"
+    )
+    p.add_argument("--grid", type=int, default=64, help="grid size")
     p.add_argument(
         "--empirical",
         action="store_true",
         help="let the finite-grid classifier decide (can return Undetermined)",
     )
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("path", help="deterministic all-G public-LLR path")
-    _add_model_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--horizon", type=int, help="path length (default 1000)")
-    p.add_argument("--initial-r", dest="initial_r", type=float)
-    p.set_defaults(func=_cmd_path)
+    p = command("path", _cmd_path, "deterministic all-G public-LLR path")
+    p.add_argument("--horizon", type=int, default=1000, help="path length")
+    p.add_argument("--initial-r", dest="initial_r", type=float, default=0.0)
 
-    p = sub.add_parser("agree-prob", help="probability bracket for immediate agreement")
-    _add_model_flags(p)
-    _add_common_flags(p)
+    p = command(
+        "agree-prob", _cmd_agree_prob, "probability bracket for immediate agreement"
+    )
     p.add_argument("--regime", help="which conditional law: g, b or 0")
-    p.add_argument("--horizon", type=int, help="truncation horizon (default 1000)")
-    p.add_argument("--initial-r", dest="initial_r", type=float)
-    p.set_defaults(func=_cmd_agree_prob)
+    p.add_argument("--horizon", type=int, default=1000, help="truncation horizon")
+    p.add_argument("--initial-r", dest="initial_r", type=float, default=0.0)
 
-    p = sub.add_parser("simulate", help="Monte Carlo trajectory experiment")
-    _add_model_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--gamma", type=float)
+    p = command("simulate", _cmd_simulate, "Monte Carlo trajectory experiment")
+    p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--horizon", type=int)
     p.add_argument("--trajectories", type=int)
     p.add_argument("--omega", type=int, choices=(0, 1))
     p.add_argument("--theta", choices=("g", "b"))
-    p.add_argument("--initial-r", dest="initial_r", type=float)
-    p.add_argument("--traces", action="store_const", const=True)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--initial-r", dest="initial_r", type=float, default=0.0)
+    p.add_argument("--traces", action="store_true")
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--stress",
         action="store_true",
-        help="default to the long-horizon scale (T=1e5, N=1e4; takes minutes)",
+        help="size the run at the long-horizon scale unless --horizon or "
+        "--trajectories is given (takes minutes)",
     )
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("same-variance", help="noise-mean sweep at tau = sigma")
-    _add_common_flags(p)
+    p = command(
+        "same-variance", _cmd_same_variance, "noise-mean sweep at tau = sigma",
+        model_flags=False,
+    )
     p.add_argument("--sigma", type=float)
-    p.add_argument("--m0-grid", dest="m0_grid", help="comma list, default 0,0.25,0.5")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--trajectories", type=int)
-    p.add_argument("--workers", type=int)
-    p.set_defaults(func=_cmd_same_variance)
+    p.add_argument("--m0-grid", dest="m0_grid", default="0,0.25,0.5", help="comma list")
+    p.add_argument("--gamma", type=float, default=0.5)
+    p.add_argument("--horizon", type=int, default=2000)
+    p.add_argument("--trajectories", type=int, default=2000)
+    p.add_argument("--workers", type=int, default=1)
 
-    p = sub.add_parser("observer-replay", help="run the filter over recorded actions")
-    _add_model_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--initial-r", dest="initial_r", type=float)
+    p = command(
+        "observer-replay", _cmd_observer_replay, "run the filter over recorded actions"
+    )
+    p.add_argument("--gamma", type=float, default=0.5)
+    p.add_argument("--initial-r", dest="initial_r", type=float, default=0.0)
     p.add_argument("--actions-file", dest="actions_file", help="one G/B per line")
-    p.set_defaults(func=_cmd_observer_replay)
 
     return parser
+
+
+def _file_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """The config file's values for the subcommand's own flags.
+
+    They become parser defaults, so argparse converts them with each flag's
+    type and flags given on the command line still win.  Flags that take no
+    value read true/false; keys the subcommand does not declare are ignored,
+    so that one file can serve several commands.
+    """
+    defaults = {}
+    for key, value in _load_config_file(args.config).items():
+        if key in ("command", "func", "config") or not hasattr(args, key):
+            continue
+        if isinstance(getattr(args, key), bool):
+            state = configparser.ConfigParser.BOOLEAN_STATES.get(value.lower())
+            if state is None:
+                parser.error(f"bad config value for {key}: {value!r}")
+            value = state
+        defaults[key] = value
+    return defaults
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._file_values = _load_config_file(args.config) if args.config else {}
+        if args.config:
+            command = parser.commands[args.command]
+            command.set_defaults(**_file_defaults(command, args))
+            args = parser.parse_args(argv)
         return args.func(args)
-    except InvalidParameterError as exc:
+    except (InvalidParameterError, ExperimentResourceError) as exc:
         print(f"herdlearn: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

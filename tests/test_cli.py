@@ -255,7 +255,6 @@ class TestSimulate:
         args = build_parser().parse_args(
             ["simulate", "--sigma", "1", "--tau", "2", "--stress"]
         )
-        args._file_values = {}
         config = _experiment_config(args, GaussianSpec(1.0, 2.0))
         assert config.horizon == 100_000
         assert config.num_trajectories == 10_000
@@ -319,6 +318,21 @@ class TestReproducibility:
                 "--horizon", "50", "--trajectories", "30", "--seed", "4",
             ),
             ("observer-replay", "--mixture", "0.3", "--sigma", "1.5", "--gamma", "0.4"),
+            # Runs that lean on defaults: the echo must carry them too.
+            pytest.param(
+                ("classify", "--sigma", "1", "--tau", "2", "--empirical"),
+                id="classify-empirical",
+            ),
+            pytest.param(("path", "--sigma", "1"), id="path-default-horizon"),
+            pytest.param(
+                ("agree-prob", "--regime", "0", "--sigma", "1", "--tau", "0.5"),
+                id="agree-prob-regime-0",
+            ),
+            pytest.param(
+                ("same-variance", "--sigma", "1", "--m0-grid", "0,0.5",
+                 "--horizon", "30", "--trajectories", "20"),
+                id="same-variance-default-seed",
+            ),
         ],
         ids=lambda argv: argv[0],
     )
@@ -332,17 +346,22 @@ class TestReproducibility:
         assert main([*argv, "--out", str(tmp_path / "a")]) == EXIT_OK
         manifest = read_manifest(tmp_path / "a")
         echo = dict(manifest["config"])
+        assert manifest["master_seed"] is not None
         if argv[0] == "same-variance":
-            assert echo["trajectories"] == 30
+            assert echo["trajectories"] == int(argv[argv.index("--trajectories") + 1])
+            if "--seed" not in argv:
+                assert manifest["master_seed"] == 0
         if argv[0] == "observer-replay":
             assert echo["actions_file"] == str(actions)
+        if argv[0] == "classify":
+            assert echo["empirical"] is True
+        if argv[0] == "path":
+            assert echo["horizon"] == 1000
         model = echo.pop("model")
         values = {"mixture" if k == "alpha" else k: v for k, v in model.items()}
         values.update(echo, seed=manifest["master_seed"])
         lines = ["[run]"]
         for key, value in values.items():
-            if isinstance(value, list):
-                value = ",".join(map(repr, value))
             if value is not None and key != "kind":
                 lines.append(f"{key} = {value}")
         config = tmp_path / "rerun.ini"
@@ -442,6 +461,36 @@ class TestConfigLayering:
         )
         _, rows = parse_csv(out)
         assert len(rows) == 5
+
+    def test_boolean_values(self, capsys, tmp_path):
+        config = tmp_path / "run.ini"
+        argv = ["simulate", "--sigma", "1", "--tau", "2", "--horizon", "5",
+                "--trajectories", "2", "--config", str(config)]
+        config.write_text("[run]\ntraces = maybe\n")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "a")])
+        assert exc.value.code == EXIT_USAGE
+        assert "bad config value for traces" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+        config.write_text("[run]\ntraces = false\n")
+        code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "b"))
+        assert code == EXIT_OK
+        assert (tmp_path / "b" / "rows.csv").exists()
+        assert not (tmp_path / "b" / "traces").exists()
+        config.write_text("[run]\nempirical = true\n")
+        code, out, _ = run_cli(
+            capsys, "classify", "--sigma", "1", "--tau", "2", "--config", str(config)
+        )
+        assert code == EXIT_OK
+        assert "# verdict: Fatter (finite grid, advisory)" in out.splitlines()
+
+    def test_reserved_keys_are_not_applied(self, capsys, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nfunc = x\ncommand = y\nsigma = 1\nhorizon = 3\n")
+        code, out, _ = run_cli(capsys, "path", "--config", str(config))
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert len(rows) == 3
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "path", "--config", "/nonexistent.ini")
@@ -602,7 +651,7 @@ _COMMAND_FLAGS = {
 }
 # Config keys a file may set; sizes are left to the small flags.
 _CONFIG_KEYS = ["sigma", "tau", "m0", "mixture", "gamma", "initial_r", "seed",
-                "x_max", "regime", "omega", "theta"]
+                "x_max", "regime", "omega", "theta", "traces", "empirical"]
 
 
 @st.composite
@@ -683,6 +732,18 @@ class TestFuzz:
             capsys, "path", "--sigma", "1", "--horizon", "100000000000000"
         )
         assert code == EXIT_USAGE
+
+    def test_simulation_out_of_memory_is_a_usage_error(self, capsys):
+        # --traces keeps the whole trace in memory, so the first allocation
+        # fails at once; without it the run is memory-bounded and would run
+        # for days.
+        code, out, err = run_cli(
+            capsys, "simulate", "--sigma", "1", "--tau", "2",
+            "--horizon", "100000000000000", "--trajectories", "1", "--traces",
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("herdlearn: error: ") and "out of memory" in err
+        assert "Traceback" not in err
 
 
 def test_cli_import_loads_neither_the_optimizer_nor_mpmath():
