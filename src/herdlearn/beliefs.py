@@ -68,22 +68,18 @@ class NormalCdf:
     mean: float
     sd: float
 
-    def _z(self, x: ArrayLike) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.mean) / self.sd
-
     def log_cdf(self, x: ArrayLike) -> ArrayLike:
-        return log_ndtr(self._z(x))
+        return self.log_side(x, 1.0)
 
     def log_sf(self, x: ArrayLike) -> ArrayLike:
-        return log_ndtr(-self._z(x))
+        return self.log_side(x, -1.0)
 
     def log_side(self, x: ArrayLike, sign: ArrayLike) -> ArrayLike:
         """``log_sf(x)`` where ``sign`` is -1, ``log_cdf(x)`` where it is +1.
 
         One tail per element: the standardized argument is multiplied by
-        ``sign``, which is exact, so each element equals the matching
-        ``log_sf``/``log_cdf`` value bit for bit, and floats and arrays
-        take the same path.
+        ``sign``, which is exact, so ``log_cdf`` and ``log_sf`` are this
+        method at a fixed sign, and floats and arrays take the same path.
         """
         return log_ndtr((x - self.mean) / self.sd * sign)
 
@@ -141,16 +137,10 @@ class MixtureCdf:
         return math.log1p(-self.weight_a)
 
     def log_cdf(self, x: ArrayLike) -> ArrayLike:
-        return np.logaddexp(
-            self._log_wa + self.component_a.log_cdf(x),
-            self._log_wb + self.component_b.log_cdf(x),
-        )
+        return self.log_side(x, 1.0)
 
     def log_sf(self, x: ArrayLike) -> ArrayLike:
-        return np.logaddexp(
-            self._log_wa + self.component_a.log_sf(x),
-            self._log_wb + self.component_b.log_sf(x),
-        )
+        return self.log_side(x, -1.0)
 
     def log_side(self, x: ArrayLike, sign: ArrayLike) -> ArrayLike:
         """``log_sf(x)`` where ``sign`` is -1, ``log_cdf(x)`` where it is +1."""

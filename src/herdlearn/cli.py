@@ -2,8 +2,11 @@
 
 Subcommands: classify, path, agree-prob, simulate, same-variance,
 observer-replay.  Every run is pure given its resolved configuration and
-seed; runs that write files also write a manifest listing each output with
-its SHA-256 digest.
+seed.  Each command returns its exit code, its model spec, its stdout text
+and its output files as (relative path, text) pairs, and prints and writes
+nothing itself; ``main`` prints the text and, when an output directory is
+given (``--out`` or $HERDLEARN_OUT_DIR), writes the files and a manifest
+listing each with its SHA-256 digest.
 
 Configuration can come from a flat INI file (sections [model], [run],
 [output]); it accepts exactly the subcommand's flags, by destination name
@@ -108,12 +111,8 @@ class _Manifest:
     outputs: list = field(default_factory=list)
 
     def add(self, path: Path, content: str) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        data = content.encode("utf-8")
-        path.write_bytes(data)
-        self.outputs.append(
-            {"path": path.name, "sha256": hashlib.sha256(data).hexdigest()}
-        )
+        """Kept only because ``perfbench/tracer.py`` wraps it by name."""
+        self.add_relative(path.parent, path.name, content)
 
     def add_relative(self, root: Path, rel: str, content: str) -> None:
         path = root / rel
@@ -160,23 +159,27 @@ def _model_spec(args: argparse.Namespace, noise_optional: bool = False):
 
     Commands that only use the informative pair (the all-G path and the
     agreement products for regimes g/b) may omit the noise law; a
-    placeholder tau = 2*sigma is then filled in and never evaluated.
+    placeholder tau = 2*sigma is then filled in and never evaluated, but
+    the given m0 is still validated and echoed.  --mixture replaces --tau
+    and --m0, so it may not come with either.
     """
-    sigma = args.sigma
+    sigma, tau = args.sigma, args.tau
     if sigma is None:
         raise InvalidParameterError("a model needs --sigma")
     if args.mixture is not None:
+        # ``!=`` also rejects a NaN m0.
+        if tau is not None or args.m0 != 0.0:
+            raise InvalidParameterError(
+                "--mixture replaces --tau and --m0; give one or the other"
+            )
         return MixtureSpec(sigma=sigma, alpha=args.mixture)
-    if args.tau is None:
-        if noise_optional:
-            return GaussianSpec(sigma=sigma, tau=2.0 * sigma, m0=0.0)
-        raise InvalidParameterError("a Gaussian model needs --tau (or use --mixture)")
-    return GaussianSpec(sigma=sigma, tau=args.tau, m0=args.m0)
-
-
-def _out_dir(args: argparse.Namespace) -> Optional[Path]:
-    out = os.environ.get(OUT_DIR_ENV) if args.out is None else args.out
-    return Path(out) if out else None
+    if tau is None:
+        if not noise_optional:
+            raise InvalidParameterError(
+                "a Gaussian model needs --tau (or use --mixture)"
+            )
+        tau = 2.0 * sigma
+    return GaussianSpec(sigma=sigma, tau=tau, m0=args.m0)
 
 
 def _steps(n: int) -> np.ndarray:
@@ -184,13 +187,7 @@ def _steps(n: int) -> np.ndarray:
     return np.arange(1, n + 1)
 
 
-def _evidence_csv(result: TailClassification, comments: Sequence[str]) -> str:
-    return _csv_lines(
-        TailClassification.EVIDENCE_COLUMNS, result.evidence.T, comments=comments
-    )
-
-
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> tuple:
     spec = _model_spec(args)
     model = build_model(spec)
     advisory = classify_empirical(model, x_max=args.x_max, n_grid=args.grid)
@@ -208,18 +205,15 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         ]
     if result.epsilon_estimate is not None:
         comments.append(f"epsilon_estimate: {result.epsilon_estimate!r}")
-    print(result.verdict.value)
-    csv_text = _evidence_csv(result, comments)
-    print(csv_text, end="")
-    out = _out_dir(args)
-    if out is not None:
-        manifest = _make_manifest(args, spec)
-        manifest.add(out / "evidence.csv", csv_text)
-        manifest.write(out)
-    return EXIT_UNDETERMINED if result.verdict is Verdict.UNDETERMINED else EXIT_OK
+    csv_text = _csv_lines(
+        TailClassification.EVIDENCE_COLUMNS, result.evidence.T, comments=comments
+    )
+    code = EXIT_UNDETERMINED if result.verdict is Verdict.UNDETERMINED else EXIT_OK
+    stdout = f"{result.verdict.value}\n{csv_text}"
+    return code, spec, stdout, [("evidence.csv", csv_text)]
 
 
-def _cmd_path(args: argparse.Namespace) -> int:
+def _cmd_path(args: argparse.Namespace) -> tuple:
     spec = _model_spec(args, noise_optional=True)
     model = build_model(spec)
     path = consensus_path(model, initial_r=args.initial_r, horizon=args.horizon)
@@ -227,13 +221,7 @@ def _cmd_path(args: argparse.Namespace) -> int:
     csv_text = _csv_lines(
         ("t", "r"), (_steps(len(path.values)), path.values), comments=comments
     )
-    print(csv_text, end="")
-    out = _out_dir(args)
-    if out is not None:
-        manifest = _make_manifest(args, spec)
-        manifest.add(out / "path.csv", csv_text)
-        manifest.write(out)
-    return EXIT_OK
+    return EXIT_OK, spec, csv_text, [("path.csv", csv_text)]
 
 
 _REGIME_ALIASES = {
@@ -249,7 +237,7 @@ _REGIME_ALIASES = {
 }
 
 
-def _cmd_agree_prob(args: argparse.Namespace) -> int:
+def _cmd_agree_prob(args: argparse.Namespace) -> tuple:
     regime_raw = args.regime
     if regime_raw is None or regime_raw.lower() not in _REGIME_ALIASES:
         raise InvalidParameterError(
@@ -262,9 +250,10 @@ def _cmd_agree_prob(args: argparse.Namespace) -> int:
         model, regime, initial_r=args.initial_r, horizon=args.horizon
     )
     div = estimate.divergence
+    diverged = f"diverged: {'true' if estimate.diverged else 'false'}"
     comments = [
         f"regime: {regime}",
-        f"diverged: {'true' if estimate.diverged else 'false'}",
+        diverged,
         f"verdict: {div.verdict.value}",
         f"lower: {estimate.lower!r}",
         f"upper: {estimate.upper!r}",
@@ -275,14 +264,7 @@ def _cmd_agree_prob(args: argparse.Namespace) -> int:
         (_steps(len(div.partial_sums)), div.partial_sums),
         comments=comments,
     )
-    print(f"diverged: {'true' if estimate.diverged else 'false'}")
-    print(csv_text, end="")
-    out = _out_dir(args)
-    if out is not None:
-        manifest = _make_manifest(args, spec)
-        manifest.add(out / "partial_sums.csv", csv_text)
-        manifest.write(out)
-    return EXIT_OK
+    return EXIT_OK, spec, f"{diverged}\n{csv_text}", [("partial_sums.csv", csv_text)]
 
 
 def _experiment_config(args: argparse.Namespace, spec) -> ExperimentConfig:
@@ -319,27 +301,23 @@ def _trace_csv(trace) -> str:
     )
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> tuple:
     spec = _model_spec(args)
-    config = _experiment_config(args, spec)
-    result = run_experiment(config)
+    result = run_experiment(_experiment_config(args, spec))
     agg_text = json.dumps(result.aggregates, indent=2, sort_keys=True) + "\n"
-    print(agg_text, end="")
-    out = _out_dir(args)
-    if out is not None:
-        manifest = _make_manifest(args, spec)
-        manifest.add(out / "rows.csv", _rows_csv(result.rows))
-        manifest.add(out / "aggregates.json", agg_text)
-        if result.traces:
-            for trace in result.traces:
-                manifest.add_relative(
-                    out, f"traces/traj_{trace.index:06d}.csv", _trace_csv(trace)
-                )
-        manifest.write(out)
-    return EXIT_OK
+
+    # A generator, so that files are formatted only when they are written,
+    # and one trace CSV at a time.
+    def files():
+        yield "rows.csv", _rows_csv(result.rows)
+        yield "aggregates.json", agg_text
+        for trace in result.traces or ():
+            yield f"traces/traj_{trace.index:06d}.csv", _trace_csv(trace)
+
+    return EXIT_OK, spec, agg_text, files()
 
 
-def _cmd_same_variance(args: argparse.Namespace) -> int:
+def _cmd_same_variance(args: argparse.Namespace) -> tuple:
     sigma = args.sigma
     if sigma is None:
         raise InvalidParameterError("same-variance needs --sigma")
@@ -364,17 +342,11 @@ def _cmd_same_variance(args: argparse.Namespace) -> int:
         "median_q_final",
     )
     csv_text = _csv_lines(header, [[row[k] for row in table] for k in header])
-    print(csv_text, end="")
-    out = _out_dir(args)
-    if out is not None:
-        spec = GaussianSpec(sigma=sigma, tau=sigma, m0=0.0)
-        manifest = _make_manifest(args, spec)
-        manifest.add(out / "same_variance.csv", csv_text)
-        manifest.write(out)
-    return EXIT_OK
+    spec = GaussianSpec(sigma=sigma, tau=sigma, m0=0.0)
+    return EXIT_OK, spec, csv_text, [("same_variance.csv", csv_text)]
 
 
-def _cmd_observer_replay(args: argparse.Namespace) -> int:
+def _cmd_observer_replay(args: argparse.Namespace) -> tuple:
     spec = _model_spec(args)
     model = build_model(spec)
     gamma, initial_r = args.gamma, args.initial_r
@@ -403,13 +375,7 @@ def _cmd_observer_replay(args: argparse.Namespace) -> int:
         log_liks = np.array([s.log_lik for s in replay(model, gamma, initial_r, actions)])
     q, log_odds = posterior_columns(log_liks, gamma)
     csv_text = _csv_lines(("t", "q", "log_odds"), (_steps(len(q)), q, log_odds))
-    print(csv_text, end="")
-    out = _out_dir(args)
-    if out is not None:
-        manifest = _make_manifest(args, spec)
-        manifest.add(out / "observer.csv", csv_text)
-        manifest.write(out)
-    return EXIT_OK
+    return EXIT_OK, spec, csv_text, [("observer.csv", csv_text)]
 
 
 # Namespace entries the manifest does not echo: the model flags (echoed as the
@@ -552,7 +518,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             command = parser.commands[args.command]
             command.set_defaults(**_file_defaults(command, args))
             args = parser.parse_args(argv)
-        return args.func(args)
+        code, spec, stdout, files = args.func(args)
+        print(stdout, end="")
+        out = os.environ.get(OUT_DIR_ENV) if args.out is None else args.out
+        if out:
+            manifest = _make_manifest(args, spec)
+            for rel, text in files:
+                manifest.add_relative(Path(out), rel, text)
+            manifest.write(Path(out))
+        return code
     except (InvalidParameterError, ExperimentResourceError) as exc:
         print(f"herdlearn: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

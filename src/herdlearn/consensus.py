@@ -34,7 +34,6 @@ __all__ = [
     "SumVerdict",
     "DivergenceResult",
     "AgreementEstimate",
-    "phi",
     "consensus_path",
     "divergence_test",
     "tail_sum_upper_bound",
@@ -49,23 +48,21 @@ TAIL_BOUND_CELL = 0.01
 TAIL_BOUND_WIDTH = 2000.0
 
 
-def phi(model: LlrModel, r: float) -> float:
-    """One step of the public LLR under an unbroken run of G actions,
-    clipped to [-R_CAP, R_CAP] like every path value."""
-    return float(step(model, r, True, False)[0])
-
-
 @dataclass(frozen=True)
 class ConsensusPath:
     """The deterministic public-LLR sequence under all-G actions.
 
-    values[0] is the initial LLR and values[t] = phi(values[t-1]).  When
-    the saturation cap is reached the remaining entries repeat the capped
-    value and ``absorbed`` is set.
+    values[0] is the initial LLR and values[t] is the all-G step of
+    values[t-1]: the public LLR after one more G action, clipped to
+    [-R_CAP, R_CAP].  ``next_r`` is the all-G step of the last value, the
+    path's continuation, which the certificates beyond the horizon start
+    from.  When the saturation cap is reached the remaining entries, and
+    ``next_r``, repeat the capped value and ``absorbed`` is set.
     """
 
     initial_r: float
     values: np.ndarray
+    next_r: float
     absorbed: bool = False
 
 
@@ -86,7 +83,9 @@ def consensus_path(
             values[t + 1 :] = r
             absorbed = True
             break
-    return ConsensusPath(initial_r=initial_r, values=values, absorbed=absorbed)
+    return ConsensusPath(
+        initial_r=initial_r, values=values, next_r=float(r), absorbed=absorbed
+    )
 
 
 class SumVerdict(str, enum.Enum):
@@ -115,13 +114,6 @@ class DivergenceResult:
     reason: str
 
 
-def _log_tail_values(
-    model: LlrModel, regime: str, side: str, rs: np.ndarray
-) -> np.ndarray:
-    """log h(r) along the path: h = F(-r) on the left, 1 - F(r) on the right."""
-    return np.asarray(model.log_tail(regime, side, rs), dtype=float)
-
-
 def _log_jump_lower_bound(model: LlrModel, rs: np.ndarray) -> np.ndarray:
     """log of F_b(-r) - F_g(-r), an algebraic lower bound on jump_g(r).
 
@@ -130,8 +122,8 @@ def _log_jump_lower_bound(model: LlrModel, rs: np.ndarray) -> np.ndarray:
     Where the two tails are numerically indistinguishable the bound is
     reported as -inf, which disables the certificate rather than faking it.
     """
-    lv = np.asarray(model.log_tail("b", "left", rs), dtype=float)
-    lu = np.asarray(model.log_tail("g", "left", rs), dtype=float)
+    lv = model.log_tail("b", "left", rs)
+    lu = model.log_tail("g", "left", rs)
     diff = lu - lv
     with np.errstate(invalid="ignore", divide="ignore"):
         out = lv + np.log1p(-np.exp(diff))
@@ -140,7 +132,8 @@ def _log_jump_lower_bound(model: LlrModel, rs: np.ndarray) -> np.ndarray:
 
 def tail_sum_upper_bound(model: LlrModel, regime: str, side: str, rho: float) -> float:
     """Certified upper bound on sum_{t>=1} h(s_t) for the path s_1 = rho,
-    s_{t+1} = phi(s_t).
+    s_{t+1} = the all-G step of s_t, where h(r) is F(-r) on the left side
+    and 1 - F(r) on the right.
 
     Comparison with the integral of h/jump: on [s_t, s_{t+1}] the jump is
     at most jump(s_t) (requires ``model.jump_decreasing``) and h is at
@@ -161,7 +154,7 @@ def tail_sum_upper_bound(model: LlrModel, regime: str, side: str, rho: float) ->
         return math.inf
     if not math.isfinite(rho):
         return math.inf
-    h_rho = math.exp(float(_log_tail_values(model, regime, side, np.array([rho]))[0]))
+    h_rho = math.exp(float(model.log_tail(regime, side, np.array([rho]))[0]))
 
     cell = TAIL_BOUND_CELL
     chunk = 4096
@@ -173,7 +166,7 @@ def tail_sum_upper_bound(model: LlrModel, regime: str, side: str, rho: float) ->
     while offset < max_steps:
         ks = np.arange(offset, min(offset + chunk, max_steps))
         rs = rho + cell * ks
-        logf = _log_tail_values(model, regime, side, rs) - _log_jump_lower_bound(
+        logf = model.log_tail(regime, side, rs) - _log_jump_lower_bound(
             model, rs + cell
         )
         with np.errstate(over="ignore"):
@@ -220,7 +213,7 @@ def divergence_test(
     rs = path.values
     if rs.size == 0:
         raise InvalidParameterError("path must be non-empty")
-    log_h = _log_tail_values(model, regime, side, rs)
+    log_h = model.log_tail(regime, side, rs)
     hs = np.exp(log_h)
     partial = np.cumsum(hs)
 
@@ -237,7 +230,7 @@ def divergence_test(
         # 1 - F_b(-r_1) must be certifiably positive; evaluate it as a
         # survival value so it cannot round to zero.
         log_factor = float(model.log_tail("b", "right", -float(rs[0])))
-        log_v = np.asarray(model.log_tail("b", "left", rs), dtype=float)
+        log_v = model.log_tail("b", "left", rs)
         # The right-tail variant relies on the symmetric informative pair;
         # accept only if the values match the left-tail ones numerically.
         symmetric_ok = bool(np.all(np.abs(log_h - log_v) < 1e-6))
@@ -246,58 +239,40 @@ def divergence_test(
         )
         structural = symmetric_ok and increments_ok and math.isfinite(log_factor)
 
+    tail_bound, sum_lower_bound = math.inf, float(partial[-1])
     if crossed or structural:
-        reason = []
+        verdict = SumVerdict.DIVERGES
+        reasons = []
         if crossed:
-            reason.append(
+            reasons.append(
                 f"partial sum reached {partial[crossing[0]]:.3f} at t={crossing[0] + 1}"
             )
         if structural:
-            reason.append(
+            sum_lower_bound = math.inf
+            reasons.append(
                 "tail values dominate the path increments, whose sum telescopes "
                 "to the unbounded path limit"
             )
-        return DivergenceResult(
-            regime=regime,
-            side=side,
-            partial_sums=partial,
-            verdict=SumVerdict.DIVERGES,
-            tail_bound=math.inf,
-            sum_lower_bound=math.inf if structural else float(partial[-1]),
-            reason="; ".join(reason),
-        )
-
-    if hs[-1] < CONVERGENCE_INCREMENT_CUTOFF and not path.absorbed:
-        rho = phi(model, float(rs[-1]))
-        bound = tail_sum_upper_bound(model, regime, side, rho)
-        if bound < CONVERGENCE_TAIL_TOL:
-            return DivergenceResult(
-                regime=regime,
-                side=side,
-                partial_sums=partial,
-                verdict=SumVerdict.CONVERGES,
-                tail_bound=bound,
-                sum_lower_bound=float(partial[-1]),
-                reason=f"remainder beyond horizon certified <= {bound:.3e}",
-            )
-        return DivergenceResult(
-            regime=regime,
-            side=side,
-            partial_sums=partial,
-            verdict=SumVerdict.INCONCLUSIVE,
-            tail_bound=bound,
-            sum_lower_bound=float(partial[-1]),
-            reason="increments vanished but no tail certificate below tolerance",
-        )
-
+        reason = "; ".join(reasons)
+    elif hs[-1] < CONVERGENCE_INCREMENT_CUTOFF and not path.absorbed:
+        tail_bound = tail_sum_upper_bound(model, regime, side, path.next_r)
+        if tail_bound < CONVERGENCE_TAIL_TOL:
+            verdict = SumVerdict.CONVERGES
+            reason = f"remainder beyond horizon certified <= {tail_bound:.3e}"
+        else:
+            verdict = SumVerdict.INCONCLUSIVE
+            reason = "increments vanished but no tail certificate below tolerance"
+    else:
+        verdict = SumVerdict.INCONCLUSIVE
+        reason = "partial sum below threshold with non-vanishing increments"
     return DivergenceResult(
         regime=regime,
         side=side,
         partial_sums=partial,
-        verdict=SumVerdict.INCONCLUSIVE,
-        tail_bound=math.inf,
-        sum_lower_bound=float(partial[-1]),
-        reason="partial sum below threshold with non-vanishing increments",
+        verdict=verdict,
+        tail_bound=tail_bound,
+        sum_lower_bound=sum_lower_bound,
+        reason=reason,
     )
 
 
@@ -341,41 +316,32 @@ def immediate_agreement_prob(
     of survival values 1 - F_regime(-r_t).
     """
     path = consensus_path(model, initial_r, horizon)
-    rs = path.values
-    log_factors = np.asarray(model.log_tail(regime, "right", -rs), dtype=float)
-    log_trunc = float(log_factors.sum())
+    log_trunc = float(model.log_tail(regime, "right", -path.values).sum())
     trunc = math.exp(log_trunc)
 
     div = divergence_test(model, path, regime, "left")
-    if div.verdict is SumVerdict.DIVERGES:
-        structural = math.isinf(div.sum_lower_bound)
-        return AgreementEstimate(
-            lower=0.0,
-            upper=0.0 if structural else trunc,
-            horizon=horizon,
-            diverged=True,
-            truncated_product=trunc,
-            tail_sum_bound=math.inf,
-            divergence=div,
-        )
-
-    bound = div.tail_bound
-    if not math.isfinite(bound) and not path.absorbed:
-        rho = phi(model, float(rs[-1]))
-        bound = tail_sum_upper_bound(model, regime, "left", rho)
-    if math.isfinite(bound) and not path.absorbed:
-        rho = phi(model, float(rs[-1]))
-        # -log(1-x) <= x / (1-x), and F(-r) only shrinks along the path.
-        sf_rho = math.exp(float(model.log_tail(regime, "right", -rho)))
-        correction = bound / sf_rho if sf_rho > 0 else math.inf
-        lower = math.exp(log_trunc - correction) if math.isfinite(correction) else 0.0
-    else:
-        lower = 0.0
+    diverged = div.verdict is SumVerdict.DIVERGES
+    lower, upper, bound = 0.0, trunc, math.inf
+    if diverged:
+        # A structural divergence certifies the product is exactly zero.
+        if math.isinf(div.sum_lower_bound):
+            upper = 0.0
+    elif not path.absorbed:
+        rho = path.next_r
+        bound = div.tail_bound
+        if not math.isfinite(bound):
+            bound = tail_sum_upper_bound(model, regime, "left", rho)
+        if math.isfinite(bound):
+            # -log(1-x) <= x / (1-x), and F(-r) only shrinks along the path.
+            sf_rho = math.exp(float(model.log_tail(regime, "right", -rho)))
+            correction = bound / sf_rho if sf_rho > 0 else math.inf
+            if math.isfinite(correction):
+                lower = math.exp(log_trunc - correction)
     return AgreementEstimate(
         lower=lower,
-        upper=trunc,
+        upper=upper,
         horizon=horizon,
-        diverged=False,
+        diverged=diverged,
         truncated_product=trunc,
         tail_sum_bound=bound,
         divergence=div,

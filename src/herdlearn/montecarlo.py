@@ -282,10 +282,10 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
         traces = [
             Trace(
                 index=lo + i,
-                actions=trace_actions[i].copy(),
-                llrs=llrs[i].copy(),
-                r_before=trace_r[i].copy(),
-                q=trace_q[i].copy(),
+                actions=trace_actions[i],
+                llrs=llrs[i],
+                r_before=trace_r[i],
+                q=trace_q[i],
             )
             for i in range(n)
         ]

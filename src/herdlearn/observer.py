@@ -53,7 +53,6 @@ class ObserverState:
     gamma: float
     r_track: float
     t: int
-    initial_r: float = 0.0
 
     @property
     def posterior(self) -> np.ndarray:
@@ -104,7 +103,6 @@ def observer_init(gamma: float, initial_r: float = 0.0) -> ObserverState:
         gamma=gamma,
         r_track=initial_r,
         t=1,
-        initial_r=initial_r,
     )
 
 
@@ -135,7 +133,6 @@ def observer_update(state: ObserverState, model: LlrModel, action: str) -> Obser
         gamma=state.gamma,
         r_track=float(r_next),
         t=state.t + 1,
-        initial_r=state.initial_r,
     )
 
 

@@ -53,7 +53,9 @@ REMOVED = [
     "beliefs.MixtureCdf.log_pdf",
     "beliefs.LlrModel._law",
     "consensus.ConsensusPath.mirrored",
+    "consensus.phi",
     "montecarlo.spec_from_dict",
+    "observer.ObserverState.initial_r",
     "cli.config_from_manifest",
 ]
 

@@ -503,6 +503,64 @@ class TestConfigLayering:
         assert (tmp_path / "envout" / "path.csv").exists()
 
 
+class TestOutputPath:
+    """``main`` prints each command's stdout and, given an output directory,
+    writes its files in order with a manifest."""
+
+    # (argv, the files in manifest order, the stdout lines before the file)
+    CASES = [
+        (["classify", "--sigma", "1", "--tau", "2"], ["evidence.csv"], 1),
+        (["path", "--sigma", "1", "--horizon", "5"], ["path.csv"], 0),
+        (["agree-prob", "--regime", "b", "--sigma", "1", "--horizon", "5"],
+         ["partial_sums.csv"], 1),
+        (["simulate", "--sigma", "1", "--tau", "2", "--horizon", "5",
+          "--trajectories", "3", "--traces"],
+         ["rows.csv", "aggregates.json", "traces/traj_000000.csv",
+          "traces/traj_000001.csv", "traces/traj_000002.csv"], 0),
+        (["same-variance", "--sigma", "1", "--m0-grid", "0,0.5", "--horizon", "5",
+          "--trajectories", "3"], ["same_variance.csv"], 0),
+        (["observer-replay", "--sigma", "1", "--tau", "2", "--actions-file"],
+         ["observer.csv"], 0),
+    ]
+
+    @staticmethod
+    def _argv(argv, tmp_path):
+        if argv[0] == "observer-replay":
+            actions = tmp_path / "actions.txt"
+            actions.write_text("G\nB\nG\n")
+            argv = [*argv, str(actions)]
+        return argv
+
+    @pytest.mark.parametrize("argv,files,preamble", CASES, ids=[c[0][0] for c in CASES])
+    def test_written_file_is_the_printed_text(
+        self, capsys, tmp_path, argv, files, preamble
+    ):
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli(
+            capsys, *self._argv(argv, tmp_path), "--out", str(out_dir)
+        )
+        assert code == EXIT_OK
+        manifest = read_manifest(out_dir)
+        assert [entry["path"] for entry in manifest["outputs"]] == files
+        printed = files[1] if argv[0] == "simulate" else files[0]
+        assert (out_dir / printed).read_text() == "".join(
+            out.splitlines(keepends=True)[preamble:]
+        )
+
+    @pytest.mark.parametrize("argv,files,preamble", CASES, ids=[c[0][0] for c in CASES])
+    def test_nothing_written_without_an_output_directory(
+        self, capsys, tmp_path, monkeypatch, argv, files, preamble
+    ):
+        argv = self._argv(argv, tmp_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.delenv("HERDLEARN_OUT_DIR", raising=False)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK and out
+        assert list(work.iterdir()) == []
+
+
 class TestUsageErrors:
     def test_missing_model(self, capsys):
         code, _, err = run_cli(capsys, "classify")
@@ -577,6 +635,27 @@ class TestUsageErrors:
     def test_runs_that_cannot_do_work_are_usage_errors(self, capsys, argv, fragment):
         if argv[0] in ("simulate", "same-variance"):
             argv = [*argv, "--horizon", "5", "--trajectories", "3"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert err.startswith("herdlearn: error: ") and fragment in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv,fragment",
+        [
+            (["path", "--sigma", "1", "--m0", "inf", "--horizon", "2"], "m0"),
+            (["agree-prob", "--regime", "b", "--sigma", "1", "--m0", "nan",
+              "--horizon", "3"], "m0"),
+            (["classify", "--sigma", "1", "--mixture", "0.3", "--m0", "nan"],
+             "--mixture"),
+            (["classify", "--sigma", "1", "--mixture", "0.3", "--tau", "inf"],
+             "--mixture"),
+        ],
+    )
+    def test_model_flags_the_model_does_not_read_are_usage_errors(
+        self, capsys, argv, fragment
+    ):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert err.startswith("herdlearn: error: ") and fragment in err
@@ -666,8 +745,10 @@ def _invocations(draw):
     if command == "agree-prob":
         needed["--regime"] = (st.sampled_from(["g", "b", "0", "f_0"]), st.just("zz"))
     if command != "same-variance":
-        needed["--tau" if draw(st.booleans()) else "--mixture"] = (
-            _SCALE if draw(st.booleans()) else _PROB)
+        # Both at once is a usage error.
+        noise = [["--tau"], ["--mixture"], ["--tau", "--mixture"]]
+        for flag in draw(st.sampled_from(noise)):
+            needed[flag] = _SCALE if draw(st.booleans()) else _PROB
     if command in ("simulate", "same-variance"):
         needed.update({"--horizon": _SIZE, "--trajectories": _SIZE})
     optional = {**_COMMAND_FLAGS[command], "--seed": _SEED}

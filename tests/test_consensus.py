@@ -15,23 +15,25 @@ from herdlearn import (
     divergence_test,
     immediate_agreement_prob,
 )
-from herdlearn.consensus import phi, tail_sum_upper_bound
-from herdlearn.dynamics import R_CAP, jump_b, jump_g
+from herdlearn.consensus import tail_sum_upper_bound
+from herdlearn.dynamics import R_CAP, jump_b, jump_g, update_public
 
 import oracles
 
 
 class TestPhi:
     def test_at_zero(self, gauss_fat):
-        assert phi(gauss_fat, 0.0) == pytest.approx(oracles.JUMP_G_AT_0_SIGMA1, abs=1e-12)
+        assert update_public(gauss_fat, 0.0, "g") == pytest.approx(
+            oracles.JUMP_G_AT_0_SIGMA1, abs=1e-12
+        )
 
     def test_at_minus5(self, gauss_fat):
-        assert phi(gauss_fat, -5.0) == pytest.approx(
+        assert update_public(gauss_fat, -5.0, "g") == pytest.approx(
             -5.0 + oracles.JUMP_G_AT_M5_SIGMA1, abs=1e-10
         )
 
     def test_mirror_of_b_jump(self, gauss_fat):
-        assert phi(gauss_fat, 0.0) == pytest.approx(
+        assert update_public(gauss_fat, 0.0, "g") == pytest.approx(
             -(0.0 + float(jump_b(gauss_fat, 0.0))), abs=1e-12
         )
 
@@ -53,12 +55,27 @@ class TestConsensusPath:
     def test_prior_shifted_start(self, gauss_fat):
         path = consensus_path(gauss_fat, -3.0, 10)
         assert path.values[0] == -3.0
-        assert path.values[1] == pytest.approx(phi(gauss_fat, -3.0), abs=0.0)
+        assert path.values[1] == pytest.approx(
+            update_public(gauss_fat, -3.0, "g"), abs=0.0
+        )
 
     def test_absorption_at_cap(self, gauss_fat):
         path = consensus_path(gauss_fat, R_CAP, 3)
         assert path.absorbed
         assert np.all(np.abs(path.values) <= R_CAP)
+
+    @pytest.mark.parametrize("initial_r,horizon", [(0.0, 1), (-3.0, 10), (0.0, 500)])
+    def test_next_r_is_the_step_after_the_last_value(
+        self, gauss_fat, initial_r, horizon
+    ):
+        path = consensus_path(gauss_fat, initial_r, horizon)
+        assert not path.absorbed
+        assert path.next_r == update_public(gauss_fat, float(path.values[-1]), "g")
+
+    def test_next_r_of_an_absorbed_path_is_the_capped_value(self, gauss_fat):
+        path = consensus_path(gauss_fat, R_CAP, 3)
+        assert path.absorbed
+        assert path.next_r == path.values[-1] == R_CAP
 
     def test_validation(self, gauss_fat):
         with pytest.raises(InvalidParameterError):
@@ -117,7 +134,9 @@ class TestDivergenceTest:
 
     def test_empty_path_rejected(self, gauss_fat):
         path = consensus_path(gauss_fat, 0.0, 1)
-        stub = type(path)(initial_r=0.0, values=np.array([]), absorbed=False)
+        stub = type(path)(
+            initial_r=0.0, values=np.array([]), next_r=0.0, absorbed=False
+        )
         with pytest.raises(InvalidParameterError):
             divergence_test(gauss_fat, stub, "0", "left")
 
@@ -132,7 +151,7 @@ class TestTailBoundSoundness:
         rs = extended.values
         h = np.exp(np.asarray(model.log_tail("0", "left", rs)))
         brute_tail = float(h[horizon:].sum())
-        rho = phi(model, float(rs[horizon - 1]))
+        rho = update_public(model, float(rs[horizon - 1]), "g")
         bound = tail_sum_upper_bound(model, "0", "left", rho)
         assert math.isfinite(bound)
         assert brute_tail <= bound, (brute_tail, bound)
