@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -45,7 +47,7 @@ from .montecarlo import (
     run_experiment,
     same_variance_experiment,
 )
-from .observer import posterior_columns, replay
+from .observer import history_log_liks, observer_init, posterior_columns
 from .tails import (
     TailClassification,
     Verdict,
@@ -369,10 +371,7 @@ def _cmd_observer_replay(args: argparse.Namespace) -> tuple:
             raise InvalidParameterError(
                 f"line {line_no}: expected G or B, got {token!r}"
             )
-    # An impossible action makes the kernel's jump NaN before
-    # observer_update rejects it; that NaN is expected, not worth a warning.
-    with np.errstate(invalid="ignore"):
-        log_liks = np.array([s.log_lik for s in replay(model, gamma, initial_r, actions)])
+    log_liks, _ = history_log_liks(model, observer_init(gamma, initial_r), actions)
     q, log_odds = posterior_columns(log_liks, gamma)
     csv_text = _csv_lines(("t", "q", "log_odds"), (_steps(len(q)), q, log_odds))
     return EXIT_OK, spec, csv_text, [("observer.csv", csv_text)]
@@ -417,13 +416,20 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser; ``parser.commands`` maps each subcommand to its parser."""
-    parser = _Parser(prog="herdlearn", description=__doc__)
+    # argparse builds a help formatter in every add_argument, and each would
+    # look up the terminal width; look it up once, as HelpFormatter does.
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
+    parser = _Parser(prog="herdlearn", description=__doc__, formatter_class=formatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = {}
 
     def command(name, func, help, model_flags=True) -> argparse.ArgumentParser:
-        p = parser.commands[name] = sub.add_parser(name, help=help)
+        p = parser.commands[name] = sub.add_parser(
+            name, help=help, formatter_class=formatter
+        )
         if model_flags:
             _add_model_flags(p)
         _add_common_flags(p)

@@ -1,9 +1,11 @@
 """Deterministic analysis of unbroken-agreement paths.
 
 When every agent takes action G, the public LLR follows the deterministic
-iteration r -> r + jump_g(r).  Whether pure noise can sustain such a run
-forever is governed by sums of tail probabilities evaluated along that
-path: the run has positive probability iff the matching sum converges.
+iteration r -> r + jump_g(r), computed as ``dynamics.walk`` (the scalar
+fold of the transition kernel ``step``) over G actions.  Whether pure noise
+can sustain such a run forever is governed by sums of tail probabilities
+evaluated along that path: the run has positive probability iff the
+matching sum converges.
 This module computes the path, certifies divergence or convergence of the
 sums at finite horizon, and turns certified sums into two-sided bounds on
 the probability of immediate agreement.
@@ -27,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .beliefs import InvalidParameterError, LlrModel
-from .dynamics import R_CAP, step
+from .dynamics import R_CAP, WALK_BLOCK, walk
 
 __all__ = [
     "ConsensusPath",
@@ -69,22 +71,39 @@ class ConsensusPath:
 def consensus_path(
     model: LlrModel, initial_r: float = 0.0, horizon: int = 1000
 ) -> ConsensusPath:
+    """``walk`` over ``horizon`` G actions, one block at a time, so that a
+    path stops walking once it reaches the cap.
+
+    Raises ``InvalidParameterError`` when ``initial_r`` is so extreme that a
+    G action has probability 0 under both informative laws, which leaves the
+    path undefined.
+    """
     if horizon < 1:
         raise InvalidParameterError(f"horizon must be >= 1, got {horizon}")
     if not math.isfinite(initial_r):
         raise InvalidParameterError("initial_r must be finite")
-    values = np.empty(horizon, dtype=float)
-    r = float(initial_r)
+    walked = np.empty(horizon + 1)  # the values, then next_r
+    walked[0] = r = float(initial_r)
     absorbed = False
-    for t in range(horizon):
-        values[t] = r
-        r = step(model, r, True, False)[0]
-        if abs(r) >= R_CAP:
-            values[t + 1 :] = r
+    for lo in range(0, horizon, WALK_BLOCK):
+        hi = min(lo + WALK_BLOCK, horizon)
+        walked[lo : hi + 1] = walk(model, r, [True] * (hi - lo))
+        r = float(walked[hi])
+        # A G action never lowers r, so only the first can be impossible; the
+        # NaN it leaves stays NaN to the block's end.
+        if math.isnan(r):
+            raise InvalidParameterError(
+                f"no all-G path from initial_r={initial_r!r}: a G action there has "
+                "probability 0 under both informative laws"
+            )
+        capped = np.flatnonzero(np.abs(walked[lo + 1 : hi + 1]) >= R_CAP)
+        if capped.size:
+            r = walked[lo + 1 + capped[0]]
+            walked[lo + 1 + capped[0] :] = r
             absorbed = True
             break
     return ConsensusPath(
-        initial_r=initial_r, values=values, next_r=float(r), absorbed=absorbed
+        initial_r=initial_r, values=walked[:-1], next_r=float(r), absorbed=absorbed
     )
 
 

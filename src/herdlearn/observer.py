@@ -6,23 +6,29 @@ two uninformative ones) by the probability that an agent holding the current
 public LLR would take that action under the hypothesis.  The public LLR
 itself is a deterministic function of the history, so the filter tracks it
 internally and needs nothing but the action stream.
+
+``history_log_liks`` filters a whole history: ``dynamics.walk``, the scalar
+fold of the transition kernel, gives the public LLR before each action, and
+one call of the kernel ``step`` per block of actions gives their
+log-probabilities.  ``observer_update`` and ``replay`` are views of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .beliefs import BAD, GOOD, InvalidParameterError, LlrModel
-from .dynamics import is_g, step
+from .dynamics import WALK_BLOCK, is_g, step, walk
 
 __all__ = [
     "HYPOTHESES",
     "ObserverState",
     "observer_init",
+    "history_log_liks",
     "observer_update",
     "posterior_columns",
     "replay",
@@ -106,42 +112,88 @@ def observer_init(gamma: float, initial_r: float = 0.0) -> ObserverState:
     )
 
 
-def observer_update(state: ObserverState, model: LlrModel, action: str) -> ObserverState:
-    """Fold one observed action into the filter.
+def history_log_liks(
+    model: LlrModel, state: ObserverState, actions: Sequence[str]
+) -> tuple:
+    """Fold a whole action history into the filter.
 
-    Likelihoods are accumulated in the log domain and re-centered every
-    step, so the filter stays well-conditioned over arbitrarily long
-    histories.  The action's log-probabilities under the three laws and
-    the next public LLR come from the one transition kernel, ``step``.
+    Returns ``(log_liks, rs)``: row 0 of ``log_liks`` is ``state.log_lik``
+    and row t the re-centered log-likelihoods after t more actions, and
+    ``rs`` holds the public LLR before each action and after the last.
+    Only r is sequential, so the history goes in blocks of ``WALK_BLOCK``
+    actions: ``walk`` folds r through the block, one ``step`` call on the
+    walked values gives each action's log-probability under the three
+    laws, and the likelihoods are accumulated and re-centered in Python
+    floats, so the filter stays well-conditioned over arbitrarily long
+    histories.  The two uninformative entries are the same sum.
 
     An action that has probability 0 under every hypothesis (or under both
     informative ones, which leaves the public LLR undefined) makes the
     history impossible and raises ``InvalidParameterError``.
     """
-    r_next, lt_g, lt_b, lt_0 = step(model, state.r_track, is_g(action), True)
-    log_lik = state.log_lik + np.array([lt_g, lt_b, lt_0, lt_0])
-    top = log_lik.max()
-    if not (math.isfinite(top) and math.isfinite(r_next)):
-        raise InvalidParameterError(
-            f"action {state.t} ({action!r}) is impossible at public LLR "
-            f"{state.r_track!r}: it has probability 0 under "
-            + ("every hypothesis" if top == -math.inf else "both informative ones")
-        )
-    log_lik -= top
+    n = len(actions)
+    log_liks = np.empty((n + 1, 4))
+    rs = np.empty(n + 1)
+    flat = log_liks.reshape(-1)  # a view: rows go in as flat lists of floats
+    log_liks[0] = state.log_lik
+    rs[0] = r = state.r_track
+    a, b, c, _ = state.log_lik.tolist()
+    isfinite = math.isfinite
+    for lo in range(0, n, WALK_BLOCK):
+        block = actions[lo : lo + WALK_BLOCK]
+        took = [is_g(action) for action in block]
+        walked = walk(model, r, took)
+        # An impossible action makes the kernel's jump NaN; it is rejected
+        # below, so the NaN is expected, not worth a warning.
+        with np.errstate(invalid="ignore"):
+            _, lt_g, lt_b, lt_0 = step(model, walked[:-1], np.array(took), True)
+        after = walked.tolist()
+        cells = []  # the block's log_liks rows, flattened
+        for k, (vg, vb, v0) in enumerate(zip(lt_g.tolist(), lt_b.tolist(), lt_0.tolist())):
+            a += vg
+            b += vb
+            c += v0
+            # max(a, b, c) in two comparisons, which cost half the builtin;
+            # no entry is NaN, because the tails at a finite r never are.
+            top = a if a > b else b
+            if c > top:
+                top = c
+            if not (isfinite(top) and isfinite(after[k + 1])):
+                raise InvalidParameterError(
+                    f"action {state.t + lo + k} ({block[k]!r}) is impossible at "
+                    f"public LLR {after[k]!r}: it has probability 0 under "
+                    + ("every hypothesis" if top == -math.inf else "both informative ones")
+                )
+            a -= top
+            b -= top
+            c -= top
+            cells += (a, b, c, c)
+        hi = lo + len(block)
+        flat[4 * (lo + 1) : 4 * (hi + 1)] = cells
+        rs[lo + 1 : hi + 1] = walked[1:]
+        r = after[-1]
+    return log_liks, rs
+
+
+def observer_update(state: ObserverState, model: LlrModel, action: str) -> ObserverState:
+    """Fold one observed action into the filter: a one-action
+    ``history_log_liks``."""
+    log_liks, rs = history_log_liks(model, state, (action,))
     return ObserverState(
-        log_lik=log_lik,
-        gamma=state.gamma,
-        r_track=float(r_next),
-        t=state.t + 1,
+        log_lik=log_liks[1], gamma=state.gamma, r_track=float(rs[1]), t=state.t + 1
     )
 
 
 def replay(
     model: LlrModel, gamma: float, initial_r: float, actions: Iterable[str]
 ) -> Iterator[ObserverState]:
-    """Yield the filter state before any action and after each one."""
-    state = observer_init(gamma, initial_r)
-    yield state
-    for a in actions:
-        state = observer_update(state, model, a)
-        yield state
+    """Yield the filter state before any action and after each one.
+
+    The whole history is filtered before the first state is yielded, so an
+    impossible action raises before any state is.
+    """
+    log_liks, rs = history_log_liks(
+        model, observer_init(gamma, initial_r), list(actions)
+    )
+    for t, (log_lik, r) in enumerate(zip(log_liks, rs.tolist()), 1):
+        yield ObserverState(log_lik=log_lik, gamma=gamma, r_track=r, t=t)

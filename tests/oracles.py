@@ -5,7 +5,10 @@ library: extended-precision mpmath for normal tails, the full
 four-hypothesis posterior for the decision rule, and a scalar trajectory
 simulator and one-pass history likelihood that take every tail from
 ``log_cdf``/``log_sf`` directly, never through the transition kernel, and a
-CSV writer that formats one cell at a time.
+CSV writer that formats one cell at a time.  The one exception is
+``reference_update``, the observer's former per-action update, which folds
+the kernel ``step`` one action at a time in numpy: the block filter must
+equal it bit for bit.
 """
 
 import math
@@ -17,7 +20,8 @@ import numpy as np
 
 from herdlearn import InvalidParameterError
 from herdlearn.beliefs import LlrModel
-from herdlearn.dynamics import R_CAP
+from herdlearn.dynamics import R_CAP, is_g, step
+from herdlearn.observer import ObserverState
 
 mp.mp.dps = 50
 
@@ -212,6 +216,36 @@ def history_log_prob(
     w = history_log_liks(model, initial_r, actions) + _log_priors(gamma)
     m = float(w.max())
     return m + math.log(float(np.exp(w - m).sum()))
+
+
+def reference_update(state: ObserverState, model: LlrModel, action: str) -> ObserverState:
+    """Fold one observed action into the filter, one ``step`` call per
+    action: the update ``observer.history_log_liks`` replaced."""
+    r_next, lt_g, lt_b, lt_0 = step(model, state.r_track, is_g(action), True)
+    log_lik = state.log_lik + np.array([lt_g, lt_b, lt_0, lt_0])
+    top = log_lik.max()
+    if not (math.isfinite(top) and math.isfinite(r_next)):
+        raise InvalidParameterError(
+            f"action {state.t} ({action!r}) is impossible at public LLR "
+            f"{state.r_track!r}: it has probability 0 under "
+            + ("every hypothesis" if top == -math.inf else "both informative ones")
+        )
+    log_lik -= top
+    return ObserverState(
+        log_lik=log_lik,
+        gamma=state.gamma,
+        r_track=float(r_next),
+        t=state.t + 1,
+    )
+
+
+def reference_fold(state: ObserverState, model: LlrModel, actions: Sequence[str]):
+    """``(log_liks, rs)`` as ``observer.history_log_liks`` returns them, from
+    ``reference_update`` applied action by action."""
+    states = [state]
+    for action in actions:
+        states.append(reference_update(states[-1], model, action))
+    return np.array([s.log_lik for s in states]), np.array([s.r_track for s in states])
 
 
 def csv_cell(value) -> str:

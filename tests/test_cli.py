@@ -1,9 +1,11 @@
 """Command-line contract: output schemas, exit codes, digests, config layering."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -103,6 +105,23 @@ class TestPath:
         assert values[0] == 0.0
         assert values[1] == pytest.approx(oracles.JUMP_G_AT_0_SIGMA1, abs=1e-12)
         assert values[2] == pytest.approx(oracles.PATH3_SIGMA1, abs=1e-12)
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["path", "--sigma", "1", "--initial-r=-1e160", "--horizon", "3"],
+            ["agree-prob", "--sigma", "1", "--regime", "b", "--initial-r=-1e300",
+             "--horizon", "3"],
+        ],
+    )
+    def test_start_where_g_is_impossible_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("herdlearn: error: no all-G path from initial_r=")
+        assert "probability 0 under both informative laws" in err
 
 
 class TestAgreeProb:
@@ -559,6 +578,35 @@ class TestOutputPath:
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK and out
         assert list(work.iterdir()) == []
+
+
+class TestParser:
+    def test_help_is_argparse_default(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        parser = cli.build_parser()
+        for p in (parser, *parser.commands.values()):
+            fixed = p.format_help()
+            p.formatter_class = argparse.HelpFormatter
+            assert p.format_help() == fixed
+
+    def test_terminal_width_is_looked_up_once_per_build(self, monkeypatch):
+        calls = []
+        original = shutil.get_terminal_size
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(shutil, "get_terminal_size", counted)
+        cli.build_parser()
+        assert len(calls) == 1
+
+    def test_columns_still_set_the_wrapping(self, monkeypatch):
+        texts = []
+        for columns in ("50", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            texts.append(cli.build_parser().commands["simulate"].format_help())
+        assert len(texts[0].splitlines()) > len(texts[1].splitlines())
 
 
 class TestUsageErrors:

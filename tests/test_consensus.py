@@ -16,7 +16,7 @@ from herdlearn import (
     immediate_agreement_prob,
 )
 from herdlearn.consensus import tail_sum_upper_bound
-from herdlearn.dynamics import R_CAP, jump_b, jump_g, update_public
+from herdlearn.dynamics import R_CAP, WALK_BLOCK, jump_b, jump_g, update_public, walk
 
 import oracles
 
@@ -82,6 +82,26 @@ class TestConsensusPath:
             consensus_path(gauss_fat, 0.0, 0)
         with pytest.raises(InvalidParameterError):
             consensus_path(gauss_fat, math.inf, 5)
+
+    @pytest.mark.parametrize("initial_r", [0.0, -40.0, 2e6, R_CAP])
+    def test_values_and_next_r_are_the_walk(self, gauss_fat, mixture_half, initial_r):
+        horizon = 2 * WALK_BLOCK + 5
+        for model in (gauss_fat, mixture_half):
+            path = consensus_path(model, initial_r, horizon)
+            want = walk(model, initial_r, [True] * horizon)
+            got = np.append(path.values, path.next_r)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert path.absorbed == (initial_r >= R_CAP)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("initial_r", [-1e160, -1e300])
+    def test_start_where_g_is_impossible_is_rejected(self, gauss_fat, initial_r):
+        # Both informative laws give a G action probability 0 there, so the
+        # jump, and the path, would be NaN.
+        with pytest.raises(InvalidParameterError) as err:
+            consensus_path(gauss_fat, initial_r, 3)
+        assert f"initial_r={initial_r!r}" in str(err.value)
+        assert "probability 0 under both informative laws" in str(err.value)
 
 
 class TestDivergenceTest:

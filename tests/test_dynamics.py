@@ -17,7 +17,7 @@ from herdlearn import (
     run_experiment,
     update_public,
 )
-from herdlearn.dynamics import R_CAP, jump_b, jump_g, step
+from herdlearn.dynamics import R_CAP, jump_b, jump_g, step, walk
 
 import oracles
 from oracles import simulate_trajectory
@@ -124,6 +124,61 @@ class TestStep:
     def test_clips_at_the_cap(self, gauss_fat):
         r_next = step(gauss_fat, np.array([R_CAP, -R_CAP]), np.array([True, False]), False)[0]
         np.testing.assert_array_equal(r_next, [R_CAP, -R_CAP])
+
+
+class TestWalk:
+    """``walk`` is ``step`` folded one action at a time, bit for bit."""
+
+    @staticmethod
+    def step_fold(model, r, took_g):
+        rs = [float(r)]
+        for g in took_g:
+            rs.append(step(model, rs[-1], g, False)[0])
+        return np.array(rs, dtype=float)
+
+    @staticmethod
+    def same(got, want):
+        """NaN where the fold has NaN (its sign bit is not meaningful), and
+        the same bits everywhere else."""
+        nan = np.isnan(want)
+        return np.array_equal(got, want, equal_nan=True) and np.array_equal(
+            got[~nan].view(np.uint64), want[~nan].view(np.uint64)
+        )
+
+    @staticmethod
+    def history(seed):
+        # Random actions, then herds of 200 actions each.
+        rng = philox(seed)
+        took = (rng.random(1000) < 0.5).tolist()
+        for g in rng.random(21) < 0.5:
+            took += [bool(g)] * 200
+        return took
+
+    @pytest.mark.parametrize(
+        "seed, initial_r", [(1, 0.0), (2, R_CAP), (3, -R_CAP), (4, 1e300)]
+    )
+    def test_equals_the_step_fold(self, gauss_fat, mixture_half, seed, initial_r):
+        shifted = build_model(GaussianSpec(sigma=0.7, tau=1.3, m0=0.5))
+        took = self.history(seed)
+        assert len(took) >= 5000
+        for model in (gauss_fat, mixture_half, shifted):
+            got = walk(model, initial_r, took)
+            want = self.step_fold(model, initial_r, took)
+            assert self.same(got, want)
+
+    def test_impossible_action_gives_nan(self, gauss_fat, mixture_half):
+        # At r = 1e300 a B action has probability 0 under both informative
+        # laws, so the jump and every later value are NaN.
+        took = [False, True, True, False]
+        for model in (gauss_fat, mixture_half):
+            got = walk(model, 1e300, took)
+            with np.errstate(invalid="ignore"):
+                want = self.step_fold(model, 1e300, took)
+            assert np.isnan(got[1:]).all()
+            assert self.same(got, want)
+
+    def test_empty_history(self, gauss_fat):
+        assert walk(gauss_fat, -2.5, []).tolist() == [-2.5]
 
 
 class TestUpdatePublic:

@@ -12,8 +12,9 @@ from herdlearn import (
     replay,
     update_public,
 )
-from herdlearn.dynamics import R_CAP
-from herdlearn.observer import posterior_columns
+from herdlearn import observer
+from herdlearn.dynamics import R_CAP, WALK_BLOCK
+from herdlearn.observer import ObserverState, history_log_liks, posterior_columns
 from herdlearn import ExperimentConfig, GaussianSpec, build_model, run_experiment
 
 import oracles
@@ -197,6 +198,78 @@ class TestReplay:
             with pytest.raises(InvalidParameterError, match="action 1 .* impossible"):
                 observer_update(state, gauss_fat, "b")
         assert observer_update(state, gauss_fat, "g").r_track == R_CAP
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestHistoryLogLiks:
+    """The block filter against ``oracles.reference_update``, the per-action
+    fold of ``step`` it replaced."""
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.5])
+    def test_equals_the_per_action_fold(self, gauss_fat, mixture_half, gamma):
+        # Random actions, then herds of 200, over more than two blocks.
+        rng = philox(31)
+        actions = ["g" if u < 0.5 else "b" for u in rng.random(600)]
+        for u in rng.random(12):
+            actions += ["g" if u < 0.5 else "b"] * 200
+        assert len(actions) > 2 * WALK_BLOCK
+        for model in (gauss_fat, mixture_half):
+            state = observer_init(gamma, initial_r=0.3)
+            log_liks, rs = history_log_liks(model, state, actions)
+            want_log_liks, want_rs = oracles.reference_fold(state, model, actions)
+            assert same_bits(log_liks, want_log_liks)
+            assert same_bits(rs, want_rs)
+            q, log_odds = posterior_columns(log_liks, gamma)
+            want_q, want_log_odds = posterior_columns(want_log_liks, gamma)
+            assert same_bits(q, want_q) and same_bits(log_odds, want_log_odds)
+
+    def test_starts_from_any_state(self, mixture_half):
+        actions = ["g", "b", "b", "g", "g", "g", "b"]
+        state = observer_update(observer_init(0.3, initial_r=-1.5), mixture_half, "b")
+        got = history_log_liks(mixture_half, state, actions)
+        want = oracles.reference_fold(state, mixture_half, actions)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+    def test_zero_actions_give_the_prior_row(self, gauss_fat):
+        state = observer_init(0.4, initial_r=-2.5)
+        log_liks, rs = history_log_liks(gauss_fat, state, [])
+        assert same_bits(log_liks, [state.log_lik])
+        assert same_bits(rs, [-2.5])
+
+    @pytest.mark.parametrize(
+        "spec, initial_r, why",
+        [
+            (GaussianSpec(sigma=1.0, tau=2.0), 1e300, "every hypothesis"),
+            (GaussianSpec(sigma=1.0, tau=1e100), 1e160, "both informative ones"),
+        ],
+    )
+    def test_impossible_action_message_is_unchanged(self, spec, initial_r, why):
+        model = build_model(spec)
+        state = ObserverState(log_lik=np.zeros(4), gamma=0.5, r_track=initial_r, t=7)
+        with pytest.raises(InvalidParameterError) as want:
+            with np.errstate(invalid="ignore"):
+                oracles.reference_update(state, model, "b")
+        with pytest.raises(InvalidParameterError) as got:
+            history_log_liks(model, state, ["b", "g", "b"])
+        assert str(got.value) == str(want.value)
+        assert f"action 7 ('b') is impossible at public LLR {initial_r!r}" in str(got.value)
+        assert why in str(got.value)
+
+    def test_calls_step_once_per_block(self, gauss_fat, monkeypatch):
+        calls = []
+        original = observer.step
+
+        def counted(model, r, took_g, with_noise):
+            calls.append(np.size(r))
+            return original(model, r, took_g, with_noise)
+
+        monkeypatch.setattr(observer, "step", counted)
+        history_log_liks(gauss_fat, observer_init(0.5), ["g", "b"] * WALK_BLOCK)
+        assert calls == [WALK_BLOCK, WALK_BLOCK]
 
 
 class TestLongRunStability:
