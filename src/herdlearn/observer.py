@@ -141,6 +141,7 @@ def history_log_liks(
     isfinite = math.isfinite
     for lo in range(0, n, WALK_BLOCK):
         block = actions[lo : lo + WALK_BLOCK]
+        hi = lo + len(block)
         took = [is_g(action) for action in block]
         walked = walk(model, r, took)
         # An impossible action makes the kernel's jump NaN; it is rejected
@@ -168,7 +169,6 @@ def history_log_liks(
             b -= top
             c -= top
             cells += (a, b, c, c)
-        hi = lo + len(block)
         flat[4 * (lo + 1) : 4 * (hi + 1)] = cells
         rs[lo + 1 : hi + 1] = walked[1:]
         r = after[-1]
