@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterator, Union
 
 import numpy as np
@@ -74,14 +75,23 @@ class NormalCdf:
     def log_sf(self, x: ArrayLike) -> ArrayLike:
         return self.log_side(x, -1.0)
 
-    def log_side(self, x: ArrayLike, sign: ArrayLike) -> ArrayLike:
+    def log_side(
+        self, x: ArrayLike, sign: ArrayLike, out: np.ndarray | None = None
+    ) -> ArrayLike:
         """``log_sf(x)`` where ``sign`` is -1, ``log_cdf(x)`` where it is +1.
 
         One tail per element: the standardized argument is multiplied by
         ``sign``, which is exact, so ``log_cdf`` and ``log_sf`` are this
         method at a fixed sign, and floats and arrays take the same path.
+        ``out``, an array of the result's shape, receives the same
+        operations in place and is returned.
         """
-        return log_ndtr((x - self.mean) / self.sd * sign)
+        if out is None:
+            return log_ndtr((x - self.mean) / self.sd * sign)
+        np.subtract(x, self.mean, out=out)
+        np.divide(out, self.sd, out=out)
+        np.multiply(out, sign, out=out)
+        return log_ndtr(out, out=out)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> ArrayLike:
         if size is None:
@@ -119,6 +129,11 @@ class NormalCdf:
 class MixtureCdf:
     """Two-component mixture with log-domain tail evaluation.
 
+    A tail is ``log_mix`` of the components' tails.  ``dynamics.step``
+    reuses the informative tails it has just evaluated when the components
+    are the model's very ``cdf_g`` and ``cdf_b`` objects, as in the noise
+    law ``build_model`` makes for a ``MixtureSpec``.
+
     Sampling draws a fresh component for every value (one uniform plus one
     component draw each); reusing a component across draws would correlate
     successive values and silently change the law of an i.i.d. sequence.
@@ -142,12 +157,32 @@ class MixtureCdf:
     def log_sf(self, x: ArrayLike) -> ArrayLike:
         return self.log_side(x, -1.0)
 
-    def log_side(self, x: ArrayLike, sign: ArrayLike) -> ArrayLike:
+    def log_side(
+        self, x: ArrayLike, sign: ArrayLike, out: np.ndarray | None = None
+    ) -> ArrayLike:
         """``log_sf(x)`` where ``sign`` is -1, ``log_cdf(x)`` where it is +1."""
-        return np.logaddexp(
-            self._log_wa + self.component_a.log_side(x, sign),
-            self._log_wb + self.component_b.log_side(x, sign),
+        return self.log_mix(
+            self.component_a.log_side(x, sign), self.component_b.log_side(x, sign), out
         )
+
+    def log_mix(
+        self,
+        lt_a: ArrayLike,
+        lt_b: ArrayLike,
+        out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None,
+    ) -> ArrayLike:
+        """The mixture's log-probability of an event whose log-probabilities
+        under the components are ``lt_a`` and ``lt_b``.
+
+        ``out`` (and ``scratch``, of the same shape, or a temporary) take
+        the same operations in place; the result is ``out``.
+        """
+        if out is None:
+            return np.logaddexp(self._log_wa + lt_a, self._log_wb + lt_b)
+        np.add(lt_a, self._log_wa, out=out)
+        lt_b = np.add(lt_b, self._log_wb, out=scratch)
+        return np.logaddexp(out, lt_b, out=out)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> ArrayLike:
         n = 1 if size is None else size
@@ -169,12 +204,12 @@ class MixtureCdf:
         uniform each), then their normals, so the generator keeps two
         cursors where ``NormalCdf.sample_chunks`` keeps one: the picks
         resume where the last piece's picks ended, and the normals start
-        where the horizon's picks end, reached by skipping one raw draw per
-        float64 uniform.
+        where the horizon's picks end, one raw draw per float64 uniform
+        later, reached in one jump of the Philox counter.
         """
         bits = rng.bit_generator
         picks = bits.state
-        bits.random_raw(horizon, output=False)
+        _skip_raw(bits, horizon, picks["buffer_pos"])
         cursors = [picks, bits.state]  # picks, normals
 
         def draw(start: int) -> np.ndarray:
@@ -191,6 +226,21 @@ class MixtureCdf:
 
 
 Cdf = Union[NormalCdf, MixtureCdf]
+
+
+def _skip_raw(bits: np.random.Philox, k: int, buffer_pos: int) -> None:
+    """Move ``bits`` as ``bits.random_raw(k)`` would, without drawing the
+    k words: the words left in its 4-word buffer (``buffer_pos`` of them
+    consumed) are drawn, whole blocks are skipped by advancing the
+    counter, and the last block's first ``k % 4`` words are drawn.
+    ``advance`` empties the buffer, so it runs only once that is drained.
+    """
+    drained = min(k, 4 - buffer_pos)
+    bits.random_raw(drained, output=False)
+    whole, rest = divmod(k - drained, 4)
+    if whole:
+        bits.advance(whole)
+    bits.random_raw(rest, output=False)
 
 
 def _require(spec, finite: tuple, positive: tuple) -> None:
@@ -321,6 +371,18 @@ class LlrModel:
     cdf_b: Cdf
     cdf_0: Cdf
     jump_decreasing: bool = False
+
+    @cached_property
+    def noise_mixes_pair(self) -> bool:
+        """True when ``cdf_0`` is a ``MixtureCdf`` whose components are the
+        very objects ``cdf_g`` and ``cdf_b``, in that order, as
+        ``build_model`` makes it: its tails are then ``log_mix`` of theirs."""
+        cdf_0 = self.cdf_0
+        return (
+            isinstance(cdf_0, MixtureCdf)
+            and cdf_0.component_a is self.cdf_g
+            and cdf_0.component_b is self.cdf_b
+        )
 
     def cdf_for(self, regime: str) -> Cdf:
         if regime == "g":

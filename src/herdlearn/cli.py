@@ -348,6 +348,31 @@ def _cmd_same_variance(args: argparse.Namespace) -> tuple:
     return EXIT_OK, spec, csv_text, [("same_variance.csv", csv_text)]
 
 
+def _parse_actions(text: str) -> np.ndarray:
+    """The actions of an actions file, True for G: one G or B per line, in
+    either case, with blank lines and surrounding whitespace ignored.
+
+    A file of nothing but single letters between line breaks is read in a
+    few whole-array passes over its bytes; any other goes line by line,
+    which also names the first bad line.
+    """
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    breaks = (raw == ord("\n")) | (raw == ord("\r"))
+    letters = raw[~breaks] | 0x20  # ASCII lower case
+    took_g = letters == ord("g")
+    if np.all(took_g | (letters == ord("b"))) and not np.any(~breaks[1:] & ~breaks[:-1]):
+        return took_g
+    took = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        token = line.strip()
+        if not token:
+            continue
+        if token.upper() not in ("G", "B"):
+            raise InvalidParameterError(f"line {line_no}: expected G or B, got {token!r}")
+        took.append(token.upper() == "G")
+    return np.array(took, dtype=bool)
+
+
 def _cmd_observer_replay(args: argparse.Namespace) -> tuple:
     spec = _model_spec(args)
     model = build_model(spec)
@@ -358,20 +383,8 @@ def _cmd_observer_replay(args: argparse.Namespace) -> tuple:
         text = Path(args.actions_file).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(f"cannot read actions file: {exc}") from exc
-    actions = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        token = line.strip()
-        if not token:
-            continue
-        if token.upper() == "G":
-            actions.append("g")
-        elif token.upper() == "B":
-            actions.append("b")
-        else:
-            raise InvalidParameterError(
-                f"line {line_no}: expected G or B, got {token!r}"
-            )
-    log_liks, _ = history_log_liks(model, observer_init(gamma, initial_r), actions)
+    took_g = _parse_actions(text)
+    log_liks, _ = history_log_liks(model, observer_init(gamma, initial_r), took_g)
     q, log_odds = posterior_columns(log_liks, gamma)
     csv_text = _csv_lines(("t", "q", "log_odds"), (_steps(len(q)), q, log_odds))
     return EXIT_OK, spec, csv_text, [("observer.csv", csv_text)]

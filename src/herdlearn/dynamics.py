@@ -14,11 +14,21 @@ one-step update are views of these two.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .beliefs import ACTIONS, BAD, GOOD, ArrayLike, InvalidParameterError, LlrModel
+from scipy.special import log_ndtr
+
+from .beliefs import (
+    ACTIONS,
+    BAD,
+    GOOD,
+    ArrayLike,
+    InvalidParameterError,
+    LlrModel,
+    NormalCdf,
+)
 
 __all__ = [
     "R_CAP",
@@ -49,24 +59,90 @@ def agent_action(r: float, llr: float) -> str:
     return GOOD if llr >= -r else BAD
 
 
-def step(model: LlrModel, r: ArrayLike, took_g, with_noise: bool) -> tuple:
+def step(
+    model: LlrModel,
+    r: ArrayLike,
+    took_g,
+    with_noise: bool,
+    work: Optional[tuple] = None,
+) -> tuple:
     """One observed action at public LLR ``r``: the transition kernel.
 
     ``r`` is a float or an array, ``took_g`` a bool or a boolean array
     marking G actions.  An agent plays G iff llr >= -r, so the action's
     log-probability under a law F is the right tail of F at -r after G and
     the left tail after B; each law's tail is evaluated once, on that side.
+    When F_0 is a mixture of the very ``cdf_g`` and ``cdf_b`` objects
+    (``LlrModel.noise_mixes_pair``, as ``build_model`` makes it), its tail
+    is ``MixtureCdf.log_mix`` of the two tails just evaluated: the
+    operations ``MixtureCdf.log_side`` makes, without evaluating them again.
     Returns ``(r_next, lt_g, lt_b, lt_0)``: the public LLR moved by the
     jump ``lt_g - lt_b`` and clipped to [-R_CAP, R_CAP], and the log-
     probabilities under F_g, F_b and (only ``with_noise``, else None) F_0.
+
+    ``work``, a ``Workspace`` for this model, r's length and
+    ``with_noise``, makes the call allocate almost nothing: ``r`` (an
+    array) is then moved in place and returned as ``r_next``, and the
+    tails are the rows of ``work.tails``, valid until its next use.  The
+    results are the same bits either way.
     """
-    sign = 1.0 - 2.0 * took_g  # -1 selects the right tail, +1 the left
-    neg_r = -r
-    lt_g = model.cdf_g.log_side(neg_r, sign)
-    lt_b = model.cdf_b.log_side(neg_r, sign)
-    lt_0 = model.cdf_0.log_side(neg_r, sign) if with_noise else None
-    r_next = np.minimum(np.maximum(r + (lt_g - lt_b), -R_CAP), R_CAP)
-    return r_next, lt_g, lt_b, lt_0
+    sign = np.where(took_g, -1.0, 1.0)  # -1 selects the right tail, +1 the left
+    if work is None:
+        neg_r = -r
+        lt_g = model.cdf_g.log_side(neg_r, sign)
+        lt_b = model.cdf_b.log_side(neg_r, sign)
+        lt_0 = None
+        if with_noise:
+            lt_0 = (
+                model.cdf_0.log_mix(lt_g, lt_b)
+                if model.noise_mixes_pair
+                else model.cdf_0.log_side(neg_r, sign)
+            )
+        return np.minimum(np.maximum(r + (lt_g - lt_b), -R_CAP), R_CAP), lt_g, lt_b, lt_0
+    neg_r, stack, scratch = work.neg_r, work.stack, work.scratch
+    lt_g, lt_b, lt_0 = work.rows
+    np.negative(r, out=neg_r)
+    # NormalCdf.log_side's operations, once for every stacked law.
+    np.subtract(neg_r, work.means, out=stack)
+    np.divide(stack, work.sds, out=stack)
+    np.multiply(stack, sign, out=stack)
+    log_ndtr(stack, out=stack)
+    if lt_0 is not None and len(stack) == 2:
+        if model.noise_mixes_pair:
+            model.cdf_0.log_mix(lt_g, lt_b, lt_0, scratch)
+        else:
+            model.cdf_0.log_side(neg_r, sign, lt_0)
+    np.subtract(lt_g, lt_b, out=scratch)
+    np.add(r, scratch, out=r)
+    np.maximum(r, -R_CAP, out=r)
+    np.minimum(r, R_CAP, out=r)
+    return r, lt_g, lt_b, lt_0
+
+
+class Workspace:
+    """The buffers of ``step(model, r, took_g, with_noise, work)`` on arrays
+    of length ``n``, for a model whose informative laws are Normal (as
+    every ``build_model`` model's are).
+
+    ``tails`` holds one row per law: F_g, F_b and (only ``with_noise``)
+    F_0.  The rows of the Normal laws among them form ``stack``, whose
+    ``NormalCdf.log_side`` runs as one call per operation on every row at
+    once, each law's mean and sd broadcast down its row.
+    """
+
+    def __init__(self, model: LlrModel, n: int, with_noise: bool):
+        laws = [model.cdf_g, model.cdf_b]
+        if not all(isinstance(law, NormalCdf) for law in laws):
+            raise TypeError("a step workspace needs a Normal informative pair")
+        if with_noise and isinstance(model.cdf_0, NormalCdf):
+            laws.append(model.cdf_0)
+        self.tails = np.empty((3 if with_noise else 2, n))
+        self.rows = (*self.tails, None) if not with_noise else tuple(self.tails)
+        self.stack = self.tails[: len(laws)]
+        self.means = np.array([[law.mean] for law in laws])
+        self.sds = np.array([[law.sd] for law in laws])
+        self.neg_r = np.empty(n)
+        self.scratch = np.empty(n)
 
 
 def walk(model: LlrModel, r: float, took_g: Sequence[bool]) -> np.ndarray:

@@ -29,13 +29,17 @@ from .beliefs import (
     ModelSpec,
     build_model,
 )
-from .dynamics import R_CAP, step
+from .dynamics import R_CAP, Workspace, step
 
 LOG_2 = math.log(2.0)
 
 # Steps of private LLRs drawn at a time: a batch holds batch_size x
 # CHUNK_STEPS draws whatever the horizon (traces excepted).
 CHUNK_STEPS = 2048
+
+# Steps whose actions are kept to count switches in one pass; a divisor of
+# CHUNK_STEPS, so no block of them straddles two chunks.
+ACT_ROWS = 256
 
 __all__ = [
     "ExperimentConfig",
@@ -165,7 +169,10 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     boundaries, so any partition of the index range gives identical rows.
 
     Each step is one call of the transition kernel ``step`` on the whole
-    batch; it evaluates F_0's tail only when the observer is on.
+    batch, with one ``Workspace`` for the batch so that the steps reuse
+    their buffers; it evaluates F_0's tail only when the observer is on.
+    The step keeps its actions, and their switches are counted once per
+    block of ACT_ROWS steps.
 
     The private LLRs are drawn CHUNK_STEPS steps at a time: each trajectory
     keeps its stream (``LlrModel.sample_chunks``) and refills its row of
@@ -210,13 +217,21 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
             streams.append(stream)
 
     r = np.full(n, config.initial_r, dtype=float)
-    ll_info_g = np.zeros(n)
-    ll_info_b = np.zeros(n)
-    ll_noise = np.zeros(n)
+    work = Workspace(model, n, config.record_q)
+    neg_r, tails = work.neg_r, work.tails
+    log_liks = np.zeros((3, n))  # under F_g, F_b and F_0
+    ll_info_g, ll_info_b, ll_noise = log_liks
+    # The extremes of r after each step, NaN ignored: a trajectory is
+    # absorbed once |r| reaches R_CAP.
+    r_max = np.full(n, -np.inf)
+    r_min = np.full(n, np.inf)
+    # Row 1 + k of ``acts`` holds the actions of step lo + k of the current
+    # block of ACT_ROWS steps, and row 0 those of the step before it; the
+    # switches are tallied once per block.
+    acts = np.empty((ACT_ROWS + 1, n), dtype=bool)
+    switched = np.empty((ACT_ROWS, n), dtype=bool)
     switch_count = np.zeros(n, dtype=np.int64)
     last_switch = np.zeros(n, dtype=np.int64)
-    absorbed = np.zeros(n, dtype=bool)
-    prev_g: Optional[np.ndarray] = None
 
     if config.record_traces:
         trace_actions = np.empty((n, horizon), dtype="U1")
@@ -234,38 +249,49 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
         log_odds = info - noise
         return 1.0 / (1.0 + np.exp(-np.clip(log_odds, -709.0, 709.0))), log_odds
 
+    def tally(lo: int, hi: int) -> None:
+        """Count the switches of steps lo..hi-1 and note the last one."""
+        k = hi - lo
+        sw = switched[:k]
+        np.not_equal(acts[1 : k + 1], acts[:k], out=sw)
+        if lo == 0:
+            sw[0] = False  # the first action switches from nothing
+        counts = np.count_nonzero(sw, axis=0)
+        np.add(switch_count, counts, out=switch_count)
+        # Step lo + j sets last_switch to lo + j + 1; argmax finds the last
+        # switch as the first True of the reversed rows.
+        np.copyto(last_switch, hi - sw[::-1].argmax(axis=0), where=counts > 0)
+        if config.record_traces:
+            trace_actions[:, lo:hi] = np.where(acts[1 : k + 1].T, GOOD, BAD)
+        acts[0] = acts[k]
+
     for start in range(0, horizon, CHUNK_STEPS):
         stop = min(start + CHUNK_STEPS, horizon)
         block = llrs[:, start:stop] if config.record_traces else llrs
         if start:
             for i, stream in enumerate(streams):
                 block[i, : stop - start] = next(stream)
-        for t in range(start, stop):
-            took_g = block[:, t - start] >= -r
-            if config.record_traces:
-                trace_r[:, t] = r
-                trace_actions[:, t] = np.where(took_g, GOOD, BAD)
-
-            r, lt_g, lt_b, lt_0 = step(model, r, took_g, config.record_q)
-            if config.record_q:
-                ll_info_g += lt_g
-                ll_info_b += lt_b
-                ll_noise += lt_0
+        for act_lo in range(start, stop, ACT_ROWS):
+            act_hi = min(act_lo + ACT_ROWS, stop)
+            for t in range(act_lo, act_hi):
+                took_g = acts[t - act_lo + 1]
+                np.greater_equal(block[:, t - start], np.negative(r, out=neg_r), out=took_g)
                 if config.record_traces:
-                    trace_q[:, t] = q_arrays()[0]
-            absorbed |= np.abs(r) >= R_CAP
-
-            if prev_g is not None:
-                switched = took_g != prev_g
-                switch_count += switched
-                last_switch = np.where(switched, t + 1, last_switch)
-            prev_g = took_g
+                    trace_r[:, t] = r
+                step(model, r, took_g, config.record_q, work)
+                if config.record_q:
+                    log_liks += tails
+                    if config.record_traces:
+                        trace_q[:, t] = q_arrays()[0]
+                np.fmax(r_max, r, out=r_max)
+                np.fmin(r_min, r, out=r_min)
+            tally(act_lo, act_hi)
 
     rows = np.empty(n, dtype=ROW_DTYPE)
     rows["index"] = np.arange(lo, hi)
     rows["omega"] = omegas
     rows["theta"] = thetas
-    rows["final_action"] = np.where(prev_g, GOOD, BAD)
+    rows["final_action"] = np.where(acts[0], GOOD, BAD)
     rows["switch_count"] = switch_count
     rows["last_switch_time"] = last_switch
     if config.record_q:
@@ -275,7 +301,7 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     else:
         rows["q_final"] = np.nan
         rows["q_log_odds"] = np.nan
-    rows["absorbed"] = absorbed
+    rows["absorbed"] = (r_max >= R_CAP) | (r_min <= -R_CAP)
 
     traces = None
     if config.record_traces:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -113,9 +113,12 @@ def observer_init(gamma: float, initial_r: float = 0.0) -> ObserverState:
 
 
 def history_log_liks(
-    model: LlrModel, state: ObserverState, actions: Sequence[str]
+    model: LlrModel, state: ObserverState, actions: Union[Sequence[str], np.ndarray]
 ) -> tuple:
     """Fold a whole action history into the filter.
+
+    ``actions`` holds "g" and "b" strings, or is a boolean array, True for
+    G (as ``observer-replay`` parses its file).
 
     Returns ``(log_liks, rs)``: row 0 of ``log_liks`` is ``state.log_lik``
     and row t the re-centered log-likelihoods after t more actions, and
@@ -139,15 +142,18 @@ def history_log_liks(
     rs[0] = r = state.r_track
     a, b, c, _ = state.log_lik.tolist()
     isfinite = math.isfinite
+    flags = isinstance(actions, np.ndarray)
     for lo in range(0, n, WALK_BLOCK):
         block = actions[lo : lo + WALK_BLOCK]
         hi = lo + len(block)
-        took = [is_g(action) for action in block]
+        took = block.tolist() if flags else [is_g(action) for action in block]
         walked = walk(model, r, took)
         # An impossible action makes the kernel's jump NaN; it is rejected
         # below, so the NaN is expected, not worth a warning.
         with np.errstate(invalid="ignore"):
-            _, lt_g, lt_b, lt_0 = step(model, walked[:-1], np.array(took), True)
+            _, lt_g, lt_b, lt_0 = step(
+                model, walked[:-1], block if flags else np.array(took), True
+            )
         after = walked.tolist()
         cells = []  # the block's log_liks rows, flattened
         for k, (vg, vb, v0) in enumerate(zip(lt_g.tolist(), lt_b.tolist(), lt_0.tolist())):
@@ -160,8 +166,9 @@ def history_log_liks(
             if c > top:
                 top = c
             if not (isfinite(top) and isfinite(after[k + 1])):
+                action = GOOD if took[k] else BAD
                 raise InvalidParameterError(
-                    f"action {state.t + lo + k} ({block[k]!r}) is impossible at "
+                    f"action {state.t + lo + k} ({action!r}) is impossible at "
                     f"public LLR {after[k]!r}: it has probability 0 under "
                     + ("every hypothesis" if top == -math.inf else "both informative ones")
                 )

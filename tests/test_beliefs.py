@@ -275,7 +275,10 @@ class TestSampling:
         lag1 = np.corrcoef(draws[:-1], draws[1:])[0, 1]
         assert abs(lag1) < 4.0 / math.sqrt(100_000)
 
-    @pytest.mark.parametrize("horizon, chunk", [(10, 3), (9, 3), (5, 8), (3000, 1024)])
+    # Horizons of every residue mod 4, the words in a Philox block.
+    @pytest.mark.parametrize(
+        "horizon, chunk", [(10, 3), (9, 3), (5, 8), (3000, 1024), (7, 3), (12, 5)]
+    )
     @pytest.mark.parametrize("law", ["gauss_info", "gauss_noise", "mixture_noise"])
     def test_chunks_join_into_the_whole_draw(self, gauss_fat, mixture_half, law, horizon, chunk):
         model, omega, theta = {
@@ -283,19 +286,25 @@ class TestSampling:
             "gauss_noise": (gauss_fat, 0, "g"),
             "mixture_noise": (mixture_half, 0, "g"),
         }[law]
-        whole = model.sample(omega, theta, philox(53, 7), size=horizon)
-        rng = philox(53, 7)
-        pieces = []
-        for piece in model.sample_chunks(omega, theta, rng, horizon, chunk):
-            pieces.append(piece)
-            # Another trajectory's stream runs between two pieces.
-            rng.bit_generator.state = philox(54, len(pieces)).bit_generator.state
-            rng.random(len(pieces))
-            rng.standard_normal(5)
-        assert [len(p) for p in pieces] == [
-            min(chunk, horizon - start) for start in range(0, horizon, chunk)
-        ]
-        np.testing.assert_array_equal(np.concatenate(pieces), whole)
+        # Streams that start 0-3 raw words into a block, as the engine's
+        # do after drawing the two world uniforms.
+        for consumed in range(4):
+            rng = philox(53, 7)
+            rng.bit_generator.random_raw(consumed)
+            whole = model.sample(omega, theta, rng, size=horizon)
+            rng = philox(53, 7)
+            rng.bit_generator.random_raw(consumed)
+            pieces = []
+            for piece in model.sample_chunks(omega, theta, rng, horizon, chunk):
+                pieces.append(piece)
+                # Another trajectory's stream runs between two pieces.
+                rng.bit_generator.state = philox(54, len(pieces)).bit_generator.state
+                rng.random(len(pieces))
+                rng.standard_normal(5)
+            assert [len(p) for p in pieces] == [
+                min(chunk, horizon - start) for start in range(0, horizon, chunk)
+            ]
+            np.testing.assert_array_equal(np.concatenate(pieces), whole)
 
     def test_noise_ignores_theta(self, gauss_fat):
         a = gauss_fat.sample(0, "g", philox(41), size=50)

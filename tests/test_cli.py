@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import herdlearn
 
-from herdlearn import GaussianSpec, cli
+from herdlearn import GaussianSpec, InvalidParameterError, cli
 from herdlearn.cli import (
     EXIT_OK,
     EXIT_UNDETERMINED,
@@ -217,6 +217,33 @@ class TestObserverReplay:
         _, rows = parse_csv(out)
         assert len(rows) == 4
         assert all(np.isfinite(float(cell)) for row in rows for cell in row)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "G\nb\n", "g\r\nB\r\n\r\n", "\n\nG\rB", "  G \n\tb\n\n",
+            "g\x0bB\x0c", "G\nGB\n", "G\n\nG B\n", "G\r\nZ", "\u00e9\n", "B\ng\x85x",
+        ],
+    )
+    def test_parse_matches_the_line_loop(self, text):
+        def line_loop(text):
+            took = []
+            for line_no, line in enumerate(text.splitlines(), start=1):
+                token = line.strip()
+                if not token:
+                    continue
+                if token.upper() not in ("G", "B"):
+                    return f"line {line_no}: expected G or B, got {token!r}"
+                took.append(token.upper() == "G")
+            return took
+
+        try:
+            got = cli._parse_actions(text)
+            assert got.dtype == bool
+            got = got.tolist()
+        except InvalidParameterError as exc:
+            got = str(exc)
+        assert got == line_loop(text)
 
     def test_rejects_garbage(self, capsys, tmp_path):
         actions = tmp_path / "actions.txt"

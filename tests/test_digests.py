@@ -163,10 +163,100 @@ CLI_CASES = {
 }
 
 
+# Runs that start on the cap: every trajectory is absorbed, which no case
+# above shows.  The mixture runs cross one chunk boundary.
+CAPPED_CASES = {
+    "gauss_capped_above_traced": (
+        ["--sigma", "1", "--tau", "2", "--initial-r", "1000000", "--horizon", "300",
+         "--trajectories", "40", "--seed", "8", "--traces"],
+        {
+            "rows.csv": (
+                "0b7b28f6eb1c49aae7833d4a23584a28"
+                "6d493e8152fcbb244b98e05819894de2"
+            ),
+            "aggregates.json": (
+                "ed026ed01d8205f0bc02af7092e92a83"
+                "99bafc2e72f27b6666f6115a78935a3c"
+            ),
+            "traces": (
+                "e6f54b4e6f6f54aef27f378cab753e94"
+                "a36ed22bd7ccfac0d7a2ea41e40e985d"
+            ),
+            "n_traces": 40,
+        },
+    ),
+    "gauss_capped_below_traced": (
+        ["--sigma", "1", "--tau", "2", "--initial-r=-1000000", "--horizon", "300",
+         "--trajectories", "40", "--seed", "8", "--traces"],
+        {
+            "rows.csv": (
+                "8e1e08fb61635a09f803488e847878a2"
+                "ef8e09ae06049866f08e6794eda95f3a"
+            ),
+            "aggregates.json": (
+                "238f44c15f7818a3fcca9bfb20a46b9f"
+                "3d578cdeb7b93096e16a7a8fcc95b3f9"
+            ),
+            "traces": (
+                "f08ee4347bb35a7e7cd1e43e8e359728"
+                "1401afaf78330b72daf18da799579ca0"
+            ),
+            "n_traces": 40,
+        },
+    ),
+    "mixture_capped_above_traced_long": (
+        ["--sigma", "1", "--mixture", "0.3", "--initial-r", "1000000", "--horizon",
+         "2100", "--trajectories", "6", "--seed", "9", "--traces"],
+        {
+            "rows.csv": (
+                "a3f932a76f8868bfb9a1ef17be96dde0"
+                "bc045b2cf8d99c12f8c6e24169b2a4e9"
+            ),
+            "aggregates.json": (
+                "a8c8afa5478ee8db02265eabee318460"
+                "1e7cb92f2f2234185460d90941ebb5b9"
+            ),
+            "traces": (
+                "0eb5a297990f0c2c07ff71a8632f136e"
+                "680d029aa019b1e81ac95563def20bc2"
+            ),
+            "n_traces": 6,
+        },
+    ),
+    "mixture_capped_below_traced_long": (
+        ["--sigma", "1", "--mixture", "0.3", "--initial-r=-1000000", "--horizon",
+         "2100", "--trajectories", "6", "--seed", "9", "--traces"],
+        {
+            "rows.csv": (
+                "ec1b762ffc7849a0f77ac5c8b2896d90"
+                "9849a4e09c5c5f277a19c6d450dadc65"
+            ),
+            "aggregates.json": (
+                "a8c8afa5478ee8db02265eabee318460"
+                "1e7cb92f2f2234185460d90941ebb5b9"
+            ),
+            "traces": (
+                "1157f3af8a15b91828d2cc1991518acf"
+                "c7ef160e6c5b0d859a0e82cd6eb89dc9"
+            ),
+            "n_traces": 6,
+        },
+    ),
+}
+
+
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
 def test_simulate_files(capsys, tmp_path, case):
     argv, expected = CLI_CASES[case]
     assert _cli_digests(capsys, tmp_path / case, argv) == expected
+
+
+@pytest.mark.parametrize("case", sorted(CAPPED_CASES))
+def test_simulate_files_capped(capsys, tmp_path, case):
+    argv, expected = CAPPED_CASES[case]
+    assert _cli_digests(capsys, tmp_path / case, argv) == expected
+    rows = (tmp_path / case / "rows.csv").read_text().splitlines()
+    assert all(line.endswith(",True") for line in rows[1:])
 
 
 def _engine_digests(config: ExperimentConfig) -> dict:

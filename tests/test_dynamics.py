@@ -12,12 +12,14 @@ from herdlearn import (
     ExperimentConfig,
     GaussianSpec,
     InvalidParameterError,
+    MixtureSpec,
     agent_action,
     build_model,
     run_experiment,
     update_public,
 )
-from herdlearn.dynamics import R_CAP, jump_b, jump_g, step, walk
+from herdlearn.beliefs import LlrModel, MixtureCdf, NormalCdf
+from herdlearn.dynamics import R_CAP, Workspace, jump_b, jump_g, step, walk
 
 import oracles
 from oracles import simulate_trajectory
@@ -124,6 +126,97 @@ class TestStep:
     def test_clips_at_the_cap(self, gauss_fat):
         r_next = step(gauss_fat, np.array([R_CAP, -R_CAP]), np.array([True, False]), False)[0]
         np.testing.assert_array_equal(r_next, [R_CAP, -R_CAP])
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def kernel_rs() -> np.ndarray:
+    """Public LLRs from 0 and the cap out to 1e300, then random ones."""
+    extremes = [0.0, 1e3, -1e3, R_CAP, -R_CAP, 1e300, -1e300]
+    return np.concatenate([extremes, philox(61).normal(0.0, 30.0, 200)])
+
+
+def random_took(n: int) -> np.ndarray:
+    return philox(62).random(n) < 0.5
+
+
+class TestNoiseTail:
+    """F_0's tail from the informative tails where F_0 mixes the very pair,
+    and from ``log_side`` where it does not."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.3])
+    def test_equals_log_side(self, alpha):
+        model = build_model(MixtureSpec(sigma=1.0, alpha=alpha))
+        assert model.noise_mixes_pair
+        rs = kernel_rs()
+        with np.errstate(all="ignore"):  # the jump is NaN at +-1e300
+            for took in (np.ones(len(rs), bool), np.zeros(len(rs), bool), random_took(len(rs))):
+                want = model.cdf_0.log_side(-rs, np.where(took, -1.0, 1.0))
+                assert same_bits(step(model, rs, took, True)[3], want)
+                work = Workspace(model, len(rs), True)
+                assert same_bits(step(model, rs.copy(), took, True, work)[3], want)
+            for r in rs.tolist():
+                for took_g, sign in ((True, -1.0), (False, 1.0)):
+                    got = step(model, r, took_g, True)[3]
+                    assert np.ndim(got) == 0
+                    assert same_bits(got, model.cdf_0.log_side(-r, sign))
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    def test_hand_built_mixture_goes_through_log_side(self, monkeypatch, swapped):
+        pair = build_model(MixtureSpec(sigma=1.0, alpha=0.3))
+        g, b = pair.cdf_g, pair.cdf_b
+        # Components equal to the pair but other objects, or the pair's
+        # objects in the other order.
+        a_b = (b, g) if swapped else (NormalCdf(g.mean, g.sd), NormalCdf(b.mean, b.sd))
+        noise = MixtureCdf(0.3, *a_b)
+        model = LlrModel(g, b, noise)
+        assert not model.noise_mixes_pair
+        calls = []
+        original = MixtureCdf.log_side
+
+        def counted(self, x, sign, out=None):
+            calls.append(self)
+            return original(self, x, sign, out)
+
+        monkeypatch.setattr(MixtureCdf, "log_side", counted)
+        rs = kernel_rs()[:3]
+        took = np.array([True, False, True])
+        lt_0 = step(model, rs, took, True)[3]
+        assert calls == [noise]
+        assert same_bits(lt_0, original(noise, -rs, np.where(took, -1.0, 1.0)))
+        work_lt_0 = step(model, rs.copy(), took, True, Workspace(model, 3, True))[3]
+        assert same_bits(work_lt_0, lt_0)
+        assert step(model, 0.5, False, True)[3] == original(noise, -0.5, 1.0)
+        assert calls == [noise] * 3
+
+
+class TestWorkspace:
+    """``step`` with a workspace: the same bits, written in place."""
+
+    @pytest.mark.parametrize("with_noise", [True, False])
+    def test_same_bits_as_the_plain_call(self, gauss_fat, mixture_half, with_noise):
+        shifted = build_model(GaussianSpec(sigma=0.8, tau=0.5, m0=0.3))
+        rs = kernel_rs()
+        took = random_took(len(rs))
+        for model in (gauss_fat, mixture_half, shifted):
+            work = Workspace(model, len(rs), with_noise)
+            r = rs.copy()
+            with np.errstate(all="ignore"):
+                for _ in range(3):  # the workspace is reused across calls
+                    want = step(model, r.copy(), took, with_noise)
+                    got = step(model, r, took, with_noise, work)
+                    assert got[0] is r
+                    for g, w in zip(got, want):
+                        assert (g is None) if w is None else same_bits(g, w)
+                    took = ~took
+
+    def test_needs_a_normal_pair(self, mixture_half):
+        model = LlrModel(mixture_half.cdf_0, mixture_half.cdf_b, mixture_half.cdf_0)
+        with pytest.raises(TypeError):
+            Workspace(model, 4, True)
 
 
 class TestWalk:
