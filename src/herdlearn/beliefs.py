@@ -75,23 +75,16 @@ class NormalCdf:
     def log_sf(self, x: ArrayLike) -> ArrayLike:
         return self.log_side(x, -1.0)
 
-    def log_side(
-        self, x: ArrayLike, sign: ArrayLike, out: np.ndarray | None = None
-    ) -> ArrayLike:
+    def log_side(self, x: ArrayLike, sign: ArrayLike) -> ArrayLike:
         """``log_sf(x)`` where ``sign`` is -1, ``log_cdf(x)`` where it is +1.
 
         One tail per element: the standardized argument is multiplied by
         ``sign``, which is exact, so ``log_cdf`` and ``log_sf`` are this
         method at a fixed sign, and floats and arrays take the same path.
-        ``out``, an array of the result's shape, receives the same
-        operations in place and is returned.
+        ``dynamics.step`` makes these operations in place on a stack of
+        laws when given a ``Workspace``.
         """
-        if out is None:
-            return log_ndtr((x - self.mean) / self.sd * sign)
-        np.subtract(x, self.mean, out=out)
-        np.divide(out, self.sd, out=out)
-        np.multiply(out, sign, out=out)
-        return log_ndtr(out, out=out)
+        return log_ndtr((x - self.mean) / self.sd * sign)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> ArrayLike:
         if size is None:
@@ -157,12 +150,10 @@ class MixtureCdf:
     def log_sf(self, x: ArrayLike) -> ArrayLike:
         return self.log_side(x, -1.0)
 
-    def log_side(
-        self, x: ArrayLike, sign: ArrayLike, out: np.ndarray | None = None
-    ) -> ArrayLike:
+    def log_side(self, x: ArrayLike, sign: ArrayLike) -> ArrayLike:
         """``log_sf(x)`` where ``sign`` is -1, ``log_cdf(x)`` where it is +1."""
         return self.log_mix(
-            self.component_a.log_side(x, sign), self.component_b.log_side(x, sign), out
+            self.component_a.log_side(x, sign), self.component_b.log_side(x, sign)
         )
 
     def log_mix(

@@ -64,7 +64,7 @@ def step(
     r: ArrayLike,
     took_g,
     with_noise: bool,
-    work: Optional[tuple] = None,
+    work: Optional["Workspace"] = None,
 ) -> tuple:
     """One observed action at public LLR ``r``: the transition kernel.
 
@@ -107,11 +107,8 @@ def step(
     np.divide(stack, work.sds, out=stack)
     np.multiply(stack, sign, out=stack)
     log_ndtr(stack, out=stack)
-    if lt_0 is not None and len(stack) == 2:
-        if model.noise_mixes_pair:
-            model.cdf_0.log_mix(lt_g, lt_b, lt_0, scratch)
-        else:
-            model.cdf_0.log_side(neg_r, sign, lt_0)
+    if lt_0 is not None and len(stack) == 2:  # F_0 mixes the pair
+        model.cdf_0.log_mix(lt_g, lt_b, lt_0, scratch)
     np.subtract(lt_g, lt_b, out=scratch)
     np.add(r, scratch, out=r)
     np.maximum(r, -R_CAP, out=r)
@@ -121,8 +118,8 @@ def step(
 
 class Workspace:
     """The buffers of ``step(model, r, took_g, with_noise, work)`` on arrays
-    of length ``n``, for a model whose informative laws are Normal (as
-    every ``build_model`` model's are).
+    of length ``n``, for a model as ``build_model`` makes it: a Normal
+    informative pair, and a Normal noise law or the mixture of the pair.
 
     ``tails`` holds one row per law: F_g, F_b and (only ``with_noise``)
     F_0.  The rows of the Normal laws among them form ``stack``, whose
@@ -132,9 +129,16 @@ class Workspace:
 
     def __init__(self, model: LlrModel, n: int, with_noise: bool):
         laws = [model.cdf_g, model.cdf_b]
-        if not all(isinstance(law, NormalCdf) for law in laws):
-            raise TypeError("a step workspace needs a Normal informative pair")
-        if with_noise and isinstance(model.cdf_0, NormalCdf):
+        normal_noise = isinstance(model.cdf_0, NormalCdf)
+        if not (
+            all(isinstance(law, NormalCdf) for law in laws)
+            and (normal_noise or model.noise_mixes_pair)
+        ):
+            raise TypeError(
+                "a step workspace needs a Normal informative pair and a Normal "
+                "noise law or the mixture of the pair"
+            )
+        if with_noise and normal_noise:
             laws.append(model.cdf_0)
         self.tails = np.empty((3 if with_noise else 2, n))
         self.rows = (*self.tails, None) if not with_noise else tuple(self.tails)

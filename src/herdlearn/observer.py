@@ -142,18 +142,17 @@ def history_log_liks(
     rs[0] = r = state.r_track
     a, b, c, _ = state.log_lik.tolist()
     isfinite = math.isfinite
-    flags = isinstance(actions, np.ndarray)
+    if not isinstance(actions, np.ndarray):
+        actions = np.array([is_g(action) for action in actions], dtype=bool)
     for lo in range(0, n, WALK_BLOCK):
         block = actions[lo : lo + WALK_BLOCK]
         hi = lo + len(block)
-        took = block.tolist() if flags else [is_g(action) for action in block]
+        took = block.tolist()
         walked = walk(model, r, took)
         # An impossible action makes the kernel's jump NaN; it is rejected
         # below, so the NaN is expected, not worth a warning.
         with np.errstate(invalid="ignore"):
-            _, lt_g, lt_b, lt_0 = step(
-                model, walked[:-1], block if flags else np.array(took), True
-            )
+            _, lt_g, lt_b, lt_0 = step(model, walked[:-1], block, True)
         after = walked.tolist()
         cells = []  # the block's log_liks rows, flattened
         for k, (vg, vb, v0) in enumerate(zip(lt_g.tolist(), lt_b.tolist(), lt_0.tolist())):

@@ -275,9 +275,10 @@ class TestSampling:
         lag1 = np.corrcoef(draws[:-1], draws[1:])[0, 1]
         assert abs(lag1) < 4.0 / math.sqrt(100_000)
 
-    # Horizons of every residue mod 4, the words in a Philox block.
+    # Horizons of every residue mod 4, the words in a Philox block, and one
+    # that ends inside the block the stream starts in.
     @pytest.mark.parametrize(
-        "horizon, chunk", [(10, 3), (9, 3), (5, 8), (3000, 1024), (7, 3), (12, 5)]
+        "horizon, chunk", [(10, 3), (9, 3), (5, 8), (3000, 1024), (7, 3), (12, 5), (2, 1)]
     )
     @pytest.mark.parametrize("law", ["gauss_info", "gauss_noise", "mixture_noise"])
     def test_chunks_join_into_the_whole_draw(self, gauss_fat, mixture_half, law, horizon, chunk):
