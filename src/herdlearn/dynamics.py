@@ -6,8 +6,9 @@ action then moves the public LLR by a jump that depends only on which action
 was taken and on r.  This module holds the decision rule, the one
 transition kernel, ``step``, and its scalar fold, ``walk``, which moves r
 through a whole action history one action at a time in Python floats.  The
-experiment engine and the observer's likelihood columns use ``step`` on
-arrays; the observer's public LLR and the consensus path use ``walk``, which
+experiment engine (through a ``Workspace``, which lets a step reuse its
+buffers) and the observer's likelihood columns use ``step`` on arrays; the
+observer's public LLR and the consensus path use ``walk``, which
 tests pin bit for bit to folding ``step``.  The jump functions and the
 one-step update are views of these two.
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-
 from scipy.special import log_ndtr
 
 from .beliefs import (
@@ -141,7 +141,7 @@ class Workspace:
         if with_noise and normal_noise:
             laws.append(model.cdf_0)
         self.tails = np.empty((3 if with_noise else 2, n))
-        self.rows = (*self.tails, None) if not with_noise else tuple(self.tails)
+        self.rows = tuple(self.tails) if with_noise else (*self.tails, None)
         self.stack = self.tails[: len(laws)]
         self.means = np.array([[law.mean] for law in laws])
         self.sds = np.array([[law.sd] for law in laws])
