@@ -9,15 +9,14 @@ observer, tail classification, consensus analysis) is expressed in terms of
 these three CDFs.
 
 A model is specified by a ``GaussianSpec`` or a ``MixtureSpec``, which
-validate their parameters when built; ``build_model`` turns a spec into the
-three laws.
+validate their parameters when built; ``build_model`` turns a spec into an
+``LlrModel``, the only way to a model, which derives the three laws from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Iterator, Union
 
 import numpy as np
@@ -82,7 +81,7 @@ class NormalCdf:
         ``sign``, which is exact, so ``log_cdf`` and ``log_sf`` are this
         method at a fixed sign, and floats and arrays take the same path.
         ``dynamics.step`` makes these operations in place on a stack of
-        laws when given a ``Workspace``.
+        laws.
         """
         return log_ndtr((x - self.mean) / self.sd * sign)
 
@@ -122,10 +121,10 @@ class NormalCdf:
 class MixtureCdf:
     """Two-component mixture with log-domain tail evaluation.
 
-    A tail is ``log_mix`` of the components' tails.  ``dynamics.step``
-    reuses the informative tails it has just evaluated when the components
-    are the model's very ``cdf_g`` and ``cdf_b`` objects, as in the noise
-    law ``build_model`` makes for a ``MixtureSpec``.
+    A tail is ``log_mix`` of the components' tails.  The noise law of a
+    ``MixtureSpec`` model mixes the model's informative pair, so
+    ``dynamics.step`` gives it ``log_mix`` of the informative tails it has
+    just evaluated.
 
     Sampling draws a fresh component for every value (one uniform plus one
     component draw each); reusing a component across draws would correlate
@@ -342,37 +341,35 @@ ModelSpec = Union[GaussianSpec, MixtureSpec]
 
 @dataclass(frozen=True)
 class LlrModel:
-    """The triple of conditional CDFs of the private LLR.
+    """The triple of conditional CDFs of the private LLR that a spec induces.
 
-    ``cdf_g``/``cdf_b`` are the laws given an informative source and a
-    good/bad state; ``cdf_0`` is the law given an uninformative source.
+    The spec is the only field; the laws are derived from it when the model
+    is built.  ``cdf_g``/``cdf_b``, the laws given an informative source and
+    a good/bad state, are the Normal pair N(m, s)/N(-m, s) of
+    ``spec.llr_laws()``; ``cdf_0``, the law given an uninformative source,
+    is Normal for a ``GaussianSpec`` and the mixture of the very ``cdf_g``
+    and ``cdf_b`` objects for a ``MixtureSpec``.  ``normal_stack`` holds the
+    means and the sds of the Normal laws among them as columns, one law per
+    row: the shape ``dynamics.step`` broadcasts down its stack of tails.
     Instances are immutable and safe to share across parallel workers;
     random streams are never stored on the model.
-
-    ``jump_decreasing`` records a certified analytic property of the
-    informative pair -- that the one-step public-LLR jump after a G action
-    is non-increasing in the public LLR -- which the consensus module
-    requires before issuing convergence certificates.  ``build_model`` sets
-    it (it holds for any Gaussian informative pair because the inverse Mills
-    ratio is strictly decreasing); leave it False for hand-built models
-    unless you can prove it.
     """
 
-    cdf_g: Cdf
-    cdf_b: Cdf
-    cdf_0: Cdf
-    jump_decreasing: bool = False
+    spec: ModelSpec
 
-    @cached_property
-    def noise_mixes_pair(self) -> bool:
-        """True when ``cdf_0`` is a ``MixtureCdf`` whose components are the
-        very objects ``cdf_g`` and ``cdf_b``, in that order, as
-        ``build_model`` makes it: its tails are then ``log_mix`` of theirs."""
-        cdf_0 = self.cdf_0
-        return (
-            isinstance(cdf_0, MixtureCdf)
-            and cdf_0.component_a is self.cdf_g
-            and cdf_0.component_b is self.cdf_b
+    def __post_init__(self) -> None:
+        mean, sd, *noise = self.spec.llr_laws()
+        normal = [NormalCdf(mean, sd), NormalCdf(-mean, sd)]
+        if isinstance(self.spec, MixtureSpec):
+            cdf_0 = MixtureCdf(self.spec.alpha, *normal)
+        else:
+            cdf_0 = NormalCdf(*noise)
+            normal.append(cdf_0)
+        means = np.array([[law.mean] for law in normal])
+        sds = np.array([[law.sd] for law in normal])
+        # The derived attributes of a frozen instance, set past its __setattr__.
+        self.__dict__.update(
+            cdf_g=normal[0], cdf_b=normal[1], cdf_0=cdf_0, normal_stack=(means, sds)
         )
 
     def cdf_for(self, regime: str) -> Cdf:
@@ -415,13 +412,5 @@ class LlrModel:
 
 
 def build_model(spec: ModelSpec) -> LlrModel:
-    """The LLR model a spec induces: the Normal informative pair of
-    ``llr_laws`` and the spec's noise law."""
-    laws = spec.llr_laws()
-    cdf_g = NormalCdf(laws[0], laws[1])
-    cdf_b = NormalCdf(-laws[0], laws[1])
-    if isinstance(spec, MixtureSpec):
-        cdf_0 = MixtureCdf(spec.alpha, cdf_g, cdf_b)
-    else:
-        cdf_0 = NormalCdf(laws[2], laws[3])
-    return LlrModel(cdf_g, cdf_b, cdf_0, jump_decreasing=True)
+    """The LLR model a spec induces; see ``LlrModel``."""
+    return LlrModel(spec)

@@ -155,9 +155,10 @@ def tail_sum_upper_bound(model: LlrModel, regime: str, side: str, rho: float) ->
     and 1 - F(r) on the right.
 
     Comparison with the integral of h/jump: on [s_t, s_{t+1}] the jump is
-    at most jump(s_t) (requires ``model.jump_decreasing``) and h is at
-    least h(s_{t+1}), so each integral cell is at least the next summand;
-    hence the sum is at most h(rho) + integral_rho^inf h(r)/jump(r) dr.
+    at most jump(s_t), since every model's informative pair is Gaussian and
+    the inverse Mills ratio is strictly decreasing, and h is at least
+    h(s_{t+1}); so each integral cell is at least the next summand, and the
+    sum is at most h(rho) + integral_rho^inf h(r)/jump(r) dr.
     The integral, cut at ``rho + TAIL_BOUND_WIDTH``, is over-estimated cell
     by cell: on [r_k, r_k + TAIL_BOUND_CELL] the numerator is at most h(r_k)
     (tails shrink along the path) and the denominator is at least
@@ -169,8 +170,6 @@ def tail_sum_upper_bound(model: LlrModel, regime: str, side: str, rho: float) ->
     cannot move the reported bound.  Returns inf when no certificate is
     available.
     """
-    if not model.jump_decreasing:
-        return math.inf
     if not math.isfinite(rho):
         return math.inf
     h_rho = math.exp(float(model.log_tail(regime, side, np.array([rho]))[0]))
@@ -228,12 +227,14 @@ def divergence_test(
     telescoping argument certifies an infinite sum.  Converges: increments
     fell below CONVERGENCE_INCREMENT_CUTOFF and the remainder is certified
     below CONVERGENCE_TAIL_TOL.  Otherwise Inconclusive.
+
+    The two informative-pair sums, ("b", "left") and ("g", "right"), have
+    the same bits: every model's pair is N(m, s)/N(-m, s).
     """
     rs = path.values
     if rs.size == 0:
         raise InvalidParameterError("path must be non-empty")
-    log_h = model.log_tail(regime, side, rs)
-    hs = np.exp(log_h)
+    hs = np.exp(model.log_tail(regime, side, rs))
     partial = np.cumsum(hs)
 
     # Threshold crossing with non-vanishing increments.
@@ -249,14 +250,10 @@ def divergence_test(
         # 1 - F_b(-r_1) must be certifiably positive; evaluate it as a
         # survival value so it cannot round to zero.
         log_factor = float(model.log_tail("b", "right", -float(rs[0])))
-        log_v = model.log_tail("b", "left", rs)
-        # The right-tail variant relies on the symmetric informative pair;
-        # accept only if the values match the left-tail ones numerically.
-        symmetric_ok = bool(np.all(np.abs(log_h - log_v) < 1e-6))
         increments_ok = path.absorbed or (
             increments.size > 0 and float(increments.min()) > 0.0
         )
-        structural = symmetric_ok and increments_ok and math.isfinite(log_factor)
+        structural = increments_ok and math.isfinite(log_factor)
 
     tail_bound, sum_lower_bound = math.inf, float(partial[-1])
     if crossed or structural:

@@ -27,7 +27,6 @@ from .beliefs import (
     ArrayLike,
     InvalidParameterError,
     LlrModel,
-    NormalCdf,
 )
 
 __all__ = [
@@ -68,37 +67,31 @@ def step(
 ) -> tuple:
     """One observed action at public LLR ``r``: the transition kernel.
 
-    ``r`` is a float or an array, ``took_g`` a bool or a boolean array
-    marking G actions.  An agent plays G iff llr >= -r, so the action's
+    ``r`` is a float or a 1-d array, ``took_g`` a bool or a boolean array
+    of r's length marking G actions.  An agent plays G iff llr >= -r, so the action's
     log-probability under a law F is the right tail of F at -r after G and
     the left tail after B; each law's tail is evaluated once, on that side.
-    When F_0 is a mixture of the very ``cdf_g`` and ``cdf_b`` objects
-    (``LlrModel.noise_mixes_pair``, as ``build_model`` makes it), its tail
-    is ``MixtureCdf.log_mix`` of the two tails just evaluated: the
+    The noise law of a ``MixtureSpec`` model mixes the informative pair, so
+    its tail is ``MixtureCdf.log_mix`` of the two tails just evaluated: the
     operations ``MixtureCdf.log_side`` makes, without evaluating them again.
     Returns ``(r_next, lt_g, lt_b, lt_0)``: the public LLR moved by the
     jump ``lt_g - lt_b`` and clipped to [-R_CAP, R_CAP], and the log-
-    probabilities under F_g, F_b and (only ``with_noise``, else None) F_0.
+    probabilities under F_g, F_b and (only ``with_noise``, else None) F_0,
+    as numpy floats for a float ``r`` and a bool ``took_g``.
 
     ``work``, a ``Workspace`` for this model, r's length and
     ``with_noise``, makes the call allocate almost nothing: ``r`` (an
     array) is then moved in place and returned as ``r_next``, and the
-    tails are the rows of ``work.tails``, valid until its next use.  The
-    results are the same bits either way.
+    tails are the rows of ``work.tails``, valid until its next use.
+    Without it the call runs on a temporary workspace over a copy of ``r``,
+    which it leaves as it was.
     """
+    if work is None:  # a temporary workspace, over a copy of r
+        copy = np.array(r, dtype=float)
+        work = Workspace(model, copy.size, with_noise)
+        out = step(model, copy.reshape(-1), took_g, with_noise, work)
+        return out if copy.ndim else tuple(x if x is None else x[0] for x in out)
     sign = np.where(took_g, -1.0, 1.0)  # -1 selects the right tail, +1 the left
-    if work is None:
-        neg_r = -r
-        lt_g = model.cdf_g.log_side(neg_r, sign)
-        lt_b = model.cdf_b.log_side(neg_r, sign)
-        lt_0 = None
-        if with_noise:
-            lt_0 = (
-                model.cdf_0.log_mix(lt_g, lt_b)
-                if model.noise_mixes_pair
-                else model.cdf_0.log_side(neg_r, sign)
-            )
-        return np.minimum(np.maximum(r + (lt_g - lt_b), -R_CAP), R_CAP), lt_g, lt_b, lt_0
     neg_r, stack, scratch = work.neg_r, work.stack, work.scratch
     lt_g, lt_b, lt_0 = work.rows
     np.negative(r, out=neg_r)
@@ -118,8 +111,7 @@ def step(
 
 class Workspace:
     """The buffers of ``step(model, r, took_g, with_noise, work)`` on arrays
-    of length ``n``, for a model as ``build_model`` makes it: a Normal
-    informative pair, and a Normal noise law or the mixture of the pair.
+    of length ``n``.
 
     ``tails`` holds one row per law: F_g, F_b and (only ``with_noise``)
     F_0.  The rows of the Normal laws among them form ``stack``, whose
@@ -128,23 +120,10 @@ class Workspace:
     """
 
     def __init__(self, model: LlrModel, n: int, with_noise: bool):
-        laws = [model.cdf_g, model.cdf_b]
-        normal_noise = isinstance(model.cdf_0, NormalCdf)
-        if not (
-            all(isinstance(law, NormalCdf) for law in laws)
-            and (normal_noise or model.noise_mixes_pair)
-        ):
-            raise TypeError(
-                "a step workspace needs a Normal informative pair and a Normal "
-                "noise law or the mixture of the pair"
-            )
-        if with_noise and normal_noise:
-            laws.append(model.cdf_0)
+        self.means, self.sds = (col[: 3 if with_noise else 2] for col in model.normal_stack)
         self.tails = np.empty((3 if with_noise else 2, n))
         self.rows = tuple(self.tails) if with_noise else (*self.tails, None)
-        self.stack = self.tails[: len(laws)]
-        self.means = np.array([[law.mean] for law in laws])
-        self.sds = np.array([[law.sd] for law in laws])
+        self.stack = self.tails[: len(self.means)]
         self.neg_r = np.empty(n)
         self.scratch = np.empty(n)
 

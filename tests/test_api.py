@@ -11,6 +11,7 @@ import types
 import pytest
 
 import herdlearn
+from herdlearn.beliefs import LlrModel, NormalCdf
 
 EXPORTS = {
     "ExperimentConfig",
@@ -52,6 +53,8 @@ REMOVED = [
     "beliefs.MixtureCdf.cdf",
     "beliefs.MixtureCdf.log_pdf",
     "beliefs.LlrModel._law",
+    "beliefs.LlrModel.jump_decreasing",
+    "beliefs.LlrModel.noise_mixes_pair",
     "consensus.ConsensusPath.mirrored",
     "consensus.phi",
     "montecarlo.spec_from_dict",
@@ -86,3 +89,11 @@ def test_removed_names_stay_removed(path):
     for name in MODULES:
         mod = importlib.import_module(f"herdlearn.{name}")
         assert attrs[-1] not in getattr(mod, "__all__", ())
+
+
+def test_a_model_comes_only_from_a_spec():
+    """An ``LlrModel`` holds a spec and derives its laws from it; it cannot
+    be built from three laws."""
+    laws = NormalCdf(2.0, 2.0), NormalCdf(-2.0, 2.0), NormalCdf(0.0, 4.0)
+    with pytest.raises(TypeError):
+        LlrModel(*laws)

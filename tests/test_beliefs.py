@@ -139,11 +139,17 @@ class TestLogTail:
             oracles.LOG_PHI_MINUS_1, abs=1e-12
         )
 
-    def test_symmetry_right_equals_mirrored_left(self, gauss_fat):
-        xs = np.linspace(-100.0, 100.0, 201)
-        right_g = np.asarray(gauss_fat.log_tail("g", "right", xs))
-        left_b = np.asarray(gauss_fat.log_tail("b", "left", xs))
-        np.testing.assert_allclose(right_g, left_b, rtol=1e-12, atol=1e-12)
+    def test_symmetry_right_equals_mirrored_left(self):
+        """Every informative pair is N(m, s)/N(-m, s), so 1 - F_g(x) and
+        F_b(-x) are the same bits; ``divergence_test`` relies on it."""
+        extremes = [0.0, -0.0, 5e-324, -5e-324, 1e6, -1e6, 1e300, -1e300]
+        xs = np.concatenate([np.linspace(-100.0, 100.0, 201), extremes, [np.inf, -np.inf]])
+        for sigma in (0.3, 0.7, 1.0, 1.6, 3.0, 10.0):
+            for spec in (GaussianSpec(sigma=sigma, tau=1.5), MixtureSpec(sigma=sigma, alpha=0.3)):
+                model = build_model(spec)
+                right_g = np.asarray(model.log_tail("g", "right", xs))
+                left_b = np.asarray(model.log_tail("b", "left", xs))
+                assert np.array_equal(right_g.view(np.uint64), left_b.view(np.uint64))
 
     def test_deep_tail_against_oracle(self, gauss_fat):
         # x=200 puts the Normal(2, 4) left tail at Phi(-101).

@@ -177,15 +177,6 @@ class TestTailBoundSoundness:
         assert brute_tail <= bound, (brute_tail, bound)
         assert bound < 1e-6
 
-    def test_bound_requires_monotone_jump_flag(self, gauss_thin):
-        stripped = type(gauss_thin)(
-            cdf_g=gauss_thin.cdf_g,
-            cdf_b=gauss_thin.cdf_b,
-            cdf_0=gauss_thin.cdf_0,
-            jump_decreasing=False,
-        )
-        assert math.isinf(tail_sum_upper_bound(stripped, "0", "left", 8.0))
-
 
 class TestImmediateAgreement:
     def test_wrong_state_run_has_probability_zero(self, gauss_fat):

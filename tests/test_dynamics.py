@@ -18,7 +18,6 @@ from herdlearn import (
     run_experiment,
     update_public,
 )
-from herdlearn.beliefs import LlrModel, MixtureCdf, NormalCdf
 from herdlearn.dynamics import R_CAP, Workspace, jump_b, jump_g, step, walk
 
 import oracles
@@ -143,58 +142,54 @@ def random_took(n: int) -> np.ndarray:
     return philox(62).random(n) < 0.5
 
 
+def oracle_step(model, rs, took, with_noise) -> tuple:
+    """``step``'s four results, element by element, from
+    ``oracles.next_public`` and ``oracles.action_log_probs``, which take
+    every tail from ``log_cdf``/``log_sf``; F_0's is None without
+    ``with_noise``."""
+    cols = [
+        (oracles.next_public(model, r, g), *oracles.action_log_probs(model, r, g))
+        for r, g in zip(rs.tolist(), took.tolist())
+    ]
+    r_next, lt_g, lt_b, lt_0 = (np.array(col) for col in zip(*cols))
+    return r_next, lt_g, lt_b, lt_0 if with_noise else None
+
+
+def same_results(got, want) -> bool:
+    return all((g is None) if w is None else same_bits(g, w) for g, w in zip(got, want))
+
+
+def assert_same_as_oracle(model, rs, took, with_noise):
+    """``step`` on arrays, without and with a workspace, and on floats gives
+    the oracle's bits; without a workspace it leaves ``r`` alone."""
+    want = oracle_step(model, rs, took, with_noise)
+    work = Workspace(model, len(rs), with_noise)
+    r = rs.copy()
+    with np.errstate(all="ignore"):  # the jump is NaN at +-1e300
+        assert same_results(step(model, r, took, with_noise), want)
+        assert same_bits(r, rs)
+        assert same_results(step(model, r, took, with_noise, work), want)
+        for k, (r_k, g_k) in enumerate(zip(rs.tolist(), took.tolist())):
+            got = step(model, r_k, g_k, with_noise)
+            assert all(np.ndim(x) == 0 for x in got if x is not None)
+            assert same_results(got, [None if w is None else w[k] for w in want])
+
+
 class TestNoiseTail:
-    """F_0's tail from the informative tails where F_0 mixes the very pair,
-    and from ``log_side`` where it does not."""
+    """F_0's tail where F_0 mixes the informative pair: ``log_mix`` of the
+    two tails just evaluated, the same bits as the mixture's own tail."""
 
     @pytest.mark.parametrize("alpha", [0.5, 0.3])
     def test_equals_log_side(self, alpha):
         model = build_model(MixtureSpec(sigma=1.0, alpha=alpha))
-        assert model.noise_mixes_pair
         rs = kernel_rs()
-        with np.errstate(all="ignore"):  # the jump is NaN at +-1e300
-            for took in (np.ones(len(rs), bool), np.zeros(len(rs), bool), random_took(len(rs))):
-                want = model.cdf_0.log_side(-rs, np.where(took, -1.0, 1.0))
-                assert same_bits(step(model, rs, took, True)[3], want)
-                work = Workspace(model, len(rs), True)
-                assert same_bits(step(model, rs.copy(), took, True, work)[3], want)
-            for r in rs.tolist():
-                for took_g, sign in ((True, -1.0), (False, 1.0)):
-                    got = step(model, r, took_g, True)[3]
-                    assert np.ndim(got) == 0
-                    assert same_bits(got, model.cdf_0.log_side(-r, sign))
-
-    @pytest.mark.parametrize("swapped", [False, True])
-    def test_hand_built_mixture_goes_through_log_side(self, monkeypatch, swapped):
-        pair = build_model(MixtureSpec(sigma=1.0, alpha=0.3))
-        g, b = pair.cdf_g, pair.cdf_b
-        # Components equal to the pair but other objects, or the pair's
-        # objects in the other order.
-        a_b = (b, g) if swapped else (NormalCdf(g.mean, g.sd), NormalCdf(b.mean, b.sd))
-        noise = MixtureCdf(0.3, *a_b)
-        model = LlrModel(g, b, noise)
-        assert not model.noise_mixes_pair
-        calls = []
-        original = MixtureCdf.log_side
-
-        def counted(self, x, sign):
-            calls.append(self)
-            return original(self, x, sign)
-
-        monkeypatch.setattr(MixtureCdf, "log_side", counted)
-        rs = kernel_rs()[:3]
-        took = np.array([True, False, True])
-        lt_0 = step(model, rs, took, True)[3]
-        assert calls == [noise]
-        assert same_bits(lt_0, original(noise, -rs, np.where(took, -1.0, 1.0)))
-        assert step(model, 0.5, False, True)[3] == original(noise, -0.5, 1.0)
-        assert calls == [noise] * 2
-        with pytest.raises(TypeError):
-            Workspace(model, 3, True)
+        for took in (np.ones(len(rs), bool), np.zeros(len(rs), bool), random_took(len(rs))):
+            assert_same_as_oracle(model, rs, took, True)
 
 
 class TestWorkspace:
-    """``step`` with a workspace: the same bits, written in place."""
+    """``step`` with a workspace: the bits of the plain call (without one)
+    and of the oracle, written in place."""
 
     @pytest.mark.parametrize("with_noise", [True, False])
     def test_same_bits_as_the_plain_call(self, gauss_fat, mixture_half, with_noise):
@@ -202,21 +197,17 @@ class TestWorkspace:
         rs = kernel_rs()
         took = random_took(len(rs))
         for model in (gauss_fat, mixture_half, shifted):
+            assert_same_as_oracle(model, rs, took, with_noise)
             work = Workspace(model, len(rs), with_noise)
             r = rs.copy()
             with np.errstate(all="ignore"):
                 for _ in range(3):  # the workspace is reused across calls
-                    want = step(model, r.copy(), took, with_noise)
+                    want = oracle_step(model, r, took, with_noise)
+                    plain = step(model, r, took, with_noise)
                     got = step(model, r, took, with_noise, work)
                     assert got[0] is r
-                    for g, w in zip(got, want):
-                        assert (g is None) if w is None else same_bits(g, w)
+                    assert same_results(got, plain) and same_results(got, want)
                     took = ~took
-
-    def test_needs_a_built_model(self, mixture_half):
-        model = LlrModel(mixture_half.cdf_0, mixture_half.cdf_b, mixture_half.cdf_0)
-        with pytest.raises(TypeError):
-            Workspace(model, 4, True)
 
 
 class TestWalk:

@@ -15,7 +15,7 @@ from herdlearn import (
     classify_gaussian,
     classify_mixture,
 )
-from herdlearn.beliefs import LlrModel, NormalCdf
+from herdlearn.beliefs import NormalCdf
 from herdlearn.tails import tail_ratios
 
 import oracles
@@ -119,12 +119,8 @@ class TestClassifyEmpirical:
     def test_first_order_dominant_noise_is_thinner(self, gauss_fat):
         # Noise that first-order dominates the good informative law:
         # Normal(3, 4) against the sigma=1 pair.
-        model = LlrModel(
-            cdf_g=gauss_fat.cdf_g,
-            cdf_b=gauss_fat.cdf_b,
-            cdf_0=NormalCdf(3.0, 2.0),
-            jump_decreasing=True,
-        )
+        model = build_model(GaussianSpec(sigma=1.0, tau=1.0, m0=1.5))
+        assert model.cdf_0 == NormalCdf(3.0, 2.0)
         result = classify_empirical(model, x_max=200.0)
         assert result.verdict is Verdict.THINNER
 
