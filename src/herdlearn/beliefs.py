@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -45,6 +45,10 @@ ACTIONS = (GOOD, BAD)
 REGIMES = ("g", "b", "0")
 
 ArrayLike = Union[float, np.ndarray]
+
+# Draws per piece of a private-LLR stream (``LlrModel.sample``); the
+# simulation engine also steps this many steps per block of draws.
+CHUNK_STEPS = 2048
 
 
 class InvalidParameterError(ValueError):
@@ -85,36 +89,9 @@ class NormalCdf:
         """
         return log_ndtr((x - self.mean) / self.sd * sign)
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> ArrayLike:
-        if size is None:
-            return float(rng.normal(self.mean, self.sd))
-        return rng.normal(self.mean, self.sd, size)
-
-    def sample_chunks(
-        self, rng: np.random.Generator, horizon: int, chunk: int
-    ) -> Iterator[np.ndarray]:
-        """Yield ``sample(rng, horizon)`` in consecutive pieces of ``chunk``
-        draws (the last may be shorter).
-
-        ``rng`` may serve other streams between pieces: the generator keeps
-        a cursor, the bit generator's state after its last piece, and
-        resumes from it, so the pieces join up bit for bit.  With
-        ``horizon <= chunk`` there is one piece and no cursor.  A suspended
-        generator holds its cursor only, never a piece it has yielded.
-        """
-        bits = rng.bit_generator
-        cursor = [None]
-
-        def draw(start: int) -> np.ndarray:
-            if start:
-                bits.state = cursor[0]
-            piece = self.sample(rng, min(chunk, horizon - start))
-            if start + chunk < horizon:
-                cursor[0] = bits.state
-            return piece
-
-        for start in range(0, horizon, chunk):
-            yield draw(start)
+    def draw_piece(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """One piece of ``k`` draws; see ``LlrModel.sample``."""
+        return rng.normal(self.mean, self.sd, k)
 
 
 @dataclass(frozen=True)
@@ -174,63 +151,17 @@ class MixtureCdf:
         lt_b = np.add(lt_b, self._log_wb, out=scratch)
         return np.logaddexp(out, lt_b, out=out)
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> ArrayLike:
-        n = 1 if size is None else size
-        out = self._normals(rng, rng.random(n) < self.weight_a)
-        return float(out[0]) if size is None else out
-
-    def _normals(self, rng: np.random.Generator, pick_a: np.ndarray) -> np.ndarray:
-        means = np.where(pick_a, self.component_a.mean, self.component_b.mean)
-        sds = np.where(pick_a, self.component_a.sd, self.component_b.sd)
-        return rng.normal(means, sds)
-
-    def sample_chunks(
-        self, rng: np.random.Generator, horizon: int, chunk: int
-    ) -> Iterator[np.ndarray]:
-        """Yield ``sample(rng, horizon)`` in consecutive pieces of ``chunk``
-        draws (the last may be shorter).
-
-        That stream holds the component picks of all ``horizon`` draws (one
-        uniform each), then their normals, so the generator keeps two
-        cursors where ``NormalCdf.sample_chunks`` keeps one: the picks
-        resume where the last piece's picks ended, and the normals start
-        where the horizon's picks end, one raw draw per float64 uniform
-        later, reached in one jump of the Philox counter.
-        """
-        bits = rng.bit_generator
-        picks = bits.state
-        _skip_raw(bits, horizon, picks["buffer_pos"])
-        cursors = [picks, bits.state]  # picks, normals
-
-        def draw(start: int) -> np.ndarray:
-            bits.state = cursors[0]
-            pick_a = rng.random(min(chunk, horizon - start)) < self.weight_a
-            cursors[0] = bits.state
-            bits.state = cursors[1]
-            piece = self._normals(rng, pick_a)
-            cursors[1] = bits.state
-            return piece
-
-        for start in range(0, horizon, chunk):
-            yield draw(start)
+    def draw_piece(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """One piece of ``k`` draws: the k component picks (one uniform
+        each), then k standard normals, scaled and shifted by numpy ufuncs,
+        whose roundings do not depend on how numpy was built."""
+        pick_a = rng.random(k) < self.weight_a
+        z = rng.standard_normal(k)
+        a, b = self.component_a, self.component_b
+        return np.where(pick_a, a.mean, b.mean) + np.where(pick_a, a.sd, b.sd) * z
 
 
 Cdf = Union[NormalCdf, MixtureCdf]
-
-
-def _skip_raw(bits: np.random.Philox, k: int, buffer_pos: int) -> None:
-    """Move ``bits`` as ``bits.random_raw(k)`` would, without drawing the
-    k words: the words left in its 4-word buffer (``buffer_pos`` of them
-    consumed) are drawn, whole blocks are skipped by advancing the
-    counter, and the last block's first ``k % 4`` words are drawn.
-    ``advance`` empties the buffer, so it runs only once that is drained.
-    """
-    drained = min(k, 4 - buffer_pos)
-    bits.random_raw(drained, output=False)
-    whole, rest = divmod(k - drained, 4)
-    if whole:
-        bits.advance(whole)
-    bits.random_raw(rest, output=False)
 
 
 def _require(spec, finite: tuple, positive: tuple) -> None:
@@ -399,16 +330,28 @@ class LlrModel:
     def sample(
         self, omega: int, theta: str, rng: np.random.Generator, size: int | None = None
     ) -> ArrayLike:
-        """Draw private LLRs in the world (omega, theta), i.i.d. across draws."""
-        return self.law(omega, theta).sample(rng, size)
+        """Draw private LLRs in the world (omega, theta), i.i.d. across draws.
 
-    def sample_chunks(
-        self, omega: int, theta: str, rng: np.random.Generator, horizon: int, chunk: int
-    ) -> Iterator[np.ndarray]:
-        """The draws of ``sample(omega, theta, rng, horizon)`` in pieces of
-        ``chunk``, resumable while ``rng`` serves other trajectories in
-        between."""
-        return self.law(omega, theta).sample_chunks(rng, horizon, chunk)
+        This is the one definition of the stream: the draws come in pieces
+        of CHUNK_STEPS (the last may be shorter), each one ``draw_piece``
+        of the world's law, so a mixture draws each piece's picks before
+        its normals.  A piece starts where the last one left ``rng``, so
+        the engine, which draws a trajectory's pieces one at a time with
+        other trajectories in between, gets the same values by restoring
+        the Philox state it saved after the last piece.
+        """
+        law = self.law(omega, theta)
+        n = 1 if size is None else size
+        if n <= CHUNK_STEPS:
+            out = law.draw_piece(rng, n)
+        else:
+            out = np.concatenate(
+                [
+                    law.draw_piece(rng, min(CHUNK_STEPS, n - start))
+                    for start in range(0, n, CHUNK_STEPS)
+                ]
+            )
+        return float(out[0]) if size is None else out
 
 
 def build_model(spec: ModelSpec) -> LlrModel:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .beliefs import (
     BAD,
+    CHUNK_STEPS,
     GOOD,
     GaussianSpec,
     InvalidParameterError,
@@ -32,10 +33,6 @@ from .beliefs import (
 from .dynamics import R_CAP, Workspace, step
 
 LOG_2 = math.log(2.0)
-
-# Steps of private LLRs drawn at a time: a batch holds batch_size x
-# CHUNK_STEPS draws whatever the horizon (traces excepted).
-CHUNK_STEPS = 2048
 
 # Steps whose actions are kept to count switches in one pass; a divisor of
 # CHUNK_STEPS, so no block of them straddles two chunks.
@@ -174,27 +171,31 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     The step keeps its actions, and their switches are counted once per
     block of ACT_ROWS steps.
 
-    The private LLRs are drawn CHUNK_STEPS steps at a time: each trajectory
-    keeps its stream (``LlrModel.sample_chunks``) and refills its row of
-    one reused block per chunk, so memory does not grow with the horizon.
-    A traced run draws straight into its trace matrix instead.
+    The private LLRs are drawn one piece of CHUNK_STEPS steps at a time
+    (``LlrModel.sample``), into one reused block, so a batch holds
+    batch_size x CHUNK_STEPS draws and memory does not grow with the
+    horizon.  Between pieces a trajectory keeps only its Philox state,
+    and a refill restores it.  A traced run draws straight into its trace
+    matrix instead.
     """
     model = build_model(config.model)
     n = hi - lo
     horizon = config.horizon
+    width = min(horizon, CHUNK_STEPS)  # the draws of a trajectory's first piece
     if config.record_traces:
         llrs = np.empty((n, horizon))
     else:
         # Padded rows: with rows exactly CHUNK_STEPS doubles apart, each
         # step's column falls into a few cache sets, and reading it took
         # 1.5x as long (n=512).
-        width = min(horizon, CHUNK_STEPS)
         llrs = np.empty((n, width + 8))[:, :width]
     omegas = []
     thetas = []
-    streams = []
+    # Each trajectory's Philox state after its last piece, while more follow.
+    states = []
     seed, gamma = config.master_seed, config.gamma
     rng = np.random.Generator(np.random.Philox())
+    bits = rng.bit_generator
     for i in range(n):
         _trajectory_rng(rng, seed, lo + i)
         # The world: omega informative w.p. gamma, theta uniform.  Both
@@ -209,12 +210,9 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
             theta = GOOD if u_theta < 0.5 else BAD
         omegas.append(omega)
         thetas.append(theta)
-        if horizon <= CHUNK_STEPS:  # one chunk: no stream to resume
-            llrs[i] = model.sample(omega, theta, rng, size=horizon)
-        else:
-            stream = model.sample_chunks(omega, theta, rng, horizon, CHUNK_STEPS)
-            llrs[i, :CHUNK_STEPS] = next(stream)
-            streams.append(stream)
+        llrs[i, :width] = model.sample(omega, theta, rng, size=width)
+        if horizon > CHUNK_STEPS:
+            states.append(bits.state)
 
     r = np.full(n, config.initial_r, dtype=float)
     work = Workspace(model, n, config.record_q)
@@ -269,8 +267,13 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
         stop = min(start + CHUNK_STEPS, horizon)
         block = llrs[:, start:stop] if config.record_traces else llrs
         if start:
-            for i, stream in enumerate(streams):
-                block[i, : stop - start] = next(stream)
+            for i, state in enumerate(states):
+                bits.state = state
+                block[i, : stop - start] = model.sample(
+                    omegas[i], thetas[i], rng, size=stop - start
+                )
+                if stop < horizon:
+                    states[i] = bits.state
         for act_lo in range(start, stop, ACT_ROWS):
             act_hi = min(act_lo + ACT_ROWS, stop)
             for t in range(act_lo, act_hi):
@@ -334,7 +337,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     parts: list = []  # finished batches, in index order
     try:
         if config.workers > 1 and len(bounds) > 1:
-            pool = ProcessPoolExecutor(max_workers=config.workers)
+            # Under fork, the first submit starts max_workers processes.
+            pool = ProcessPoolExecutor(max_workers=min(config.workers, len(bounds)))
             try:
                 futures = [
                     pool.submit(_simulate_batch, config, lo, hi) for lo, hi in bounds

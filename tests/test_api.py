@@ -55,6 +55,13 @@ REMOVED = [
     "beliefs.LlrModel._law",
     "beliefs.LlrModel.jump_decreasing",
     "beliefs.LlrModel.noise_mixes_pair",
+    "beliefs.NormalCdf.sample",
+    "beliefs.NormalCdf.sample_chunks",
+    "beliefs.MixtureCdf.sample",
+    "beliefs.MixtureCdf.sample_chunks",
+    "beliefs.MixtureCdf._normals",
+    "beliefs.LlrModel.sample_chunks",
+    "beliefs._skip_raw",
     "consensus.ConsensusPath.mirrored",
     "consensus.phi",
     "montecarlo.spec_from_dict",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from herdlearn import GaussianSpec, InvalidParameterError, MixtureSpec, build_model
+from herdlearn import beliefs
 from herdlearn.beliefs import DistinctnessError, NormalCdf
 
 import oracles
@@ -287,7 +288,14 @@ class TestSampling:
         "horizon, chunk", [(10, 3), (9, 3), (5, 8), (3000, 1024), (7, 3), (12, 5), (2, 1)]
     )
     @pytest.mark.parametrize("law", ["gauss_info", "gauss_noise", "mixture_noise"])
-    def test_chunks_join_into_the_whole_draw(self, gauss_fat, mixture_half, law, horizon, chunk):
+    def test_chunks_join_into_the_whole_draw(
+        self, monkeypatch, gauss_fat, mixture_half, law, horizon, chunk
+    ):
+        """Pieces of ``chunk`` draws, each resumed from the Philox state that
+        the last one left while other streams run in between (as the engine
+        resumes them), join into the whole draw, cut into pieces of
+        ``chunk``."""
+        monkeypatch.setattr(beliefs, "CHUNK_STEPS", chunk)
         model, omega, theta = {
             "gauss_info": (gauss_fat, 1, "b"),
             "gauss_noise": (gauss_fat, 0, "g"),
@@ -302,16 +310,45 @@ class TestSampling:
             rng = philox(53, 7)
             rng.bit_generator.random_raw(consumed)
             pieces = []
-            for piece in model.sample_chunks(omega, theta, rng, horizon, chunk):
-                pieces.append(piece)
+            for start in range(0, horizon, chunk):
+                if start:
+                    rng.bit_generator.state = state
+                pieces.append(
+                    model.sample(omega, theta, rng, size=min(chunk, horizon - start))
+                )
+                state = rng.bit_generator.state
                 # Another trajectory's stream runs between two pieces.
                 rng.bit_generator.state = philox(54, len(pieces)).bit_generator.state
                 rng.random(len(pieces))
                 rng.standard_normal(5)
-            assert [len(p) for p in pieces] == [
-                min(chunk, horizon - start) for start in range(0, horizon, chunk)
-            ]
             np.testing.assert_array_equal(np.concatenate(pieces), whole)
+
+    @pytest.mark.parametrize("horizon", [1, 2047, 2048, 2049, 5000])
+    @pytest.mark.parametrize("law", ["gauss_noise", "mixture_noise"])
+    def test_stream_layout(self, gauss_fat, law, horizon):
+        """The stream of trajectory i is that of a fresh ``Philox(key=[seed,
+        i])`` in pieces of 2048 draws: a Normal piece is one ``normal`` call;
+        a mixture piece draws its component picks, then its standard
+        normals, and scales and shifts them."""
+        seed, index = 61, 5
+        if law == "gauss_noise":
+            model = gauss_fat
+        else:
+            model = build_model(MixtureSpec(sigma=1.0, alpha=0.3))
+        got = model.sample(0, "g", philox(seed, index), size=horizon)
+
+        rng = np.random.Generator(np.random.Philox(key=[seed, index]))
+        mean, sd = model.cdf_g.mean, model.cdf_g.sd
+        pieces = []
+        for start in range(0, horizon, 2048):
+            k = min(2048, horizon - start)
+            if law == "gauss_noise":
+                pieces.append(rng.normal(model.cdf_0.mean, model.cdf_0.sd, k))
+            else:
+                pick_g = rng.random(k) < 0.3
+                z = rng.standard_normal(k)
+                pieces.append(np.where(pick_g, mean, -mean) + sd * z)
+        np.testing.assert_array_equal(got, np.concatenate(pieces))
 
     def test_noise_ignores_theta(self, gauss_fat):
         a = gauss_fat.sample(0, "g", philox(41), size=50)

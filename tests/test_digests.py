@@ -146,16 +146,16 @@ CLI_CASES = {
          "--trajectories", "5", "--seed", "22", "--traces"],
         {
             "rows.csv": (
-                "9fb1baafab73b301c58d81ee676709f3"
-                "4e30631dc9fed735dc9662948469dec5"
+                "182c6e6f9f091a6019c2ee55e40bbf80"
+                "3fd21b7d1e70525a4e7f7a4a59b01fbf"
             ),
             "aggregates.json": (
-                "0c22c3d7d2e244304add14110b3431ba"
-                "e7f095b9a656ed6b53409069cfc7a442"
+                "9bffa4af814f94697d9a804a2c3cf66e"
+                "079a91fc6e73db6b7a5be9d93df67bdb"
             ),
             "traces": (
-                "23cf744c7c9de03ebed169c267d05468"
-                "fe3568de3ecd31a7ac98ae8ed4fc02b4"
+                "a40447dad2d755b52b81c160a9b152f0"
+                "f16b6147d2fc75f627bdc0585ac17c81"
             ),
             "n_traces": 5,
         },
@@ -217,8 +217,8 @@ CAPPED_CASES = {
                 "1e7cb92f2f2234185460d90941ebb5b9"
             ),
             "traces": (
-                "0eb5a297990f0c2c07ff71a8632f136e"
-                "680d029aa019b1e81ac95563def20bc2"
+                "9c0a02aea53f4768f5446fc47bf6628b"
+                "69cd6b5b5aa6ed567bebf1063e349360"
             ),
             "n_traces": 6,
         },
@@ -236,8 +236,8 @@ CAPPED_CASES = {
                 "1e7cb92f2f2234185460d90941ebb5b9"
             ),
             "traces": (
-                "1157f3af8a15b91828d2cc1991518acf"
-                "c7ef160e6c5b0d859a0e82cd6eb89dc9"
+                "6b7a007ef7c2ff0b2a7bf6fca4054186"
+                "ea966cfe6220d87eb2bd51dcc971c975"
             ),
             "n_traces": 6,
         },
@@ -347,12 +347,12 @@ ENGINE_CASES = {
              num_trajectories=16, master_seed=24, record_q=False, batch_size=5),
         {
             "rows.csv": (
-                "d83ae205c11cb3fd000f10d63fc73a57"
-                "5b0f8a6bab67cfaef5e0ea265e061781"
+                "93e7d1f88ae09b358f5e1d8c830771c0"
+                "a69f5cdc4b6a7a37ec5074f6a6dd64a3"
             ),
             "aggregates.json": (
-                "c1bcc4f665dc517420d146a52e8c7eae"
-                "37ab578637d1859a7b0b1824fdda4dc5"
+                "51886b0aa90a83b1241482f141b4d89d"
+                "d58ba929858cd958fb2e4e57f9202ba6"
             ),
             "traces": None,
         },

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -86,6 +87,28 @@ class TestDeterminism:
         a = run_experiment(small_config(batch_size=64, workers=1))
         b = run_experiment(small_config(batch_size=64, workers=2))
         np.testing.assert_array_equal(a.rows, b.rows)
+
+    def test_pool_has_no_more_workers_than_batches(self, monkeypatch):
+        # Under fork the first submit starts every one of max_workers
+        # processes, so a pool larger than the batch count forks idle ones.
+        class InProcessPool:
+            sizes = []
+
+            def __init__(self, max_workers):
+                self.sizes.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures):
+                pass
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        rows = run_experiment(small_config(batch_size=128, workers=64)).rows
+        assert InProcessPool.sizes == [3]
+        np.testing.assert_array_equal(rows, run_experiment(small_config()).rows)
 
     def test_seed_changes_rows(self):
         a = run_experiment(small_config())
