@@ -546,7 +546,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 manifest.add_relative(Path(out), rel, text)
             manifest.write(Path(out))
         return code
-    except (InvalidParameterError, ExperimentResourceError) as exc:
+    except (InvalidParameterError, ExperimentResourceError, MemoryError) as exc:
         print(f"herdlearn: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

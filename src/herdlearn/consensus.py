@@ -2,13 +2,14 @@
 
 When every agent takes action G, the public LLR follows the deterministic
 iteration r -> r + jump_g(r), computed as ``dynamics.walk`` (the scalar
-fold of the transition kernel ``step``) over G actions.  Whether pure noise
-can sustain such a run forever is governed by sums of tail probabilities
-evaluated along that path: the run has positive probability iff the
-matching sum converges.
+fold of the transition kernel ``step``) over G actions.  Whether a law F
+can sustain such a run forever is governed by the left sum of F(-r_t)
+along that path: the run has positive probability iff the sum converges.
+(A right-tail sum needs no code of its own: every informative pair is
+N(m, s)/N(-m, s), so 1 - F_g(r) and F_b(-r) are the same bits.)
 This module computes the path, certifies divergence or convergence of the
-sums at finite horizon, and turns certified sums into two-sided bounds on
-the probability of immediate agreement.
+left sum at finite horizon, and turns certified sums into two-sided bounds
+on the probability of immediate agreement.
 
 Verdicts are numerical certificates, not proofs of asymptotics: Diverges
 means the partial sum crossed a threshold that drives the companion
@@ -16,7 +17,7 @@ product below every tolerance used in this package, or that the tail
 values dominate the path increments (whose sum telescopes to the
 unbounded path limit); Converges means the remainder beyond the horizon
 is certifiably below tolerance.  Anything else is reported Inconclusive
-with the partial sums attached.
+with the partial sums and the certified remainder bound attached.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class ConsensusPath:
     ``next_r``, repeat the capped value and ``absorbed`` is set.
     """
 
-    initial_r: float
     values: np.ndarray
     next_r: float
     absorbed: bool = False
@@ -102,9 +102,7 @@ def consensus_path(
             walked[lo + 1 + capped[0] :] = r
             absorbed = True
             break
-    return ConsensusPath(
-        initial_r=initial_r, values=walked[:-1], next_r=float(r), absorbed=absorbed
-    )
+    return ConsensusPath(values=walked[:-1], next_r=float(r), absorbed=absorbed)
 
 
 class SumVerdict(str, enum.Enum):
@@ -115,22 +113,20 @@ class SumVerdict(str, enum.Enum):
 
 @dataclass(frozen=True)
 class DivergenceResult:
-    """Finite-horizon certificate for one tail sum along a consensus path.
+    """Finite-horizon certificate for one left sum along a consensus path.
 
     partial_sums[t] is the sum of the first t+1 tail values.  tail_bound
     is a certified upper bound on the remainder beyond the path horizon
-    (inf when no certificate is available); sum_lower_bound is a certified
-    lower bound on the full infinite sum (inf when the tail values
-    provably dominate the unbounded path increments).
+    (inf when the sum diverges, the path is absorbed, or no certificate is
+    available); sum_lower_bound is a certified lower bound on the full
+    infinite sum (inf when the tail values provably dominate the unbounded
+    path increments).
     """
 
-    regime: str
-    side: str
     partial_sums: np.ndarray
     verdict: SumVerdict
     tail_bound: float
     sum_lower_bound: float
-    reason: str
 
 
 def _log_jump_lower_bound(model: LlrModel, rs: np.ndarray) -> np.ndarray:
@@ -149,10 +145,10 @@ def _log_jump_lower_bound(model: LlrModel, rs: np.ndarray) -> np.ndarray:
     return np.where(diff >= -1e-15, -np.inf, out)
 
 
-def tail_sum_upper_bound(model: LlrModel, regime: str, side: str, rho: float) -> float:
+def tail_sum_upper_bound(model: LlrModel, regime: str, rho: float) -> float:
     """Certified upper bound on sum_{t>=1} h(s_t) for the path s_1 = rho,
-    s_{t+1} = the all-G step of s_t, where h(r) is F(-r) on the left side
-    and 1 - F(r) on the right.
+    s_{t+1} = the all-G step of s_t, where h(r) = F(-r) for the regime's
+    law F.
 
     Comparison with the integral of h/jump: on [s_t, s_{t+1}] the jump is
     at most jump(s_t), since every model's informative pair is Gaussian and
@@ -172,7 +168,7 @@ def tail_sum_upper_bound(model: LlrModel, regime: str, side: str, rho: float) ->
     """
     if not math.isfinite(rho):
         return math.inf
-    h_rho = math.exp(float(model.log_tail(regime, side, np.array([rho]))[0]))
+    h_rho = math.exp(float(model.log_tail(regime, "left", np.array([rho]))[0]))
 
     cell = TAIL_BOUND_CELL
     chunk = 4096
@@ -184,7 +180,7 @@ def tail_sum_upper_bound(model: LlrModel, regime: str, side: str, rho: float) ->
     while offset < max_steps:
         ks = np.arange(offset, min(offset + chunk, max_steps))
         rs = rho + cell * ks
-        logf = model.log_tail(regime, side, rs) - _log_jump_lower_bound(
+        logf = model.log_tail(regime, "left", rs) - _log_jump_lower_bound(
             model, rs + cell
         )
         with np.errstate(over="ignore"):
@@ -217,35 +213,34 @@ def tail_sum_upper_bound(model: LlrModel, regime: str, side: str, rho: float) ->
 
 
 def divergence_test(
-    model: LlrModel, path: ConsensusPath, regime: str, side: str
+    model: LlrModel, path: ConsensusPath, regime: str
 ) -> DivergenceResult:
-    """Certify the behaviour of the tail sum for one regime/side pair.
+    """Certify the behaviour of the left sum of F(-r_t) for one regime.
 
     Diverges: the partial sum crosses DIVERGENCE_THRESHOLD while its
-    increments are still above CONVERGENCE_INCREMENT_CUTOFF, or (for the
-    informative-pair sums whose values dominate the path increments) the
-    telescoping argument certifies an infinite sum.  Converges: increments
-    fell below CONVERGENCE_INCREMENT_CUTOFF and the remainder is certified
+    increments are still above CONVERGENCE_INCREMENT_CUTOFF, or (for regime
+    "b", whose values dominate the path increments) the telescoping
+    argument certifies an infinite sum.  Otherwise, unless the path is
+    absorbed, the remainder beyond the horizon gets its certified bound
+    ``tail_sum_upper_bound(model, regime, path.next_r)``.  Converges:
+    increments fell below CONVERGENCE_INCREMENT_CUTOFF and that bound is
     below CONVERGENCE_TAIL_TOL.  Otherwise Inconclusive.
-
-    The two informative-pair sums, ("b", "left") and ("g", "right"), have
-    the same bits: every model's pair is N(m, s)/N(-m, s).
     """
     rs = path.values
     if rs.size == 0:
         raise InvalidParameterError("path must be non-empty")
-    hs = np.exp(model.log_tail(regime, side, rs))
+    hs = np.exp(model.log_tail(regime, "left", rs))
     partial = np.cumsum(hs)
 
     # Threshold crossing with non-vanishing increments.
     crossing = np.nonzero(partial >= DIVERGENCE_THRESHOLD)[0]
     crossed = crossing.size > 0 and hs[crossing[0]] > CONVERGENCE_INCREMENT_CUTOFF
 
-    # Structural domination: the tail values of the informative pair bound
-    # the path increments from below (up to the bounded factor 1 - F_b(-r_1)),
-    # and the increments sum to the path's unbounded limit.
+    # Structural domination: the tail values F_b(-r_t) bound the path
+    # increments from below (up to the bounded factor 1 - F_b(-r_1)), and
+    # the increments sum to the path's unbounded limit.
     structural = False
-    if (regime, side) in (("b", "left"), ("g", "right")):
+    if regime == "b":
         increments = np.diff(rs)
         # 1 - F_b(-r_1) must be certifiably positive; evaluate it as a
         # survival value so it cannot round to zero.
@@ -255,41 +250,18 @@ def divergence_test(
         )
         structural = increments_ok and math.isfinite(log_factor)
 
-    tail_bound, sum_lower_bound = math.inf, float(partial[-1])
+    tail_bound = math.inf
     if crossed or structural:
         verdict = SumVerdict.DIVERGES
-        reasons = []
-        if crossed:
-            reasons.append(
-                f"partial sum reached {partial[crossing[0]]:.3f} at t={crossing[0] + 1}"
-            )
-        if structural:
-            sum_lower_bound = math.inf
-            reasons.append(
-                "tail values dominate the path increments, whose sum telescopes "
-                "to the unbounded path limit"
-            )
-        reason = "; ".join(reasons)
-    elif hs[-1] < CONVERGENCE_INCREMENT_CUTOFF and not path.absorbed:
-        tail_bound = tail_sum_upper_bound(model, regime, side, path.next_r)
-        if tail_bound < CONVERGENCE_TAIL_TOL:
-            verdict = SumVerdict.CONVERGES
-            reason = f"remainder beyond horizon certified <= {tail_bound:.3e}"
-        else:
-            verdict = SumVerdict.INCONCLUSIVE
-            reason = "increments vanished but no tail certificate below tolerance"
     else:
-        verdict = SumVerdict.INCONCLUSIVE
-        reason = "partial sum below threshold with non-vanishing increments"
-    return DivergenceResult(
-        regime=regime,
-        side=side,
-        partial_sums=partial,
-        verdict=verdict,
-        tail_bound=tail_bound,
-        sum_lower_bound=sum_lower_bound,
-        reason=reason,
-    )
+        if not path.absorbed:
+            tail_bound = tail_sum_upper_bound(model, regime, path.next_r)
+        converged = (
+            hs[-1] < CONVERGENCE_INCREMENT_CUTOFF and tail_bound < CONVERGENCE_TAIL_TOL
+        )
+        verdict = SumVerdict.CONVERGES if converged else SumVerdict.INCONCLUSIVE
+    sum_lower_bound = math.inf if structural else float(partial[-1])
+    return DivergenceResult(partial, verdict, tail_bound, sum_lower_bound)
 
 
 @dataclass(frozen=True)
@@ -298,18 +270,17 @@ class AgreementEstimate:
 
     truncated_product is the product of the first ``horizon`` factors; it
     is an upper bound on the infinite product because every remaining
-    factor is at most one.  ``lower`` corrects it downward by a certified
-    bound on the neglected factors.  ``diverged`` is set when the
-    companion sum certifies the infinite product is zero to tolerance;
-    ``divergence`` is that sum's certificate along the consensus path.
+    factor is at most one.  ``lower`` corrects it downward by the
+    certified remainder bound ``divergence.tail_bound``.  ``diverged`` is
+    set when the companion sum certifies the infinite product is zero to
+    tolerance; ``divergence`` is that sum's certificate along the
+    consensus path.
     """
 
     lower: float
     upper: float
-    horizon: int
     diverged: bool
     truncated_product: float
-    tail_sum_bound: float
     divergence: DivergenceResult
 
     def __post_init__(self) -> None:
@@ -335,30 +306,23 @@ def immediate_agreement_prob(
     log_trunc = float(model.log_tail(regime, "right", -path.values).sum())
     trunc = math.exp(log_trunc)
 
-    div = divergence_test(model, path, regime, "left")
+    div = divergence_test(model, path, regime)
     diverged = div.verdict is SumVerdict.DIVERGES
-    lower, upper, bound = 0.0, trunc, math.inf
+    lower, upper = 0.0, trunc
     if diverged:
         # A structural divergence certifies the product is exactly zero.
         if math.isinf(div.sum_lower_bound):
             upper = 0.0
-    elif not path.absorbed:
-        rho = path.next_r
-        bound = div.tail_bound
-        if not math.isfinite(bound):
-            bound = tail_sum_upper_bound(model, regime, "left", rho)
-        if math.isfinite(bound):
-            # -log(1-x) <= x / (1-x), and F(-r) only shrinks along the path.
-            sf_rho = math.exp(float(model.log_tail(regime, "right", -rho)))
-            correction = bound / sf_rho if sf_rho > 0 else math.inf
-            if math.isfinite(correction):
-                lower = math.exp(log_trunc - correction)
+    elif math.isfinite(div.tail_bound):
+        # -log(1-x) <= x / (1-x), and F(-r) only shrinks along the path.
+        sf_rho = math.exp(float(model.log_tail(regime, "right", -path.next_r)))
+        correction = div.tail_bound / sf_rho if sf_rho > 0 else math.inf
+        if math.isfinite(correction):
+            lower = math.exp(log_trunc - correction)
     return AgreementEstimate(
         lower=lower,
         upper=upper,
-        horizon=horizon,
         diverged=diverged,
         truncated_product=trunc,
-        tail_sum_bound=bound,
         divergence=div,
     )

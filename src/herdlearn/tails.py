@@ -88,6 +88,8 @@ def tail_ratios(model: LlrModel, x: ArrayLike) -> tuple:
 
 def _evidence_grid(model: LlrModel, x_max: float, n_grid: int) -> np.ndarray:
     """Tail ratios on a geometric grid from 1 up to ``x_max``."""
+    if n_grid < 16:
+        raise InvalidParameterError(f"n_grid must be >= 16, got {n_grid}")
     if not (math.isfinite(x_max) and x_max > 1.0):
         raise InvalidParameterError(f"x_max must be finite and > 1, got {x_max}")
     xs = np.geomspace(1.0, x_max, n_grid)
@@ -170,8 +172,6 @@ def classify_empirical(
     evidence only -- it cannot certify an asymptotic statement, so anything
     ambiguous comes back Undetermined with the grid attached.
     """
-    if n_grid < 16:
-        raise InvalidParameterError(f"n_grid must be >= 16, got {n_grid}")
     evidence = _evidence_grid(model, x_max, n_grid)
     top = evidence[n_grid // 2 :]
     xs = top[:, 0]

@@ -203,9 +203,7 @@ def test_criterion_05_learning_under_fatter_noise():
     frac_late = result.aggregates["frac_switch_after_half"]
     median_q = result.aggregates["median_q_final"]
     model = build_model(GaussianSpec(1.0, 2.0))
-    verdict = divergence_test(
-        model, consensus_path(model, 0.0, 2000), "0", "left"
-    ).verdict
+    verdict = divergence_test(model, consensus_path(model, 0.0, 2000), "0").verdict
     ok = frac_late >= 0.5 and median_q <= 0.05 and verdict is SumVerdict.DIVERGES
     report(
         "C05",
@@ -227,7 +225,7 @@ def test_criterion_06_no_learning_under_thinner_noise():
     frac_consensus = result.aggregates["frac_consensus_second_half"]
     median_q = result.aggregates["median_q_final"]
     model = build_model(GaussianSpec(1.0, 0.5))
-    div = divergence_test(model, consensus_path(model, 0.0, 3000), "0", "left")
+    div = divergence_test(model, consensus_path(model, 0.0, 3000), "0")
     ok = (
         frac_consensus >= 0.9
         and median_q >= 0.2

@@ -142,7 +142,7 @@ class TestLogTail:
 
     def test_symmetry_right_equals_mirrored_left(self):
         """Every informative pair is N(m, s)/N(-m, s), so 1 - F_g(x) and
-        F_b(-x) are the same bits; ``divergence_test`` relies on it."""
+        F_b(-x) are the same bits: ``divergence_test`` needs only left sums."""
         extremes = [0.0, -0.0, 5e-324, -5e-324, 1e6, -1e6, 1e300, -1e300]
         xs = np.concatenate([np.linspace(-100.0, 100.0, 201), extremes, [np.inf, -np.inf]])
         for sigma in (0.3, 0.7, 1.0, 1.6, 3.0, 10.0):

@@ -876,18 +876,24 @@ class TestFuzz:
         assert "Traceback" not in stderr.getvalue()
 
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=MemoryError,
-        reason="numpy._core._exceptions._ArrayMemoryError: Unable to allocate "
-        "728. TiB for an array with shape (100000000000000,) and data type "
-        "float64 -- memory is not yet bounded regardless of horizon",
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("path", "--sigma", "1", "--horizon", "100000000000000"),
+            ("agree-prob", "--sigma", "1", "--regime", "b",
+             "--horizon", "100000000000000"),
+            ("classify", "--sigma", "1", "--tau", "2", "--grid", "100000000000000"),
+        ],
+        ids=["path", "agree-prob", "classify"],
     )
-    def test_horizon_too_large_for_memory_is_a_usage_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "path", "--sigma", "1", "--horizon", "100000000000000"
-        )
+    def test_too_large_for_memory_is_a_usage_error(self, capsys, argv):
+        # Each command's first array would take 728 TiB, beyond any address
+        # space, so its allocation fails at once.
+        code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("herdlearn: error: Unable to allocate ")
+        assert "Traceback" not in err
 
     def test_simulation_out_of_memory_is_a_usage_error(self, capsys):
         # --traces keeps the whole trace in memory, so the first allocation

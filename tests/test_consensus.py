@@ -1,6 +1,8 @@
 """Consensus-path analysis: the deterministic map, sum certificates, and
 immediate-agreement bounds."""
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -9,13 +11,20 @@ import pytest
 from herdlearn import (
     GaussianSpec,
     InvalidParameterError,
+    MixtureSpec,
     SumVerdict,
     build_model,
+    consensus,
     consensus_path,
     divergence_test,
     immediate_agreement_prob,
 )
-from herdlearn.consensus import tail_sum_upper_bound
+from herdlearn.consensus import (
+    AgreementEstimate,
+    ConsensusPath,
+    DivergenceResult,
+    tail_sum_upper_bound,
+)
 from herdlearn.dynamics import R_CAP, WALK_BLOCK, jump_b, jump_g, update_public, walk
 
 import oracles
@@ -107,38 +116,32 @@ class TestConsensusPath:
 class TestDivergenceTest:
     def test_fatter_noise_diverges(self, gauss_fat):
         path = consensus_path(gauss_fat, 0.0, 2000)
-        result = divergence_test(gauss_fat, path, "0", "left")
+        result = divergence_test(gauss_fat, path, "0")
         assert result.verdict is SumVerdict.DIVERGES
         assert result.partial_sums[-1] >= 20.0
 
     def test_thinner_noise_converges_with_certificate(self, gauss_thin):
         path = consensus_path(gauss_thin, 0.0, 3000)
-        result = divergence_test(gauss_thin, path, "0", "left")
+        result = divergence_test(gauss_thin, path, "0")
         assert result.verdict is SumVerdict.CONVERGES
         assert result.tail_bound < 1e-9
 
     def test_wrong_state_tail_diverges_structurally(self, gauss_fat):
         path = consensus_path(gauss_fat, 0.0, 1000)
-        result = divergence_test(gauss_fat, path, "b", "left")
-        assert result.verdict is SumVerdict.DIVERGES
-        assert math.isinf(result.sum_lower_bound)
-
-    def test_right_tail_of_good_state_matches_by_symmetry(self, gauss_fat):
-        path = consensus_path(gauss_fat, 0.0, 1000)
-        result = divergence_test(gauss_fat, path, "g", "right")
+        result = divergence_test(gauss_fat, path, "b")
         assert result.verdict is SumVerdict.DIVERGES
         assert math.isinf(result.sum_lower_bound)
 
     def test_boundary_is_inconclusive(self, gauss_boundary):
         path = consensus_path(gauss_boundary, 0.0, 5000)
-        result = divergence_test(gauss_boundary, path, "0", "left")
+        result = divergence_test(gauss_boundary, path, "0")
         assert result.verdict is SumVerdict.INCONCLUSIVE
 
     def test_prior_independence_of_convergence(self, gauss_thin):
         """Convergence from one start implies it from the uniform start."""
         for start in (2.0, 0.0, -1.0):
             path = consensus_path(gauss_thin, start, 4000)
-            result = divergence_test(gauss_thin, path, "0", "left")
+            result = divergence_test(gauss_thin, path, "0")
             assert result.verdict is SumVerdict.CONVERGES, start
 
     def test_partial_sums_monotone_in_noise_spread(self, gauss_fat):
@@ -147,18 +150,16 @@ class TestDivergenceTest:
         previous = None
         for tau in (0.6, 1.0, 1.5, 2.0):
             model = build_model(GaussianSpec(sigma=1.0, tau=tau))
-            sums = divergence_test(model, path, "0", "left").partial_sums
+            sums = divergence_test(model, path, "0").partial_sums
             if previous is not None:
                 assert np.all(sums >= previous - 1e-12)
             previous = sums
 
     def test_empty_path_rejected(self, gauss_fat):
         path = consensus_path(gauss_fat, 0.0, 1)
-        stub = type(path)(
-            initial_r=0.0, values=np.array([]), next_r=0.0, absorbed=False
-        )
+        stub = type(path)(values=np.array([]), next_r=0.0, absorbed=False)
         with pytest.raises(InvalidParameterError):
-            divergence_test(gauss_fat, stub, "0", "left")
+            divergence_test(gauss_fat, stub, "0")
 
 
 class TestTailBoundSoundness:
@@ -172,10 +173,82 @@ class TestTailBoundSoundness:
         h = np.exp(np.asarray(model.log_tail("0", "left", rs)))
         brute_tail = float(h[horizon:].sum())
         rho = update_public(model, float(rs[horizon - 1]), "g")
-        bound = tail_sum_upper_bound(model, "0", "left", rho)
+        bound = tail_sum_upper_bound(model, "0", rho)
         assert math.isfinite(bound)
         assert brute_tail <= bound, (brute_tail, bound)
         assert bound < 1e-6
+
+
+class TestCertificateShape:
+    """Each certificate fact is held once: no echoed inputs, one remainder
+    bound, left sums only."""
+
+    def test_result_fields(self):
+        assert [f.name for f in dataclasses.fields(ConsensusPath)] == [
+            "values", "next_r", "absorbed",
+        ]
+        assert [f.name for f in dataclasses.fields(DivergenceResult)] == [
+            "partial_sums", "verdict", "tail_bound", "sum_lower_bound",
+        ]
+        assert [f.name for f in dataclasses.fields(AgreementEstimate)] == [
+            "lower", "upper", "diverged", "truncated_product", "divergence",
+        ]
+
+    def test_signatures(self):
+        assert list(inspect.signature(divergence_test).parameters) == [
+            "model", "path", "regime",
+        ]
+        assert list(inspect.signature(tail_sum_upper_bound).parameters) == [
+            "model", "regime", "rho",
+        ]
+
+    @pytest.mark.parametrize(
+        "spec, regime, initial_r, horizon, verdict, below",
+        [
+            (GaussianSpec(1.0, 0.9), "0", 0.0, 15000, SumVerdict.INCONCLUSIVE, 4.2e-4),
+            (GaussianSpec(1.0, 0.5), "0", 0.0, 3000, SumVerdict.CONVERGES, 1e-9),
+            (GaussianSpec(1.0, 2.0), "g", 2.0, 2000, SumVerdict.INCONCLUSIVE, 1e-4),
+            # Fatter noise: the integral comparison gives no certificate.
+            (MixtureSpec(1.0, 0.3), "0", 0.0, 2000, SumVerdict.INCONCLUSIVE, math.inf),
+        ],
+    )
+    def test_an_undiverged_path_carries_its_remainder_bound(
+        self, spec, regime, initial_r, horizon, verdict, below
+    ):
+        model = build_model(spec)
+        path = consensus_path(model, initial_r, horizon)
+        result = divergence_test(model, path, regime)
+        assert result.verdict is verdict
+        assert result.tail_bound == tail_sum_upper_bound(model, regime, path.next_r)
+        if math.isinf(below):
+            assert math.isinf(result.tail_bound)
+        else:
+            assert result.tail_bound < below
+
+    @pytest.mark.parametrize(
+        "spec, regime, initial_r, horizon, calls",
+        [
+            (GaussianSpec(1.0, 0.5), "0", 0.0, 3000, 1),  # converges
+            (GaussianSpec(1.0, 0.9), "0", 0.0, 15000, 1),  # inconclusive
+            (GaussianSpec(1.0, 2.0), "g", 10.0, 1000, 1),
+            (GaussianSpec(1.0, 2.0), "0", 0.0, 2000, 0),  # crosses the threshold
+            (GaussianSpec(1.0, 2.0), "b", 0.0, 1000, 0),  # structural divergence
+            (GaussianSpec(1.0, 2.0), "g", R_CAP, 10, 0),  # absorbed
+        ],
+    )
+    def test_agreement_bounds_the_remainder_at_most_once(
+        self, monkeypatch, spec, regime, initial_r, horizon, calls
+    ):
+        bounds = []
+
+        def counted(model, regime, rho):
+            bounds.append(tail_sum_upper_bound(model, regime, rho))
+            return bounds[-1]
+
+        monkeypatch.setattr(consensus, "tail_sum_upper_bound", counted)
+        estimate = immediate_agreement_prob(build_model(spec), regime, initial_r, horizon)
+        assert len(bounds) == calls
+        assert estimate.divergence.tail_bound == (bounds[0] if calls else math.inf)
 
 
 class TestImmediateAgreement:
@@ -217,7 +290,7 @@ class TestImmediateAgreement:
         ]:
             model = build_model(GaussianSpec(sigma=sigma, tau=tau))
             path = consensus_path(model, 0.0, 2000)
-            verdict = divergence_test(model, path, regime, "left").verdict
+            verdict = divergence_test(model, path, regime).verdict
             estimate = immediate_agreement_prob(model, regime, 0.0, 2000)
             assert estimate.diverged == (verdict is SumVerdict.DIVERGES)
 

@@ -156,3 +156,19 @@ class TestClassifyEmpirical:
         for model in (gauss_fat, gauss_thin, mixture_half):
             verdict = classify_empirical(model, x_max=200.0).verdict
             assert verdict in (Verdict.FATTER, Verdict.THINNER)
+
+
+@pytest.mark.parametrize("n_grid", [-1, 0, 2, 15])
+@pytest.mark.parametrize(
+    "classify",
+    [
+        lambda n: classify_gaussian(GaussianSpec(1.0, 2.0), 200.0, n),
+        lambda n: classify_mixture(MixtureSpec(sigma=1.0, alpha=0.3), 200.0, n),
+        lambda n: classify_empirical(build_model(GaussianSpec(1.0, 2.0)), 200.0, n),
+    ],
+    ids=["gaussian", "mixture", "empirical"],
+)
+def test_every_classifier_rejects_a_grid_below_16_points(classify, n_grid):
+    with pytest.raises(InvalidParameterError) as err:
+        classify(n_grid)
+    assert str(err.value) == f"n_grid must be >= 16, got {n_grid}"
