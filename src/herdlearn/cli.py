@@ -79,11 +79,31 @@ CSV_BLOCK_ROWS = 1024
 
 def _cells(column: np.ndarray) -> list:
     """Locale-independent CSV cells: shortest round-trip ``repr`` for floats
-    (an empty cell for NaN), ``str`` for everything else."""
-    values = column.tolist()
+    (an empty cell for NaN), ``str`` for everything else.
+
+    A float column whose consecutive values repeat, such as converged
+    partial sums, formats each run of equal values once.  Runs compare the
+    values' bits, so 0.0 and -0.0 stay apart.  Runs are found in one
+    vectorized pass; they are used only when there are at most half as many
+    runs as values, because spreading the cells over the runs costs more
+    than a ``repr`` per value when most runs are a single value long.
+    """
+    if column.dtype.kind == "U":
+        return column.tolist()
     if column.dtype.kind != "f":
-        return list(map(str, values))
-    cells = list(map(repr, values))
+        return list(map(str, column.tolist()))
+    bits = column.view(f"i{column.itemsize}")
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if 2 * (len(starts) + 1) > len(column):
+        return _float_cells(column)
+    firsts = np.concatenate(([0], starts))
+    cells = np.array(_float_cells(column[firsts]), dtype=object)
+    return np.repeat(cells, np.diff(firsts, append=len(column))).tolist()
+
+
+def _float_cells(column: np.ndarray) -> list:
+    """One ``repr`` per value of a float column, an empty cell for NaN."""
+    cells = list(map(repr, column.tolist()))
     for i in np.flatnonzero(np.isnan(column)).tolist():
         cells[i] = ""
     return cells
@@ -427,29 +447,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help=f"output directory (else ${OUT_DIR_ENV}, if set)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser; ``parser.commands`` maps each subcommand to its parser."""
-    # argparse builds a help formatter in every add_argument, and each would
-    # look up the terminal width; look it up once, as HelpFormatter does.
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
-    parser = _Parser(prog="herdlearn", description=__doc__, formatter_class=formatter)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = {}
-
-    def command(name, func, help, model_flags=True) -> argparse.ArgumentParser:
-        p = parser.commands[name] = sub.add_parser(
-            name, help=help, formatter_class=formatter
-        )
-        if model_flags:
-            _add_model_flags(p)
-        _add_common_flags(p)
-        p.set_defaults(func=func)
-        return p
-
-    p = command("classify", _cmd_classify, "relative tail thickness of the noise law")
+def _classify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--x-max", dest="x_max", type=float, default=200.0, help="grid upper end"
     )
@@ -460,18 +458,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="let the finite-grid classifier decide (can return Undetermined)",
     )
 
-    p = command("path", _cmd_path, "deterministic all-G public-LLR path")
+
+def _path_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--horizon", type=int, default=1000, help="path length")
     p.add_argument("--initial-r", dest="initial_r", type=float, default=0.0)
 
-    p = command(
-        "agree-prob", _cmd_agree_prob, "probability bracket for immediate agreement"
-    )
+
+def _agree_prob_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--regime", help="which conditional law: g, b or 0")
     p.add_argument("--horizon", type=int, default=1000, help="truncation horizon")
     p.add_argument("--initial-r", dest="initial_r", type=float, default=0.0)
 
-    p = command("simulate", _cmd_simulate, "Monte Carlo trajectory experiment")
+
+def _simulate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--horizon", type=int)
     p.add_argument("--trajectories", type=int)
@@ -487,10 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trajectories is given (takes minutes)",
     )
 
-    p = command(
-        "same-variance", _cmd_same_variance, "noise-mean sweep at tau = sigma",
-        model_flags=False,
-    )
+
+def _same_variance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=float)
     p.add_argument("--m0-grid", dest="m0_grid", default="0,0.25,0.5", help="comma list")
     p.add_argument("--gamma", type=float, default=0.5)
@@ -498,13 +495,75 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectories", type=int, default=2000)
     p.add_argument("--workers", type=int, default=1)
 
-    p = command(
-        "observer-replay", _cmd_observer_replay, "run the filter over recorded actions"
-    )
+
+def _observer_replay_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--initial-r", dest="initial_r", type=float, default=0.0)
     p.add_argument("--actions-file", dest="actions_file", help="one G/B per line")
 
+
+# name: (function, help, whether it takes the model flags, its own flags),
+# in the order the parser lists them.
+_COMMANDS = {
+    "classify": (
+        _cmd_classify, "relative tail thickness of the noise law", True, _classify_flags
+    ),
+    "path": (_cmd_path, "deterministic all-G public-LLR path", True, _path_flags),
+    "agree-prob": (
+        _cmd_agree_prob,
+        "probability bracket for immediate agreement",
+        True,
+        _agree_prob_flags,
+    ),
+    "simulate": (
+        _cmd_simulate, "Monte Carlo trajectory experiment", True, _simulate_flags
+    ),
+    "same-variance": (
+        _cmd_same_variance,
+        "noise-mean sweep at tau = sigma",
+        False,
+        _same_variance_flags,
+    ),
+    "observer-replay": (
+        _cmd_observer_replay,
+        "run the filter over recorded actions",
+        True,
+        _observer_replay_flags,
+    ),
+}
+
+
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``parser.commands`` maps each subcommand to its parser.
+
+    With ``only``, a subcommand's name, only that subcommand's parser is
+    built: it parses an argv that starts with the name, and prints every
+    help text and error message such an argv can reach, exactly as the full
+    parser does.  The one message of the top-level parser it can reach,
+    unrecognized arguments, shows the usage line, so its list of commands
+    is spelled out as the full parser lists them.
+    """
+    # argparse builds a help formatter in every add_argument, and each would
+    # look up the terminal width; look it up once, as HelpFormatter does.
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
+    parser = _Parser(prog="herdlearn", description=__doc__, formatter_class=formatter)
+    parser.add_argument("--version", action="version", version=__version__)
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    parser.commands = {}
+    for name, (func, help, model_flags, add_flags) in _COMMANDS.items():
+        if only not in (None, name):
+            continue
+        p = parser.commands[name] = sub.add_parser(
+            name, help=help, formatter_class=formatter
+        )
+        if model_flags:
+            _add_model_flags(p)
+        _add_common_flags(p)
+        p.set_defaults(func=func)
+        add_flags(p)
     return parser
 
 
@@ -530,7 +589,15 @@ def _file_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run the command ``argv`` names (``sys.argv[1:]`` when it is None) and
+    return its exit code.
+
+    When the first word is a command's name, only that command's parser is
+    built (see ``build_parser``); any other argv, such as ``-h``,
+    ``--version``, a misspelt command or none, gets the full parser.
+    """
+    words = sys.argv[1:] if argv is None else argv
+    parser = build_parser(words[0] if words and words[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         if args.config:
@@ -542,9 +609,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out = os.environ.get(OUT_DIR_ENV) if args.out is None else args.out
         if out:
             manifest = _make_manifest(args, spec)
-            for rel, text in files:
-                manifest.add_relative(Path(out), rel, text)
-            manifest.write(Path(out))
+            try:
+                for rel, text in files:
+                    manifest.add_relative(Path(out), rel, text)
+                manifest.write(Path(out))
+            except OSError as exc:
+                raise InvalidParameterError(f"cannot write outputs: {exc}") from exc
         return code
     except (InvalidParameterError, ExperimentResourceError, MemoryError) as exc:
         print(f"herdlearn: error: {exc}", file=sys.stderr)

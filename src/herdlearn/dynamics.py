@@ -140,20 +140,30 @@ def walk(model: LlrModel, r: float, took_g: Sequence[bool]) -> np.ndarray:
     minimum and maximum do (and cost a third of builtin min/max).  An action
     impossible under both informative laws makes the jump NaN, and every
     later value NaN.
+
+    The tails call ``log_ndtr`` directly, not ``NormalCdf.log_side``, with
+    each law's mean m and sd s in locals.  ``log_side``'s argument
+    ``(-r - m) / s * sign`` is ``(r + m) / s`` after a G (sign -1) and its
+    negation after a B, bit for bit, because negation is exact under
+    round-to-nearest.  Only the sign of a zero argument can differ (at
+    r = -m), and ``log_ndtr(+0.0) == log_ndtr(-0.0)``.
     """
-    log_g, log_b = model.cdf_g.log_side, model.cdf_b.log_side
-    out = np.empty(len(took_g) + 1)
+    m_g, s_g = model.cdf_g.mean, model.cdf_g.sd
+    m_b, s_b = model.cdf_b.mean, model.cdf_b.sd
     r = float(r)
-    out[0] = r
-    for t, g in enumerate(took_g, 1):
-        sign = -1.0 if g else 1.0
-        r += float(log_g(-r, sign)) - float(log_b(-r, sign))
+    out = [r]
+    append = out.append
+    for g in took_g:
+        if g:
+            r += float(log_ndtr((r + m_g) / s_g)) - float(log_ndtr((r + m_b) / s_b))
+        else:
+            r += float(log_ndtr(-((r + m_g) / s_g))) - float(log_ndtr(-((r + m_b) / s_b)))
         if r > R_CAP:
             r = R_CAP
         elif r < -R_CAP:
             r = -R_CAP
-        out[t] = r
-    return out
+        append(r)
+    return np.array(out)
 
 
 def jump_g(model: LlrModel, r: ArrayLike) -> ArrayLike:

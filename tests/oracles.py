@@ -249,7 +249,9 @@ def reference_fold(state: ObserverState, model: LlrModel, actions: Sequence[str]
 
 
 def csv_cell(value) -> str:
-    """Locale-independent CSV cell: shortest round-trip for floats."""
+    """Locale-independent CSV cell: shortest round-trip ``repr`` for floats,
+    an empty cell for NaN, one value at a time (``cli._cells`` formats a run
+    of equal floats once, and must give these cells)."""
     if isinstance(value, (float, np.floating)):
         value = float(value)
         if np.isnan(value):

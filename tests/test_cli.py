@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import herdlearn
@@ -492,6 +492,45 @@ class TestCsvWriter:
         assert got == oracles.csv_lines(("t", "x", "y"), zip(*columns))
 
 
+# Float64 bit patterns: any pattern (NaN payloads of either sign included)
+# or a special value: signed zeros, NaN, infinities, subnormals and the
+# smallest normal.
+_FLOAT_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(
+        np.array(
+            [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+             1e-310, -1e-310, 2.2250738585072014e-308, 1.0, 1.0 + 2**-52]
+        ).view(np.uint64).tolist()
+    ),
+)
+
+
+class TestCsvRuns:
+    """``_cells`` formats a run of bit-equal floats once; the text must
+    equal a ``repr`` per value (an empty cell for NaN), whatever the runs."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(_FLOAT_BITS, st.integers(1, 3 * _B // 2)), min_size=1, max_size=10
+        ),
+        n=st.integers(1, 3 * _B),
+    )
+    @example(runs=[(0, _B - 1), (2**63, 2), (0, 1)], n=_B + 2)  # 0.0, -0.0, 0.0
+    @example(
+        runs=[(np.float64(np.nan).view(np.uint64).item(), 2 * _B + 5)], n=2 * _B + 5
+    )
+    def test_runs_of_float64_bit_patterns(self, runs, n):
+        bits = np.repeat(
+            np.array([b for b, _ in runs], dtype=np.uint64), [k for _, k in runs]
+        )
+        x = np.resize(bits, n).view(np.float64)
+        columns = (np.arange(1, n + 1), x, x[::-1].copy())
+        got = cli._csv_lines(("t", "x", "y"), columns)
+        assert got == oracles.csv_lines(("t", "x", "y"), zip(*columns))
+
+
 class TestConfigLayering:
     def test_file_values_then_flag_override(self, capsys, tmp_path):
         config = tmp_path / "run.ini"
@@ -634,6 +673,85 @@ class TestParser:
             monkeypatch.setenv("COLUMNS", columns)
             texts.append(cli.build_parser().commands["simulate"].format_help())
         assert len(texts[0].splitlines()) > len(texts[1].splitlines())
+
+
+# A sample argv for each command, flags of every kind included.
+_SAMPLE_ARGV = {
+    "classify": ["--sigma", "1", "--tau", "2", "--x-max", "50", "--empirical"],
+    "path": ["--sigma", "0.5", "--horizon", "7", "--initial-r", "-1", "--out", "o"],
+    "agree-prob": ["--sigma", "1", "--regime", "0", "--tau", "0.5", "--seed", "3"],
+    "simulate": ["--sigma", "1", "--mixture", "0.3", "--omega", "1", "--theta", "b",
+                 "--traces", "--stress"],
+    "same-variance": ["--sigma", "1", "--m0-grid", "0,1", "--trajectories", "9"],
+    "observer-replay": ["--sigma", "1", "--tau", "2", "--actions-file", "a.txt",
+                        "--config", "c.ini"],
+}
+
+
+class TestSubcommandParser:
+    """``main`` builds only the parser of the command it runs; that parser
+    must be the full build's, and every other argv must get the full build."""
+
+    @pytest.mark.parametrize("name", sorted(_SAMPLE_ARGV))
+    def test_alone_equals_the_full_build(self, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "90")
+        alone, full = cli.build_parser(name), cli.build_parser()
+        assert list(alone.commands) == [name]
+        assert alone.commands[name].format_help() == full.commands[name].format_help()
+        argv = [name, *_SAMPLE_ARGV[name]]
+        assert alone.parse_args(argv) == full.parse_args(argv)
+        assert alone.format_usage() == full.format_usage()
+
+    def test_main_builds_only_the_invoked_parser(self, capsys, monkeypatch):
+        built = []
+        original = cli.build_parser
+
+        def recorded(only=None):
+            parser = original(only)
+            built.append(list(parser.commands))
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", recorded)
+        assert main(["path", "--sigma", "1", "--horizon", "3"]) == EXIT_OK
+        for argv in (["-h"], ["--version"], ["pathx"], []):
+            with pytest.raises(SystemExit):
+                main(argv)
+        capsys.readouterr()
+        assert built[0] == ["path"]
+        assert all(names == list(_SAMPLE_ARGV) for names in built[1:])
+        assert len(built) == 5
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["-h", "path"], EXIT_OK), (["pathx", "--sigma", "1"], EXIT_USAGE),
+         ([], EXIT_USAGE)],
+    )
+    def test_other_argv_lists_every_command(self, capsys, monkeypatch, argv, code):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        out = capsys.readouterr()
+        assert "{" + ",".join(_SAMPLE_ARGV) + "}" in out.out + out.err
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out == herdlearn.__version__ + "\n"
+
+    @pytest.mark.parametrize("argv", [["path", "--sigma", "1", "--horizon", "3"], ["-h"]])
+    def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch, argv):
+        def run(*args):
+            try:
+                return main(*args), capsys.readouterr()
+            except SystemExit as exc:
+                return exc.code, capsys.readouterr()
+
+        want = run(argv)
+        monkeypatch.setattr(sys, "argv", ["herdlearn", *argv])
+        assert run() == want
+        assert want[1].out
 
 
 class TestUsageErrors:
@@ -893,6 +1011,25 @@ class TestFuzz:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("herdlearn: error: Unable to allocate ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("via_env", [False, True], ids=["--out", "env"])
+    @pytest.mark.parametrize("target", ["F", "F/sub"])
+    def test_unusable_output_directory_is_a_usage_error(
+        self, capsys, monkeypatch, tmp_path, via_env, target
+    ):
+        # F is a file: mkdir F raises FileExistsError, mkdir F/sub
+        # NotADirectoryError.
+        (tmp_path / "F").write_text("")
+        out = str(tmp_path / target)
+        argv = ["path", "--sigma", "1", "--horizon", "3"]
+        if via_env:
+            monkeypatch.setenv("HERDLEARN_OUT_DIR", out)
+        else:
+            argv += ["--out", out]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert err.startswith("herdlearn: error: cannot write outputs: ")
         assert "Traceback" not in err
 
     def test_simulation_out_of_memory_is_a_usage_error(self, capsys):

@@ -239,15 +239,20 @@ class TestWalk:
         return took
 
     @pytest.mark.parametrize(
-        "seed, initial_r", [(1, 0.0), (2, R_CAP), (3, -R_CAP), (4, 1e300)]
+        "seed, initial_r",
+        [(1, 0.0), (2, R_CAP), (3, -R_CAP), (4, 1e300), (5, "m"), (6, "-m")],
     )
     def test_equals_the_step_fold(self, gauss_fat, mixture_half, seed, initial_r):
         shifted = build_model(GaussianSpec(sigma=0.7, tau=1.3, m0=0.5))
         took = self.history(seed)
         assert len(took) >= 5000
         for model in (gauss_fat, mixture_half, shifted):
-            got = walk(model, initial_r, took)
-            want = self.step_fold(model, initial_r, took)
+            # "m" and "-m" start at the mean m of F_g or at -m, that of F_b,
+            # where the first tail argument of F_b or of F_g is exactly zero:
+            # walk's zero and step's differ in sign.
+            r = {"m": model.cdf_g.mean, "-m": model.cdf_b.mean}.get(initial_r, initial_r)
+            got = walk(model, r, took)
+            want = self.step_fold(model, r, took)
             assert self.same(got, want)
 
     def test_impossible_action_gives_nan(self, gauss_fat, mixture_half):
