@@ -93,10 +93,10 @@ def _cells(column: np.ndarray) -> list:
     if column.dtype.kind != "f":
         return list(map(str, column.tolist()))
     bits = column.view(f"i{column.itemsize}")
-    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-    if 2 * (len(starts) + 1) > len(column):
+    changed = bits[1:] != bits[:-1]
+    if 2 * (np.count_nonzero(changed) + 1) > len(column):
         return _float_cells(column)
-    firsts = np.concatenate(([0], starts))
+    firsts = np.concatenate(([0], np.flatnonzero(changed) + 1))
     cells = np.array(_float_cells(column[firsts]), dtype=object)
     return np.repeat(cells, np.diff(firsts, append=len(column))).tolist()
 
