@@ -281,7 +281,9 @@ class LlrModel:
     is Normal for a ``GaussianSpec`` and the mixture of the very ``cdf_g``
     and ``cdf_b`` objects for a ``MixtureSpec``.  ``normal_stack`` holds the
     means and the sds of the Normal laws among them as columns, one law per
-    row: the shape ``dynamics.step`` broadcasts down its stack of tails.
+    row, in the order of ``dynamics.step``'s stack of tails.  ``worlds``
+    maps each world (omega, theta) to the private LLR's law in it: ``cdf_0``
+    when omega is 0, else ``cdf_g`` or ``cdf_b`` as theta is "g" or "b".
     Instances are immutable and safe to share across parallel workers;
     random streams are never stored on the model.
     """
@@ -298,9 +300,14 @@ class LlrModel:
             normal.append(cdf_0)
         means = np.array([[law.mean] for law in normal])
         sds = np.array([[law.sd] for law in normal])
+        worlds = {(1, GOOD): normal[0], (1, BAD): normal[1], (0, GOOD): cdf_0, (0, BAD): cdf_0}
         # The derived attributes of a frozen instance, set past its __setattr__.
         self.__dict__.update(
-            cdf_g=normal[0], cdf_b=normal[1], cdf_0=cdf_0, normal_stack=(means, sds)
+            cdf_g=normal[0],
+            cdf_b=normal[1],
+            cdf_0=cdf_0,
+            normal_stack=(means, sds),
+            worlds=worlds,
         )
 
     def cdf_for(self, regime: str) -> Cdf:
@@ -321,12 +328,6 @@ class LlrModel:
             return cdf.log_sf(x)
         raise InvalidParameterError(f"side must be 'left' or 'right', got {side!r}")
 
-    def law(self, omega: int, theta: str) -> Cdf:
-        """The private LLR's law in the world (omega, theta)."""
-        if omega == 0:
-            return self.cdf_0
-        return self.cdf_g if theta == GOOD else self.cdf_b
-
     def sample(
         self, omega: int, theta: str, rng: np.random.Generator, size: int | None = None
     ) -> ArrayLike:
@@ -339,8 +340,13 @@ class LlrModel:
         the engine, which draws a trajectory's pieces one at a time with
         other trajectories in between, gets the same values by restoring
         the Philox state it saved after the last piece.
+
+        The world's law comes from ``worlds``, the table of the four worlds
+        (omega 0 or 1, theta "g" or "b") built with the model, so a call of
+        at most CHUNK_STEPS draws, such as each piece the engine draws, is
+        one lookup and one ``draw_piece``.
         """
-        law = self.law(omega, theta)
+        law = self.worlds[omega, theta]
         n = 1 if size is None else size
         if n <= CHUNK_STEPS:
             out = law.draw_piece(rng, n)

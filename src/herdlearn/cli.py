@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import functools
 import hashlib
 import io
@@ -77,9 +78,19 @@ class _Parser(argparse.ArgumentParser):
 CSV_BLOCK_ROWS = 1024
 
 
+# The cell of each bool, indexed by its byte.
+_BOOL_CELLS = np.array(["False", "True"], dtype=object)
+
+
 def _cells(column: np.ndarray) -> list:
     """Locale-independent CSV cells: shortest round-trip ``repr`` for floats
-    (an empty cell for NaN), ``str`` for everything else.
+    (an empty cell for NaN), ``str`` for everything else.  A column of
+    dtype object holds its cells already, as ``str``.
+
+    Bools, and integers spanning at most half as many values as the column
+    has rows (such as 0/1 flags and small counts), are formatted once per
+    value in a table of cells, which each row then indexes; an integer
+    column spanning more values takes a ``str`` per row.
 
     A float column whose consecutive values repeat, such as converged
     partial sums, formats each run of equal values once.  Runs compare the
@@ -88,9 +99,19 @@ def _cells(column: np.ndarray) -> list:
     runs as values, because spreading the cells over the runs costs more
     than a ``repr`` per value when most runs are a single value long.
     """
-    if column.dtype.kind == "U":
+    kind = column.dtype.kind
+    if kind in "UO":
         return column.tolist()
-    if column.dtype.kind != "f":
+    if kind == "b":
+        return _BOOL_CELLS[column.view(np.uint8)].tolist()
+    if kind in "iu" and len(column):
+        lo, hi = int(column.min()), int(column.max())
+        if 2 * (hi - lo + 1) <= len(column):
+            table = np.array(list(map(str, range(lo, hi + 1))), dtype=object)
+            # Offsets from lo, computed modulo 2**64: exact, because each is
+            # below the column's length.
+            return table[column.astype(np.uint64) - np.uint64(lo % 2**64)].tolist()
+    if kind != "f":
         return list(map(str, column.tolist()))
     bits = column.view(f"i{column.itemsize}")
     changed = bits[1:] != bits[:-1]
@@ -131,6 +152,8 @@ class _Manifest:
     master_seed: Optional[int]
     started_utc: str
     outputs: list = field(default_factory=list)
+    # The directories ``add_relative`` has made, so that it makes each once.
+    made: set = field(default_factory=set)
 
     def add(self, path: Path, content: str) -> None:
         """Kept only because ``perfbench/tracer.py`` wraps it by name."""
@@ -138,7 +161,9 @@ class _Manifest:
 
     def add_relative(self, root: Path, rel: str, content: str) -> None:
         path = root / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
+        if path.parent not in self.made:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self.made.add(path.parent)
         data = content.encode("utf-8")
         path.write_bytes(data)
         self.outputs.append(
@@ -155,7 +180,6 @@ class _Manifest:
             "finished_utc": datetime.now(timezone.utc).isoformat(),
             "outputs": self.outputs,
         }
-        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "manifest.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
         )
@@ -316,10 +340,19 @@ def _rows_csv(rows: np.ndarray) -> str:
     return _csv_lines(header, [rows[name] for name in header])
 
 
-def _trace_csv(trace) -> str:
+def _trace_csv(trace, t: Optional[np.ndarray] = None) -> str:
+    """One trajectory's trace file.  ``t``, the cells of its ``t`` column as
+    an object array, lets every trace of a run share one formatting of it;
+    without it the column is formatted for this file."""
     return _csv_lines(
         ("t", "action", "llr", "r_before", "q"),
-        (_steps(len(trace.q)), trace.actions, trace.llrs, trace.r_before, trace.q),
+        (
+            _steps(len(trace.q)) if t is None else t,
+            trace.actions,
+            trace.llrs,
+            trace.r_before,
+            trace.q,
+        ),
     )
 
 
@@ -333,8 +366,10 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple:
     def files():
         yield "rows.csv", _rows_csv(result.rows)
         yield "aggregates.json", agg_text
-        for trace in result.traces or ():
-            yield f"traces/traj_{trace.index:06d}.csv", _trace_csv(trace)
+        if result.traces:
+            t = np.array(_cells(_steps(result.config.horizon)), dtype=object)
+            for trace in result.traces:
+                yield f"traces/traj_{trace.index:06d}.csv", _trace_csv(trace, t)
 
     return EXIT_OK, spec, agg_text, files()
 
@@ -588,6 +623,15 @@ def _file_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     return defaults
 
 
+@contextlib.contextmanager
+def _writing_outputs():
+    """Report an ``OSError`` as an unusable output directory."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write outputs: {exc}") from exc
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the command ``argv`` names (``sys.argv[1:]`` when it is None) and
     return its exit code.
@@ -604,17 +648,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             command = parser.commands[args.command]
             command.set_defaults(**_file_defaults(command, args))
             args = parser.parse_args(argv)
-        code, spec, stdout, files = args.func(args)
-        print(stdout, end="")
         out = os.environ.get(OUT_DIR_ENV) if args.out is None else args.out
         if out:
+            # Made before the command runs, so that an unusable directory
+            # is reported at once, not after all the work.
+            with _writing_outputs():
+                Path(out).mkdir(parents=True, exist_ok=True)
+        code, spec, stdout, files = args.func(args)
+        print(stdout, end="")
+        if out:
             manifest = _make_manifest(args, spec)
-            try:
+            with _writing_outputs():
                 for rel, text in files:
                     manifest.add_relative(Path(out), rel, text)
                 manifest.write(Path(out))
-            except OSError as exc:
-                raise InvalidParameterError(f"cannot write outputs: {exc}") from exc
         return code
     except (InvalidParameterError, ExperimentResourceError, MemoryError) as exc:
         print(f"herdlearn: error: {exc}", file=sys.stderr)

@@ -116,11 +116,15 @@ class Workspace:
     ``tails`` holds one row per law: F_g, F_b and (only ``with_noise``)
     F_0.  The rows of the Normal laws among them form ``stack``, whose
     ``NormalCdf.log_side`` runs as one call per operation on every row at
-    once, each law's mean and sd broadcast down its row.
+    once.  ``means`` and ``sds`` hold each of those laws' mean and sd as a
+    full row of length ``n``, the shape of ``stack``: dividing by full rows
+    took about half the time of dividing by a column broadcast down them.
     """
 
     def __init__(self, model: LlrModel, n: int, with_noise: bool):
-        self.means, self.sds = (col[: 3 if with_noise else 2] for col in model.normal_stack)
+        self.means, self.sds = (
+            np.repeat(col[: 3 if with_noise else 2], n, axis=1) for col in model.normal_stack
+        )
         self.tails = np.empty((3 if with_noise else 2, n))
         self.rows = tuple(self.tails) if with_noise else (*self.tails, None)
         self.stack = self.tails[: len(self.means)]

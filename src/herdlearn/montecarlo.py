@@ -14,6 +14,7 @@ config regardless of batch size or worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -142,21 +143,31 @@ class ExperimentResourceError(RuntimeError):
         self.completed_rows = completed_rows
 
 
+# The state ``_trajectory_rng`` gives a Philox, refilled with each new key.
+# Philox's state setter copies what it reads, so one dict serves every
+# re-key (building a new one took nearly twice as long).
+_REKEY = {
+    "bit_generator": "Philox",
+    "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+    "buffer": (0, 0, 0, 0),
+    "buffer_pos": 4,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
+
+
 def _trajectory_rng(rng: np.random.Generator, master_seed: int, index: int) -> None:
     """Re-key ``rng``'s Philox to the stream of (master_seed, index).
 
     Key ``[master_seed, index]``, counter 0 and nothing buffered: the draws
     are exactly those of a fresh ``Philox(key=[master_seed, index])``,
     without building one (and its unused seed sequence) per trajectory.
+    The state is set from the module's one ``_REKEY`` dict, whose key is
+    the only entry that changes; the setter copies it, so nothing of it is
+    kept (and no two threads may re-key at once).
     """
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (master_seed, index)},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    _REKEY["state"]["key"] = (master_seed, index)
+    rng.bit_generator.state = _REKEY
 
 
 def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
@@ -177,48 +188,54 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     horizon.  Between pieces a trajectory keeps only its Philox state,
     and a refill restores it.  A traced run draws straight into its trace
     matrix instead.
+
+    A traced run fills its trace columns once per block of ACT_ROWS steps
+    too: each step keeps r before it and the log-likelihoods after it in
+    a block buffer, and the block's q is then ``q_arrays`` of the whole
+    block, the same elementwise operations as at each step.  So a traced
+    batch holds one extra ACT_ROWS x 3 x batch block of log-likelihoods
+    and an ACT_ROWS x batch block of r; an untraced batch holds neither.
     """
     model = build_model(config.model)
     n = hi - lo
     horizon = config.horizon
+    traced, with_q = config.record_traces, config.record_q
     width = min(horizon, CHUNK_STEPS)  # the draws of a trajectory's first piece
-    if config.record_traces:
+    if traced:
         llrs = np.empty((n, horizon))
     else:
         # Padded rows: with rows exactly CHUNK_STEPS doubles apart, each
         # step's column falls into a few cache sets, and reading it took
         # 1.5x as long (n=512).
         llrs = np.empty((n, width + 8))[:, :width]
+    first = llrs[:, :width]  # row i takes trajectory lo + i's first piece
     omegas = []
     thetas = []
     # Each trajectory's Philox state after its last piece, while more follow.
     states = []
     seed, gamma = config.master_seed, config.gamma
+    fixed_omega, fixed_theta = config.omega, config.theta
     rng = np.random.Generator(np.random.Philox())
-    bits = rng.bit_generator
+    bits, random, sample = rng.bit_generator, rng.random, model.sample
     for i in range(n):
         _trajectory_rng(rng, seed, lo + i)
         # The world: omega informative w.p. gamma, theta uniform.  Both
         # uniforms are drawn even when the config fixes omega or theta, so
         # the LLR draws that follow do not depend on the fixing.
-        u_omega, u_theta = rng.random(2).tolist()
-        omega = config.omega
-        if omega is None:
-            omega = int(u_omega < gamma)
-        theta = config.theta
-        if theta is None:
-            theta = GOOD if u_theta < 0.5 else BAD
+        u_omega = random()
+        u_theta = random()
+        omega = int(u_omega < gamma) if fixed_omega is None else fixed_omega
+        theta = (GOOD if u_theta < 0.5 else BAD) if fixed_theta is None else fixed_theta
         omegas.append(omega)
         thetas.append(theta)
-        llrs[i, :width] = model.sample(omega, theta, rng, size=width)
+        first[i] = sample(omega, theta, rng, size=width)
         if horizon > CHUNK_STEPS:
             states.append(bits.state)
 
     r = np.full(n, config.initial_r, dtype=float)
-    work = Workspace(model, n, config.record_q)
+    work = Workspace(model, n, with_q)
     neg_r, tails = work.neg_r, work.tails
     log_liks = np.zeros((3, n))  # under F_g, F_b and F_0
-    ll_info_g, ll_info_b, ll_noise = log_liks
     # The extremes of r after each step, NaN ignored: a trajectory is
     # absorbed once |r| reaches R_CAP.
     r_max = np.full(n, -np.inf)
@@ -231,15 +248,20 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     switch_count = np.zeros(n, dtype=np.int64)
     last_switch = np.zeros(n, dtype=np.int64)
 
-    if config.record_traces:
+    if traced:
         trace_actions = np.empty((n, horizon), dtype="U1")
         trace_r = np.empty((n, horizon))
         trace_q = np.full((n, horizon), np.nan)
+        # Row k: r before step lo + k of the current block, and the
+        # log-likelihoods after it.
+        block_r = np.empty((ACT_ROWS, n))
+        block_ll = np.empty((ACT_ROWS, 3, n)) if with_q else None
 
     log_prior_info = math.log(config.gamma / 2.0)
     log_prior_noise = math.log((1.0 - config.gamma) / 2.0)
 
-    def q_arrays():
+    def q_arrays(ll_info_g, ll_info_b, ll_noise):
+        """(q, log-odds) of log-likelihoods under F_g, F_b and F_0, elementwise."""
         # The two uninformative hypotheses have equal likelihoods, so their
         # logaddexp is ll_noise + log 2 (numpy computes exactly that).
         info = np.logaddexp(ll_info_g, ll_info_b) + log_prior_info
@@ -248,7 +270,8 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
         return 1.0 / (1.0 + np.exp(-np.clip(log_odds, -709.0, 709.0))), log_odds
 
     def tally(lo: int, hi: int) -> None:
-        """Count the switches of steps lo..hi-1 and note the last one."""
+        """Count the switches of steps lo..hi-1 and note the last one; fill
+        their trace columns."""
         k = hi - lo
         sw = switched[:k]
         np.not_equal(acts[1 : k + 1], acts[:k], out=sw)
@@ -259,33 +282,37 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
         # Step lo + j sets last_switch to lo + j + 1; argmax finds the last
         # switch as the first True of the reversed rows.
         np.copyto(last_switch, hi - sw[::-1].argmax(axis=0), where=counts > 0)
-        if config.record_traces:
+        if traced:
             trace_actions[:, lo:hi] = np.where(acts[1 : k + 1].T, GOOD, BAD)
+            trace_r[:, lo:hi] = block_r[:k].T
+            if with_q:
+                lls = block_ll[:k]
+                trace_q[:, lo:hi] = q_arrays(lls[:, 0], lls[:, 1], lls[:, 2])[0].T
         acts[0] = acts[k]
 
     for start in range(0, horizon, CHUNK_STEPS):
         stop = min(start + CHUNK_STEPS, horizon)
-        block = llrs[:, start:stop] if config.record_traces else llrs
+        block = llrs[:, start:stop] if traced else llrs
         if start:
             for i, state in enumerate(states):
                 bits.state = state
-                block[i, : stop - start] = model.sample(
+                block[i, : stop - start] = sample(
                     omegas[i], thetas[i], rng, size=stop - start
                 )
                 if stop < horizon:
                     states[i] = bits.state
         for act_lo in range(start, stop, ACT_ROWS):
             act_hi = min(act_lo + ACT_ROWS, stop)
-            for t in range(act_lo, act_hi):
-                took_g = acts[t - act_lo + 1]
+            for j, t in enumerate(range(act_lo, act_hi)):
+                took_g = acts[j + 1]
                 np.greater_equal(block[:, t - start], np.negative(r, out=neg_r), out=took_g)
-                if config.record_traces:
-                    trace_r[:, t] = r
-                step(model, r, took_g, config.record_q, work)
-                if config.record_q:
+                if traced:
+                    block_r[j] = r
+                step(model, r, took_g, with_q, work)
+                if with_q:
                     log_liks += tails
-                    if config.record_traces:
-                        trace_q[:, t] = q_arrays()[0]
+                    if traced:
+                        block_ll[j] = log_liks
                 np.fmax(r_max, r, out=r_max)
                 np.fmin(r_min, r, out=r_min)
             tally(act_lo, act_hi)
@@ -297,8 +324,8 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     rows["final_action"] = np.where(acts[0], GOOD, BAD)
     rows["switch_count"] = switch_count
     rows["last_switch_time"] = last_switch
-    if config.record_q:
-        q, log_odds = q_arrays()
+    if with_q:
+        q, log_odds = q_arrays(*log_liks)
         rows["q_final"] = q
         rows["q_log_odds"] = log_odds
     else:
@@ -307,7 +334,7 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     rows["absorbed"] = (r_max >= R_CAP) | (r_min <= -R_CAP)
 
     traces = None
-    if config.record_traces:
+    if traced:
         traces = [
             Trace(
                 index=lo + i,
@@ -325,6 +352,15 @@ def _batch_bounds(n: int, batch_size: int) -> list:
     return [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where the platform
+    cannot tell)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Simulate the configured trajectories and aggregate the rows.
 
@@ -337,8 +373,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     parts: list = []  # finished batches, in index order
     try:
         if config.workers > 1 and len(bounds) > 1:
-            # Under fork, the first submit starts max_workers processes.
-            pool = ProcessPoolExecutor(max_workers=min(config.workers, len(bounds)))
+            # Under fork, the first submit starts max_workers processes, so
+            # the pool has no more of them than batches or usable CPUs.
+            pool = ProcessPoolExecutor(
+                max_workers=min(config.workers, len(bounds), _usable_cpus())
+            )
             try:
                 futures = [
                     pool.submit(_simulate_batch, config, lo, hi) for lo, hi in bounds
@@ -405,7 +444,7 @@ def compute_aggregates(rows: np.ndarray, horizon: int) -> dict:
     if np.all(np.isfinite(rows["q_final"])):
         out["median_q_final"] = float(np.median(rows["q_final"]))
         out["q_by_regime"] = {}
-        for omega in sorted(set(int(v) for v in rows["omega"])):
+        for omega in np.unique(rows["omega"]).tolist():
             sel = rows["omega"] == omega
             out["q_by_regime"][f"omega={omega}"] = _quantiles(rows["q_final"][sel])
     return out

@@ -531,6 +531,50 @@ class TestCsvRuns:
         assert got == oracles.csv_lines(("t", "x", "y"), zip(*columns))
 
 
+_INT_DTYPES = [np.int8, np.int64, np.uint8, np.uint64, np.bool_]
+
+
+def _value_column(dtype, n, span, halves, seed):
+    """n values of ``dtype`` spanning ``span + 1`` integers (fewer where the
+    dtype has fewer or n < 2), from a least value ``halves`` halves of the
+    way up the dtype's range."""
+    info = np.iinfo(dtype) if dtype is not np.bool_ else np.iinfo(np.uint8)
+    top = 1 if dtype is np.bool_ else int(info.max)
+    span = min(span, top - int(info.min))
+    lo = int(info.min) + (top - int(info.min) - span) * halves // 2
+    rng = np.random.default_rng(seed)
+    offsets = rng.integers(0, span, n, endpoint=True, dtype=np.uint64)
+    if n >= 2:
+        offsets[:2] = [0, span]
+    return np.array([lo + k for k in offsets.tolist()], dtype=dtype)
+
+
+class TestValueTables:
+    """``_cells`` formats bools, and integers spanning at most half as many
+    values as the column has rows, through a table of cells; every cell
+    must be the ``str`` of its value, whatever the span and the dtype."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        dtype=st.sampled_from(_INT_DTYPES),
+        n=st.integers(0, 1500),
+        # The table size against half the rows: below, at or above.
+        side=st.sampled_from([-1, 0, 1]),
+        halves=st.sampled_from([0, 1, 2]),
+        strided=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dtype=np.int8, n=512, side=0, halves=0, strided=False, seed=0)  # -128..127
+    @example(dtype=np.int64, n=40, side=-1, halves=0, strided=True, seed=1)
+    @example(dtype=np.uint64, n=40, side=-1, halves=2, strided=False, seed=2)
+    def test_cells_are_the_str_of_each_value(self, dtype, n, side, halves, strided, seed):
+        span = max(n // 2 + side - 1, 0)  # side 0: the table holds n // 2 cells
+        column = _value_column(dtype, 2 * n if strided else n, span, halves, seed)
+        if strided:
+            column = column[::2]
+        assert cli._cells(column) == list(map(str, column.tolist()))
+
+
 class TestConfigLayering:
     def test_file_values_then_flag_override(self, capsys, tmp_path):
         config = tmp_path / "run.ini"
@@ -1019,18 +1063,28 @@ class TestFuzz:
         self, capsys, monkeypatch, tmp_path, via_env, target
     ):
         # F is a file: mkdir F raises FileExistsError, mkdir F/sub
-        # NotADirectoryError.
+        # NotADirectoryError.  The directory is made before the command
+        # runs, so nothing is printed and no simulation starts.
         (tmp_path / "F").write_text("")
         out = str(tmp_path / target)
-        argv = ["path", "--sigma", "1", "--horizon", "3"]
-        if via_env:
-            monkeypatch.setenv("HERDLEARN_OUT_DIR", out)
-        else:
-            argv += ["--out", out]
-        code, _, err = run_cli(capsys, *argv)
-        assert code == EXIT_USAGE
-        assert err.startswith("herdlearn: error: cannot write outputs: ")
-        assert "Traceback" not in err
+
+        def no_simulation(config):
+            raise AssertionError("simulated before checking the output directory")
+
+        monkeypatch.setattr(cli, "run_experiment", no_simulation)
+        for argv in (
+            ["path", "--sigma", "1", "--horizon", "3"],
+            ["simulate", "--sigma", "1", "--tau", "2"],
+        ):
+            if via_env:
+                monkeypatch.setenv("HERDLEARN_OUT_DIR", out)
+            else:
+                argv += ["--out", out]
+            code, stdout, err = run_cli(capsys, *argv)
+            assert code == EXIT_USAGE
+            assert stdout == ""
+            assert err.startswith("herdlearn: error: cannot write outputs: ")
+            assert "Traceback" not in err
 
     def test_simulation_out_of_memory_is_a_usage_error(self, capsys):
         # --traces keeps the whole trace in memory, so the first allocation

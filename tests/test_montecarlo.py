@@ -41,6 +41,29 @@ def _worker_dies_at_200(config, lo, hi):
     return _simulate_batch(config, lo, hi)
 
 
+def _in_process_pool(monkeypatch):
+    """Stand in for ProcessPoolExecutor with a pool that runs each batch as
+    it is submitted, starting no process; its ``sizes`` lists the
+    max_workers of every pool made."""
+
+    class InProcessPool:
+        sizes = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    return InProcessPool
+
+
 def small_config(**overrides):
     base = dict(
         model=GaussianSpec(sigma=1.0, tau=2.0),
@@ -91,24 +114,29 @@ class TestDeterminism:
     def test_pool_has_no_more_workers_than_batches(self, monkeypatch):
         # Under fork the first submit starts every one of max_workers
         # processes, so a pool larger than the batch count forks idle ones.
-        class InProcessPool:
-            sizes = []
-
-            def __init__(self, max_workers):
-                self.sizes.append(max_workers)
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-            def shutdown(self, cancel_futures):
-                pass
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        pool = _in_process_pool(monkeypatch)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
         rows = run_experiment(small_config(batch_size=128, workers=64)).rows
-        assert InProcessPool.sizes == [3]
+        assert pool.sizes == [3]
         np.testing.assert_array_equal(rows, run_experiment(small_config()).rows)
+
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
+    def test_pool_has_no_more_workers_than_usable_cpus(self, monkeypatch, affinity):
+        # Without the cap, --workers 5000 over 5000 or more batches would fork
+        # 5000 processes.  The usable CPUs are the affinity mask where the
+        # platform has one, else the CPU count.
+        pool = _in_process_pool(monkeypatch)
+        if affinity:
+            monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+        else:
+            monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        config = small_config(horizon=5, num_trajectories=12, batch_size=1, workers=5000)
+        rows = run_experiment(config).rows
+        assert pool.sizes == [2 if affinity else 3]
+        np.testing.assert_array_equal(
+            rows, run_experiment(dataclasses.replace(config, batch_size=1024, workers=1)).rows
+        )
 
     def test_seed_changes_rows(self):
         a = run_experiment(small_config())
@@ -335,6 +363,24 @@ class TestTraces:
 
     def test_traces_absent_by_default(self):
         assert run_experiment(small_config()).traces is None
+
+    @pytest.mark.parametrize(
+        "spec,horizon",
+        [(GaussianSpec(sigma=1.0, tau=2.0), h) for h in (1, 256, 257, 2048, 2049)]
+        + [(MixtureSpec(sigma=1.0, alpha=0.3), 2048)],
+        ids=["gauss-1", "gauss-256", "gauss-257", "gauss-2048", "gauss-2049", "mixture-2048"],
+    )
+    def test_traced_q_is_the_final_q_of_a_shorter_run(self, spec, horizon):
+        # A traced run computes q once per block of ACT_ROWS steps; its q
+        # after step h is q_final of the run that stops there, bit for bit,
+        # at both ends of a block and of a piece of CHUNK_STEPS draws.  A
+        # shorter run draws a prefix of the same Gaussian stream; a mixture
+        # piece draws all its picks first, so it only compares whole pieces.
+        config = small_config(model=spec, num_trajectories=6, master_seed=17)
+        traced = run_experiment(dataclasses.replace(config, horizon=2049, record_traces=True))
+        rows = run_experiment(dataclasses.replace(config, horizon=horizon)).rows
+        q = np.array([trace.q[horizon - 1] for trace in traced.traces])
+        np.testing.assert_array_equal(q.view(np.int64), rows["q_final"].view(np.int64))
 
 
 class TestResourceError:
