@@ -300,14 +300,11 @@ class LlrModel:
             normal.append(cdf_0)
         means = np.array([[law.mean] for law in normal])
         sds = np.array([[law.sd] for law in normal])
-        worlds = {(1, GOOD): normal[0], (1, BAD): normal[1], (0, GOOD): cdf_0, (0, BAD): cdf_0}
+        cdf_g, cdf_b = normal[:2]
         # The derived attributes of a frozen instance, set past its __setattr__.
         self.__dict__.update(
-            cdf_g=normal[0],
-            cdf_b=normal[1],
-            cdf_0=cdf_0,
-            normal_stack=(means, sds),
-            worlds=worlds,
+            cdf_g=cdf_g, cdf_b=cdf_b, cdf_0=cdf_0, normal_stack=(means, sds),
+            worlds={(1, GOOD): cdf_g, (1, BAD): cdf_b, (0, GOOD): cdf_0, (0, BAD): cdf_0},
         )
 
     def cdf_for(self, regime: str) -> Cdf:

@@ -104,9 +104,12 @@ def _cells(column: np.ndarray) -> list:
         return column.tolist()
     if kind == "b":
         return _BOOL_CELLS[column.view(np.uint8)].tolist()
-    if kind in "iu" and len(column):
+    n = len(column)
+    # The span is at least the distance between the first and last values,
+    # so a column such as 1..n skips the passes for its least and greatest.
+    if kind in "iu" and n and 2 * (abs(int(column[-1]) - int(column[0])) + 1) <= n:
         lo, hi = int(column.min()), int(column.max())
-        if 2 * (hi - lo + 1) <= len(column):
+        if 2 * (hi - lo + 1) <= n:
             table = np.array(list(map(str, range(lo, hi + 1))), dtype=object)
             # Offsets from lo, computed modulo 2**64: exact, because each is
             # below the column's length.
@@ -115,11 +118,11 @@ def _cells(column: np.ndarray) -> list:
         return list(map(str, column.tolist()))
     bits = column.view(f"i{column.itemsize}")
     changed = bits[1:] != bits[:-1]
-    if 2 * (np.count_nonzero(changed) + 1) > len(column):
+    if 2 * (np.count_nonzero(changed) + 1) > n:
         return _float_cells(column)
     firsts = np.concatenate(([0], np.flatnonzero(changed) + 1))
     cells = np.array(_float_cells(column[firsts]), dtype=object)
-    return np.repeat(cells, np.diff(firsts, append=len(column))).tolist()
+    return np.repeat(cells, np.diff(firsts, append=n)).tolist()
 
 
 def _float_cells(column: np.ndarray) -> list:

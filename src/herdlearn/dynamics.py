@@ -122,10 +122,9 @@ class Workspace:
     """
 
     def __init__(self, model: LlrModel, n: int, with_noise: bool):
-        self.means, self.sds = (
-            np.repeat(col[: 3 if with_noise else 2], n, axis=1) for col in model.normal_stack
-        )
-        self.tails = np.empty((3 if with_noise else 2, n))
+        laws = 3 if with_noise else 2
+        self.means, self.sds = (np.repeat(col[:laws], n, axis=1) for col in model.normal_stack)
+        self.tails = np.empty((laws, n))
         self.rows = tuple(self.tails) if with_noise else (*self.tails, None)
         self.stack = self.tails[: len(self.means)]
         self.neg_r = np.empty(n)
