@@ -115,7 +115,9 @@ class TestDeterminism:
         # Under fork the first submit starts every one of max_workers
         # processes, so a pool larger than the batch count forks idle ones.
         pool = _in_process_pool(monkeypatch)
-        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
+        monkeypatch.setattr(
+            montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False
+        )
         rows = run_experiment(small_config(batch_size=128, workers=64)).rows
         assert pool.sizes == [3]
         np.testing.assert_array_equal(rows, run_experiment(small_config()).rows)
@@ -127,7 +129,9 @@ class TestDeterminism:
         # platform has one, else the CPU count.
         pool = _in_process_pool(monkeypatch)
         if affinity:
-            monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+            monkeypatch.setattr(
+                montecarlo.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+            )
         else:
             monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
