@@ -15,12 +15,19 @@ validate their parameters when built; ``build_model`` turns a spec into an
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, fields
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from typing import Union
 
 import numpy as np
-from scipy.special import log_ndtr
+# Imported here, at set-up, because scipy.special's init imported them and
+# the first command would otherwise import them inside its own run.
+import numpy.ma
+import numpy.random
 
 __all__ = [
     "GOOD",
@@ -40,6 +47,43 @@ __all__ = [
 GOOD = "g"
 BAD = "b"
 ACTIONS = (GOOD, BAD)
+
+
+def _load_log_ndtr():
+    """scipy's ``log_ndtr`` ufunc, loaded from the extension module
+    ``scipy.special._special_ufuncs`` alone.
+
+    Loading that one file runs neither ``scipy``'s nor ``scipy.special``'s
+    init, which would cost far more than the rest of the package's import.
+    The module is not left in ``sys.modules``, so a later ``import
+    scipy.special`` runs its own init unchanged (and gets the same ufunc).
+    Where the module, its file or its attribute is missing, as in scipy
+    1.10, the package import gives the same function.
+    """
+    name = "scipy.special._special_ufuncs"
+    try:
+        module = sys.modules.get(name)  # there if scipy.special came first
+        if module is None:
+            root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+            base = os.path.join(root, "special", "_special_ufuncs")
+            paths = [base + s for s in EXTENSION_SUFFIXES if os.path.isfile(base + s)]
+            if not paths:
+                raise ImportError(f"no extension file for {name}")
+            loader = ExtensionFileLoader(name, paths[0])
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(name, loader)
+            )
+            loader.exec_module(module)
+            # CPython files a single-phase extension module under its name.
+            sys.modules.pop(name, None)
+        return module.log_ndtr
+    except (ImportError, OSError, AttributeError):
+        from scipy.special import log_ndtr
+
+        return log_ndtr
+
+
+log_ndtr = _load_log_ndtr()
 
 # Regime keys for selecting one of the three conditional CDFs.
 REGIMES = ("g", "b", "0")

@@ -635,6 +635,27 @@ def _writing_outputs():
         raise InvalidParameterError(f"cannot write outputs: {exc}") from exc
 
 
+def _make_dirs(path: Path) -> list:
+    """Make the directory ``path`` and its missing parents; return the
+    directories that did not exist before, deepest first."""
+    missing = []
+    for d in (path, *path.parents):
+        if d.exists():
+            break
+        missing.append(d)
+    path.mkdir(parents=True, exist_ok=True)
+    return missing
+
+
+def _remove_empty(dirs: list) -> None:
+    """Remove each of ``dirs``, deepest first, up to the first not empty."""
+    for d in dirs:
+        try:
+            d.rmdir()
+        except OSError:
+            return
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the command ``argv`` names (``sys.argv[1:]`` when it is None) and
     return its exit code.
@@ -646,6 +667,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     words = sys.argv[1:] if argv is None else argv
     parser = build_parser(words[0] if words and words[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
+    made = []
     try:
         if args.config:
             command = parser.commands[args.command]
@@ -655,19 +677,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if out:
             # Made before the command runs, so that an unusable directory
             # is reported at once, not after all the work.
+            out = Path(out)
             with _writing_outputs():
-                Path(out).mkdir(parents=True, exist_ok=True)
+                made = _make_dirs(out)
         code, spec, stdout, files = args.func(args)
         print(stdout, end="")
         if out:
             manifest = _make_manifest(args, spec)
+            manifest.made.add(out)
             with _writing_outputs():
                 for rel, text in files:
-                    manifest.add_relative(Path(out), rel, text)
-                manifest.write(Path(out))
+                    manifest.add_relative(out, rel, text)
+                manifest.write(out)
         return code
     except (InvalidParameterError, ExperimentResourceError, MemoryError) as exc:
         print(f"herdlearn: error: {exc}", file=sys.stderr)
+        # A usage error leaves no directory behind that this run made and
+        # left empty.
+        _remove_empty(made)
         return EXIT_USAGE
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .beliefs import (
     ACTIONS,
@@ -27,6 +26,7 @@ from .beliefs import (
     ArrayLike,
     InvalidParameterError,
     LlrModel,
+    log_ndtr,
 )
 
 __all__ = [

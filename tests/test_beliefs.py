@@ -194,6 +194,27 @@ class TestLogTail:
             for x, s, want in zip(xs, sign, picked):
                 assert cdf.log_side(float(x), float(s)) == want
 
+    def test_log_ndtr_gives_the_bits_of_scipys(self):
+        """``beliefs.log_ndtr``, loaded from scipy's extension module alone,
+        is ``scipy.special.log_ndtr`` bit for bit, also in the in-place
+        ``out=`` form on a stack of rows that ``dynamics.step`` uses."""
+        from scipy.special import log_ndtr
+
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300,
+                    5e-324, -5e-324, 1e6, -1e6, -38.5, 8.3]
+        xs = np.concatenate([
+            specials,
+            40.0 * philox(5).standard_normal(50_000 - len(specials)),
+            np.linspace(-1500.0, 40.0, 50_000),
+        ])
+        want = log_ndtr(xs).view(np.uint64)
+        assert np.array_equal(beliefs.log_ndtr(xs).view(np.uint64), want)
+        stack = xs.reshape(2, -1).copy()
+        assert beliefs.log_ndtr(stack, out=stack) is stack
+        assert np.array_equal(stack.reshape(-1).view(np.uint64), want)
+        for x in specials:
+            assert np.array_equal(beliefs.log_ndtr(x), log_ndtr(x), equal_nan=True)
+
     def test_bad_regime_and_side(self, gauss_fat):
         with pytest.raises(InvalidParameterError):
             gauss_fat.log_tail("x", "left", 0.0)

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 from unittest import mock
 
@@ -689,6 +690,52 @@ class TestOutputPath:
         assert code == EXIT_OK and out
         assert list(work.iterdir()) == []
 
+    def test_each_directory_is_made_once(self, capsys, tmp_path, monkeypatch):
+        made = []
+        mkdir = Path.mkdir
+
+        def counting_mkdir(self, *args, **kwargs):
+            made.append(self)
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+        out_dir = tmp_path / "out"
+        argv, _, _ = self.CASES[3]  # simulate --traces
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out_dir))
+        assert code == EXIT_OK
+        assert made == [out_dir, out_dir / "traces"]
+
+    @pytest.mark.parametrize("via_env", [False, True], ids=["--out", "env"])
+    def test_usage_error_leaves_no_directory_it_made(
+        self, capsys, tmp_path, monkeypatch, via_env
+    ):
+        # simulate without --tau fails after main has made the directory.
+        argv = ["simulate", "--sigma", "1"]
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for out in (tmp_path / "a" / "b" / "c", kept):
+            if via_env:
+                monkeypatch.setenv("HERDLEARN_OUT_DIR", str(out))
+                code, stdout, err = run_cli(capsys, *argv)
+            else:
+                code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+            assert code == EXIT_USAGE and stdout == ""
+            assert err == "herdlearn: error: a Gaussian model needs --tau (or use --mixture)\n"
+            assert list(tmp_path.iterdir()) == [kept]
+            assert list(kept.iterdir()) == []
+
+    def test_usage_error_keeps_a_directory_holding_files(self, capsys, tmp_path):
+        # An output that cannot be written fails the run after other files
+        # went in; those stay.
+        out_dir = tmp_path / "out"
+        (out_dir / "traces").mkdir(parents=True)
+        (out_dir / "traces" / "traj_000000.csv").mkdir()
+        argv, _, _ = self.CASES[3]  # simulate --traces
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out_dir))
+        assert code == EXIT_USAGE
+        assert err.startswith("herdlearn: error: cannot write outputs: ")
+        assert (out_dir / "rows.csv").exists()
+
 
 class TestParser:
     def test_help_is_argparse_default(self, monkeypatch):
@@ -1099,17 +1146,91 @@ class TestFuzz:
         assert "Traceback" not in err
 
 
-def test_cli_import_loads_neither_the_optimizer_nor_mpmath():
+def _python(code: str, *args: str):
+    """Run ``code`` in a fresh interpreter that imports this herdlearn; the
+    JSON value it prints."""
     src = str(Path(herdlearn.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     ))
-    probe = (
-        "import sys, herdlearn.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'mpmath') if m in sys.modules))"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-        check=True, timeout=120,
+        [sys.executable, "-c", textwrap.dedent(code), *args], env=env,
+        capture_output=True, text=True, check=True, timeout=120,
     )
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_neither_the_optimizer_nor_mpmath():
+    # Nor scipy.special's package init, wherever log_ndtr's extension module
+    # exists to be loaded alone, and that module is not left in sys.modules;
+    # the package, imported later, has the same ufunc.
+    loaded, alone, same = _python("""
+        import importlib.util, json, sys, herdlearn.cli
+        heavy = ("scipy.optimize", "mpmath", "scipy.special", "scipy.special._special_ufuncs")
+        loaded = [m for m in heavy if m in sys.modules]
+        import scipy.special
+        alone = importlib.util.find_spec("scipy.special._special_ufuncs") is not None
+        print(json.dumps([loaded, alone, scipy.special.log_ndtr is herdlearn.beliefs.log_ndtr]))
+    """)
+    assert loaded == ([] if alone else ["scipy.special"])
+    assert same
+
+
+@pytest.mark.parametrize("failure", ["loader", "file"])
+def test_log_ndtr_falls_back_to_the_package_import(failure):
+    # The extension module's loader raises, or its file is not found; the
+    # package import then gives log_ndtr, with the same bits.
+    out = _python("""
+        import json, os.path, sys
+        from importlib.machinery import ExtensionFileLoader
+        import numpy as np
+
+        NAME = "scipy.special._special_ufuncs"
+        if sys.argv[1] == "loader":
+            create = ExtensionFileLoader.create_module
+            failed = []
+
+            def create_module(self, spec):  # fails the first load only
+                if spec.name == NAME and not failed:
+                    failed.append(spec.name)
+                    raise ImportError("made to fail")
+                return create(self, spec)
+
+            ExtensionFileLoader.create_module = create_module
+        else:
+            isfile = os.path.isfile
+            os.path.isfile = lambda p: "_special_ufuncs" not in p and isfile(p)
+        from herdlearn import beliefs
+        fell_back = "scipy.special" in sys.modules
+        from scipy.special import log_ndtr
+        xs = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300],
+                             np.linspace(-1500.0, 40.0, 10_000)])
+        same = np.array_equal(beliefs.log_ndtr(xs).view(np.uint64), log_ndtr(xs).view(np.uint64))
+        print(json.dumps([fell_back, same]))
+    """, failure)
+    assert out == [True, True]
+
+
+def test_no_command_imports_a_module_while_it_runs(tmp_path):
+    # Every module a command uses is imported with herdlearn.cli, so no
+    # command pays for an import inside its own run.  scipy.special's init
+    # used to import numpy.random and numpy.ma, which the first simulate
+    # would otherwise import while it runs.
+    commands = [
+        TestOutputPath._argv(argv, tmp_path)
+        + (["--workers", "1"] if argv[0] in ("simulate", "same-variance") else [])
+        for argv, _, _ in TestOutputPath.CASES
+    ]
+    imported = _python("""
+        import contextlib, io, json, sys
+        import herdlearn.cli
+
+        imported = {}
+        for i, argv in enumerate(json.loads(sys.argv[1])):
+            before = set(sys.modules)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = herdlearn.cli.main([*argv, "--out", f"{sys.argv[2]}/{i}"])
+            imported[argv[0]] = [code, sorted(set(sys.modules) - before)]
+        print(json.dumps(imported))
+    """, json.dumps(commands), str(tmp_path))
+    assert imported == {argv[0]: [EXIT_OK, []] for argv in commands}
