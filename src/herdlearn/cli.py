@@ -20,12 +20,12 @@ digests.
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import functools
 import hashlib
 import io
 import json
+import locale  # noqa: F401  else argparse's first parser imports it inside a command
 import os
 import shutil
 import sys
@@ -190,6 +190,7 @@ class _Manifest:
 
 def _load_config_file(path: str) -> dict:
     """Flat INI -> {key: string}; sections only group keys, names stay flat."""
+    import configparser  # only --config runs load it
     parser = configparser.ConfigParser()
     flat: dict = {}
     try:
@@ -613,6 +614,7 @@ def _file_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     value read true/false; keys the subcommand does not declare are ignored,
     so that one file can serve several commands.
     """
+    import configparser
     defaults = {}
     for key, value in _load_config_file(args.config).items():
         if key in ("command", "func", "config") or not hasattr(args, key):

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -371,8 +369,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     bounds = _batch_bounds(config.num_trajectories, config.batch_size)
     parts: list = []  # finished batches, in index order
+    broken: tuple = ()  # the pool's failure, imported by pooled runs only
     try:
         if config.workers > 1 and len(bounds) > 1:
+            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+            broken = (BrokenProcessPool,)
             # Under fork, the first submit starts max_workers processes, so
             # the pool has no more of them than batches or usable CPUs.
             pool = ProcessPoolExecutor(
@@ -390,7 +391,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         else:
             for lo, hi in bounds:
                 parts.append(_simulate_batch(config, lo, hi))
-    except (MemoryError, BrokenProcessPool) as exc:
+    except (MemoryError, *broken) as exc:
         done = np.concatenate([p[0] for p in parts] or [np.empty(0, ROW_DTYPE)])
         reason = (
             "out of memory during simulation"

@@ -61,13 +61,6 @@ class ObserverState:
     t: int
 
     @property
-    def posterior(self) -> np.ndarray:
-        """Posterior over the four hypotheses."""
-        w = self.log_lik + _log_priors(self.gamma)
-        w = np.exp(w - w.max())
-        return w / w.sum()
-
-    @property
     def q(self) -> float:
         """Posterior probability that the source is informative."""
         return float(posterior_columns(self.log_lik, self.gamma)[0])

@@ -105,6 +105,14 @@ def _log_priors(gamma: float) -> np.ndarray:
     return np.array([lg, lg, l0, l0])
 
 
+def posterior(state: ObserverState) -> np.ndarray:
+    """The observer's posterior over the four hypotheses, in
+    ``observer.HYPOTHESES`` order."""
+    w = state.log_lik + _log_priors(state.gamma)
+    w = np.exp(w - w.max())
+    return w / w.sum()
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """One simulated run of the action process.

@@ -112,7 +112,7 @@ def test_criterion_03_observer_martingale():
         state = observer_init(0.5)
         for action in prefix:
             state = observer_update(state, model, action)
-        post = state.posterior
+        post = oracles.posterior(state)
         p_g = float(
             np.dot(
                 post,

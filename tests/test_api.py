@@ -66,6 +66,7 @@ REMOVED = [
     "consensus.phi",
     "montecarlo.spec_from_dict",
     "observer.ObserverState.initial_r",
+    "observer.ObserverState.posterior",
     "cli.config_from_manifest",
 ]
 

@@ -352,6 +352,22 @@ class TestReproducibility:
         assert digests[0] == digests[1]
         assert digests[0], "expected at least one output file"
 
+    def test_pooled_run_writes_the_serial_files(self, capsys, tmp_path):
+        # 1100 trajectories make two batches of 1024, so --workers 2 runs
+        # them in a real process pool.
+        argv = [
+            "simulate", "--sigma", "1", "--tau", "2", "--horizon", "20",
+            "--trajectories", "1100",
+        ]
+        digests = []
+        for workers in ("2", "1"):
+            out_dir = tmp_path / workers
+            assert main([*argv, "--workers", workers, "--out", str(out_dir)]) == EXIT_OK
+            capsys.readouterr()
+            digests.append({e["path"]: e["sha256"] for e in read_manifest(out_dir)["outputs"]})
+        assert sorted(digests[1]) == ["aggregates.json", "rows.csv"]
+        assert digests[0] == digests[1]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1164,15 +1180,21 @@ def test_cli_import_loads_neither_the_optimizer_nor_mpmath():
     # Nor scipy.special's package init, wherever log_ndtr's extension module
     # exists to be loaded alone, and that module is not left in sys.modules;
     # the package, imported later, has the same ufunc.
-    loaded, alone, same = _python("""
+    # Nor the process pool or configparser: pooled and --config runs load
+    # them when they start.
+    loaded, deferred, alone, same = _python("""
         import importlib.util, json, sys, herdlearn.cli
         heavy = ("scipy.optimize", "mpmath", "scipy.special", "scipy.special._special_ufuncs")
         loaded = [m for m in heavy if m in sys.modules]
+        deferred = [m for m in ("concurrent.futures", "multiprocessing", "configparser")
+                    if m in sys.modules]
         import scipy.special
         alone = importlib.util.find_spec("scipy.special._special_ufuncs") is not None
-        print(json.dumps([loaded, alone, scipy.special.log_ndtr is herdlearn.beliefs.log_ndtr]))
+        same = scipy.special.log_ndtr is herdlearn.beliefs.log_ndtr
+        print(json.dumps([loaded, deferred, alone, same]))
     """)
     assert loaded == ([] if alone else ["scipy.special"])
+    assert deferred == []
     assert same
 
 

@@ -44,7 +44,8 @@ def _worker_dies_at_200(config, lo, hi):
 def _in_process_pool(monkeypatch):
     """Stand in for ProcessPoolExecutor with a pool that runs each batch as
     it is submitted, starting no process; its ``sizes`` lists the
-    max_workers of every pool made."""
+    max_workers of every pool made.  run_experiment imports the executor
+    from its module when a pooled run starts, so it is patched there."""
 
     class InProcessPool:
         sizes = []
@@ -60,7 +61,7 @@ def _in_process_pool(monkeypatch):
         def shutdown(self, cancel_futures):
             pass
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", InProcessPool)
     return InProcessPool
 
 

@@ -35,7 +35,7 @@ class TestInit:
     def test_four_state_prior_split(self):
         state = observer_init(0.7, initial_r=0.0)
         np.testing.assert_allclose(
-            state.posterior, [0.35, 0.35, 0.15, 0.15], atol=1e-15
+            oracles.posterior(state), [0.35, 0.35, 0.15, 0.15], atol=1e-15
         )
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.5, 2.0])
@@ -66,7 +66,7 @@ class TestUpdate:
         state = observer_init(0.5)
         for action in ("g", "b", "g", "g", "b"):
             state = observer_update(state, gauss_fat, action)
-            post = state.posterior
+            post = oracles.posterior(state)
             assert post[2] == pytest.approx(post[3], abs=0.0)
 
     def test_r_track_folds_update_public(self, mixture_half):
@@ -118,7 +118,7 @@ class TestBatchPosterior:
 
 class TestMartingale:
     def _predictive(self, model, state):
-        post = state.posterior
+        post = oracles.posterior(state)
         r = state.r_track
         probs = [
             math.exp(float(model.log_tail(reg, "right", -r)))
