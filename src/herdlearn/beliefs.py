@@ -94,6 +94,10 @@ ArrayLike = Union[float, np.ndarray]
 # simulation engine also steps this many steps per block of draws.
 CHUNK_STEPS = 2048
 
+# The most float64 values one numpy array can hold: its size in bytes must
+# fit in a signed pointer-sized integer.
+MAX_FLOATS = np.iinfo(np.intp).max // 8
+
 
 class InvalidParameterError(ValueError):
     """A parameter is outside its admissible range."""
@@ -370,8 +374,8 @@ class LlrModel:
         raise InvalidParameterError(f"side must be 'left' or 'right', got {side!r}")
 
     def sample(
-        self, omega: int, theta: str, rng: np.random.Generator, size: int | None = None
-    ) -> ArrayLike:
+        self, omega: int, theta: str, rng: np.random.Generator, size: int
+    ) -> np.ndarray:
         """Draw private LLRs in the world (omega, theta), i.i.d. across draws.
 
         This is the one definition of the stream: the draws come in pieces
@@ -388,17 +392,14 @@ class LlrModel:
         one lookup and one ``draw_piece``.
         """
         law = self.worlds[omega, theta]
-        n = 1 if size is None else size
-        if n <= CHUNK_STEPS:
-            out = law.draw_piece(rng, n)
-        else:
-            out = np.concatenate(
-                [
-                    law.draw_piece(rng, min(CHUNK_STEPS, n - start))
-                    for start in range(0, n, CHUNK_STEPS)
-                ]
-            )
-        return float(out[0]) if size is None else out
+        if size <= CHUNK_STEPS:
+            return law.draw_piece(rng, size)
+        return np.concatenate(
+            [
+                law.draw_piece(rng, min(CHUNK_STEPS, size - start))
+                for start in range(0, size, CHUNK_STEPS)
+            ]
+        )
 
 
 def build_model(spec: ModelSpec) -> LlrModel:

@@ -344,19 +344,13 @@ def _rows_csv(rows: np.ndarray) -> str:
     return _csv_lines(header, [rows[name] for name in header])
 
 
-def _trace_csv(trace, t: Optional[np.ndarray] = None) -> str:
-    """One trajectory's trace file.  ``t``, the cells of its ``t`` column as
-    an object array, lets every trace of a run share one formatting of it;
-    without it the column is formatted for this file."""
+def _trace_csv(trace, t: np.ndarray) -> str:
+    """One trajectory's trace file.  ``t`` holds the cells of its ``t``
+    column as an object array, so every trace of a run shares one
+    formatting of it."""
     return _csv_lines(
         ("t", "action", "llr", "r_before", "q"),
-        (
-            _steps(len(trace.q)) if t is None else t,
-            trace.actions,
-            trace.llrs,
-            trace.r_before,
-            trace.q,
-        ),
+        (t, trace.actions, trace.llrs, trace.r_before, trace.q),
     )
 
 

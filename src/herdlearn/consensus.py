@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .beliefs import InvalidParameterError, LlrModel
+from .beliefs import MAX_FLOATS, InvalidParameterError, LlrModel
 from .dynamics import R_CAP, WALK_BLOCK, walk
 
 __all__ = [
@@ -78,8 +78,8 @@ def consensus_path(
     G action has probability 0 under both informative laws, which leaves the
     path undefined.
     """
-    if horizon < 1:
-        raise InvalidParameterError(f"horizon must be >= 1, got {horizon}")
+    if not 1 <= horizon < MAX_FLOATS:  # the path holds horizon + 1 values
+        raise InvalidParameterError(f"horizon must lie in [1, {MAX_FLOATS}), got {horizon}")
     if not math.isfinite(initial_r):
         raise InvalidParameterError("initial_r must be finite")
     walked = np.empty(horizon + 1)  # the values, then next_r

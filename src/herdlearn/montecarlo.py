@@ -24,14 +24,14 @@ from .beliefs import (
     BAD,
     CHUNK_STEPS,
     GOOD,
+    MAX_FLOATS,
     GaussianSpec,
     InvalidParameterError,
     ModelSpec,
     build_model,
 )
 from .dynamics import R_CAP, Workspace, step
-
-LOG_2 = math.log(2.0)
+from .observer import _log_priors, q_arrays
 
 # Steps whose actions are kept to count switches in one pass; a divisor of
 # CHUNK_STEPS, so no block of them straddles two chunks.
@@ -79,8 +79,7 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"num_trajectories must be >= 1, got {self.num_trajectories}"
             )
-        if not 0.0 < self.gamma < 1.0:
-            raise InvalidParameterError(f"gamma must lie in (0, 1), got {self.gamma}")
+        _log_priors(self.gamma)
         if self.omega not in (None, 0, 1):
             raise InvalidParameterError(f"omega must be None, 0 or 1, got {self.omega}")
         if self.theta not in (None, GOOD, BAD):
@@ -97,6 +96,12 @@ class ExperimentConfig:
             )
         if self.batch_size < 1 or self.workers < 1:
             raise InvalidParameterError("batch_size and workers must be >= 1")
+        batch = min(self.batch_size, self.num_trajectories)
+        if self.record_traces and batch * self.horizon > MAX_FLOATS:
+            raise InvalidParameterError(
+                f"a traced batch of {batch} trajectories x {self.horizon} steps "
+                f"exceeds the {MAX_FLOATS} floats a numpy array can hold"
+            )
 
 
 ROW_DTYPE = np.dtype(
@@ -255,18 +260,6 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
         block_r = np.empty((ACT_ROWS, n))
         block_ll = np.empty((ACT_ROWS, 3, n)) if with_q else None
 
-    log_prior_info = math.log(config.gamma / 2.0)
-    log_prior_noise = math.log((1.0 - config.gamma) / 2.0)
-
-    def q_arrays(ll_info_g, ll_info_b, ll_noise):
-        """(q, log-odds) of log-likelihoods under F_g, F_b and F_0, elementwise."""
-        # The two uninformative hypotheses have equal likelihoods, so their
-        # logaddexp is ll_noise + log 2 (numpy computes exactly that).
-        info = np.logaddexp(ll_info_g, ll_info_b) + log_prior_info
-        noise = ll_noise + LOG_2 + log_prior_noise
-        log_odds = info - noise
-        return 1.0 / (1.0 + np.exp(-np.clip(log_odds, -709.0, 709.0))), log_odds
-
     def tally(lo: int, hi: int) -> None:
         """Count the switches of steps lo..hi-1 and note the last one; fill
         their trace columns."""
@@ -285,7 +278,7 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
             trace_r[:, lo:hi] = block_r[:k].T
             if with_q:
                 lls = block_ll[:k]
-                trace_q[:, lo:hi] = q_arrays(lls[:, 0], lls[:, 1], lls[:, 2])[0].T
+                trace_q[:, lo:hi] = q_arrays(lls[:, 0], lls[:, 1], lls[:, 2], gamma)[0].T
         acts[0] = acts[k]
 
     for start in range(0, horizon, CHUNK_STEPS):
@@ -323,7 +316,7 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     rows["switch_count"] = switch_count
     rows["last_switch_time"] = last_switch
     if with_q:
-        q, log_odds = q_arrays(*log_liks)
+        q, log_odds = q_arrays(*log_liks, gamma)
         rows["q_final"] = q
         rows["q_log_odds"] = log_odds
     else:

@@ -3,9 +3,11 @@
 The observer sees only the action history.  Each action multiplies the
 likelihood of every hypothesis (informative/good, informative/bad, and the
 two uninformative ones) by the probability that an agent holding the current
-public LLR would take that action under the hypothesis.  The public LLR
-itself is a deterministic function of the history, so the filter tracks it
-internally and needs nothing but the action stream.
+public LLR would take that action under the hypothesis.  Pure noise leaves
+the payoff state no trace in the actions, so both uninformative hypotheses
+have F_0's likelihood, and the filter keeps one column per law (F_g, F_b,
+F_0).  The public LLR itself is a deterministic function of the history, so
+the filter tracks it internally and needs nothing but the action stream.
 
 ``history_log_liks`` filters a whole history: ``dynamics.walk``, the scalar
 fold of the transition kernel, gives the public LLR before each action, and
@@ -25,7 +27,6 @@ from .beliefs import BAD, GOOD, InvalidParameterError, LlrModel
 from .dynamics import WALK_BLOCK, is_g, step, walk
 
 __all__ = [
-    "HYPOTHESES",
     "ObserverState",
     "observer_init",
     "history_log_liks",
@@ -34,25 +35,28 @@ __all__ = [
     "replay",
 ]
 
-# Hypothesis order used for all length-4 arrays.
-HYPOTHESES = ((1, GOOD), (1, BAD), (0, GOOD), (0, BAD))
+# Both uninformative states have F_0's likelihood, so the log of their sum
+# is it plus LOG_2 (numpy's logaddexp(x, x) is exactly x + log 2).
+LOG_2 = math.log(2.0)
 
 
-def _log_priors(gamma: float) -> np.ndarray:
-    lg = math.log(gamma / 2.0)
-    l0 = math.log((1.0 - gamma) / 2.0)
-    return np.array([lg, lg, l0, l0])
+def _log_priors(gamma: float) -> tuple:
+    """(log(gamma/2), log((1-gamma)/2)), each informative and each noise
+    state's log prior: the one check of gamma, whose half must not be 0."""
+    if not (0.0 < gamma < 1.0 and gamma / 2.0 > 0.0):
+        raise InvalidParameterError(
+            f"gamma must lie in (0, 1) with gamma/2 > 0, got {gamma}"
+        )
+    return math.log(gamma / 2.0), math.log((1.0 - gamma) / 2.0)
 
 
 @dataclass(frozen=True)
 class ObserverState:
     """Filter state after some number of observed actions.
 
-    log_lik holds the log-likelihood of the observed history under each
-    hypothesis in ``HYPOTHESES`` order, re-centered so the maximum is zero
-    (a common shift never changes the posterior).  The two uninformative
-    entries are always equal: given pure noise, actions carry no
-    information about the payoff state.
+    log_lik holds the log-likelihood of the observed history under F_g,
+    F_b and F_0, re-centered so the maximum is zero (a common shift never
+    changes the posterior).
     """
 
     log_lik: np.ndarray
@@ -73,7 +77,7 @@ class ObserverState:
 
 def posterior_columns(log_lik: np.ndarray, gamma: float) -> tuple:
     """``(q, log_odds)`` of one row of log-likelihoods or of each row of a
-    stack (in ``HYPOTHESES`` order).
+    stack (under F_g, F_b and F_0).
 
     q, the posterior probability that the source is informative, is formed
     as w_info / (w_info + w_noise) so that rounding can never push it above
@@ -82,27 +86,32 @@ def posterior_columns(log_lik: np.ndarray, gamma: float) -> tuple:
     saturates; it is the primary convergence diagnostic, since q approaches
     0 or 1 exponentially fast when learning occurs.
     """
-    w = log_lik + _log_priors(gamma)
+    lg, l0 = _log_priors(gamma)
+    w = log_lik + (lg, lg, l0)
     w = np.exp(w - w.max(axis=-1, keepdims=True))
     w_info = w[..., 0] + w[..., 1]
-    q = w_info / (w_info + (w[..., 2] + w[..., 3]))
+    q = w_info / (w_info + (w[..., 2] + w[..., 2]))
     info = np.logaddexp(log_lik[..., 0], log_lik[..., 1])
-    noise = np.logaddexp(log_lik[..., 2], log_lik[..., 3])
+    noise = log_lik[..., 2] + LOG_2
     return q, info - noise + math.log(gamma) - math.log1p(-gamma)
+
+
+def q_arrays(ll_g, ll_b, ll_0, gamma: float) -> tuple:
+    """(q, log-odds) of log-likelihoods under F_g, F_b and F_0, elementwise,
+    as the experiment engine forms them from its running sums."""
+    log_prior_info, log_prior_noise = _log_priors(gamma)
+    info = np.logaddexp(ll_g, ll_b) + log_prior_info
+    noise = ll_0 + LOG_2 + log_prior_noise
+    log_odds = info - noise
+    return 1.0 / (1.0 + np.exp(-np.clip(log_odds, -709.0, 709.0))), log_odds
 
 
 def observer_init(gamma: float, initial_r: float = 0.0) -> ObserverState:
     """Fresh filter: no evidence, so q equals the prior gamma."""
-    if not 0.0 < gamma < 1.0:
-        raise InvalidParameterError(f"gamma must lie in (0, 1), got {gamma}")
+    _log_priors(gamma)
     if not math.isfinite(initial_r):
         raise InvalidParameterError("initial_r must be finite")
-    return ObserverState(
-        log_lik=np.zeros(4),
-        gamma=gamma,
-        r_track=initial_r,
-        t=1,
-    )
+    return ObserverState(log_lik=np.zeros(3), gamma=gamma, r_track=initial_r, t=1)
 
 
 def history_log_liks(
@@ -121,19 +130,19 @@ def history_log_liks(
     walked values gives each action's log-probability under the three
     laws, and the likelihoods are accumulated and re-centered in Python
     floats, so the filter stays well-conditioned over arbitrarily long
-    histories.  The two uninformative entries are the same sum.
+    histories.
 
     An action that has probability 0 under every hypothesis (or under both
     informative ones, which leaves the public LLR undefined) makes the
     history impossible and raises ``InvalidParameterError``.
     """
     n = len(actions)
-    log_liks = np.empty((n + 1, 4))
+    log_liks = np.empty((n + 1, 3))
     rs = np.empty(n + 1)
     flat = log_liks.reshape(-1)  # a view: rows go in as flat lists of floats
     log_liks[0] = state.log_lik
     rs[0] = r = state.r_track
-    a, b, c, _ = state.log_lik.tolist()
+    a, b, c = state.log_lik.tolist()
     isfinite = math.isfinite
     if not isinstance(actions, np.ndarray):
         actions = np.array([is_g(action) for action in actions], dtype=bool)
@@ -167,8 +176,8 @@ def history_log_liks(
             a -= top
             b -= top
             c -= top
-            cells += (a, b, c, c)
-        flat[4 * (lo + 1) : 4 * (hi + 1)] = cells
+            cells += (a, b, c)
+        flat[3 * (lo + 1) : 3 * (hi + 1)] = cells
         rs[lo + 1 : hi + 1] = walked[1:]
         r = after[-1]
     return log_liks, rs

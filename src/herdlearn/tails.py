@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .beliefs import (
+    MAX_FLOATS,
     ArrayLike,
     GaussianSpec,
     InvalidParameterError,
@@ -53,20 +54,19 @@ class TailClassification:
     evidence is a (n, 5) array with columns x, log L_b, log R_g, log L_g,
     log R_b.  epsilon_estimate, when present, is a lower bound on the
     constant in the fatter-tails definition (Fatter) or on the constant
-    whose reciprocal bounds the ratio (Thinner).  authoritative marks
-    closed-form verdicts; grid-based ones are advisory.
+    whose reciprocal bounds the ratio (Thinner).
     """
 
     verdict: Verdict
     evidence: np.ndarray
     epsilon_estimate: Optional[float] = None
-    authoritative: bool = False
 
     EVIDENCE_COLUMNS = ("x", "log_L_b", "log_R_g", "log_L_g", "log_R_b")
 
 
 def tail_ratios(model: LlrModel, x: ArrayLike) -> tuple:
-    """(log L_g, log L_b, log R_g, log R_b) at x >= 0.
+    """(log L_g, log L_b, log R_g, log R_b) at x >= 0, as arrays of x's
+    shape.
 
     L_t(x) = F_0(-x) / F_t(-x) and R_t(x) = (1-F_0(x)) / (1-F_t(x)); each
     is a difference of stable log tails, finite for all finite x because
@@ -81,15 +81,14 @@ def tail_ratios(model: LlrModel, x: ArrayLike) -> tuple:
     log_l_b = left_0 - np.asarray(model.log_tail("b", "left", x))
     log_r_g = right_0 - np.asarray(model.log_tail("g", "right", x))
     log_r_b = right_0 - np.asarray(model.log_tail("b", "right", x))
-    if np.ndim(x) == 0:
-        return (float(log_l_g), float(log_l_b), float(log_r_g), float(log_r_b))
     return (log_l_g, log_l_b, log_r_g, log_r_b)
 
 
 def _evidence_grid(model: LlrModel, x_max: float, n_grid: int) -> np.ndarray:
     """Tail ratios on a geometric grid from 1 up to ``x_max``."""
-    if n_grid < 16:
-        raise InvalidParameterError(f"n_grid must be >= 16, got {n_grid}")
+    if not 16 <= n_grid <= MAX_FLOATS // 5:  # the evidence holds 5 floats a point
+        bound = ">= 16" if n_grid < 16 else f"<= {MAX_FLOATS // 5}"
+        raise InvalidParameterError(f"n_grid must be {bound}, got {n_grid}")
     if not (math.isfinite(x_max) and x_max > 1.0):
         raise InvalidParameterError(f"x_max must be finite and > 1, got {x_max}")
     xs = np.geomspace(1.0, x_max, n_grid)
@@ -124,7 +123,7 @@ def classify_gaussian(
         verdict = Verdict.FATTER
     else:
         verdict = Verdict.THINNER
-    return TailClassification(verdict=verdict, evidence=evidence, authoritative=True)
+    return TailClassification(verdict=verdict, evidence=evidence)
 
 
 def classify_mixture(
@@ -141,7 +140,6 @@ def classify_mixture(
         verdict=Verdict.FATTER,
         evidence=evidence,
         epsilon_estimate=min(spec.alpha, 1.0 - spec.alpha),
-        authoritative=True,
     )
 
 

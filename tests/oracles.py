@@ -5,10 +5,12 @@ library: extended-precision mpmath for normal tails, the full
 four-hypothesis posterior for the decision rule, and a scalar trajectory
 simulator and one-pass history likelihood that take every tail from
 ``log_cdf``/``log_sf`` directly, never through the transition kernel, and a
-CSV writer that formats one cell at a time.  The one exception is
+CSV writer that formats one cell at a time.  The exceptions are
 ``reference_update``, the observer's former per-action update, which folds
-the kernel ``step`` one action at a time in numpy: the block filter must
-equal it bit for bit.
+the kernel ``step`` one action at a time in numpy, and
+``four_hypothesis_columns``, the observer's former posterior over four
+hypotheses: the block filter and ``posterior_columns`` must equal them bit
+for bit.
 """
 
 import math
@@ -105,12 +107,33 @@ def _log_priors(gamma: float) -> np.ndarray:
     return np.array([lg, lg, l0, l0])
 
 
+def four_hypotheses(log_lik: np.ndarray) -> np.ndarray:
+    """Rows of log-likelihoods under F_g, F_b and F_0 as rows over the four
+    hypotheses (informative/good, informative/bad, noise/good, noise/bad):
+    both noise hypotheses have F_0's likelihood."""
+    log_lik = np.asarray(log_lik, dtype=float)
+    return np.concatenate([log_lik, log_lik[..., 2:]], axis=-1)
+
+
 def posterior(state: ObserverState) -> np.ndarray:
-    """The observer's posterior over the four hypotheses, in
-    ``observer.HYPOTHESES`` order."""
-    w = state.log_lik + _log_priors(state.gamma)
+    """The observer's posterior over the four hypotheses."""
+    w = four_hypotheses(state.log_lik) + _log_priors(state.gamma)
     w = np.exp(w - w.max())
     return w / w.sum()
+
+
+def four_hypothesis_columns(log_lik: np.ndarray, gamma: float) -> tuple:
+    """``(q, log_odds)`` of rows of three law columns by the observer's
+    former formula over four hypotheses, with F_0's column duplicated:
+    ``observer.posterior_columns`` must give its bits."""
+    log_lik = four_hypotheses(log_lik)
+    w = log_lik + _log_priors(gamma)
+    w = np.exp(w - w.max(axis=-1, keepdims=True))
+    w_info = w[..., 0] + w[..., 1]
+    q = w_info / (w_info + (w[..., 2] + w[..., 3]))
+    info = np.logaddexp(log_lik[..., 0], log_lik[..., 1])
+    noise = np.logaddexp(log_lik[..., 2], log_lik[..., 3])
+    return q, info - noise + math.log(gamma) - math.log1p(-gamma)
 
 
 @dataclass(frozen=True)
@@ -230,7 +253,7 @@ def reference_update(state: ObserverState, model: LlrModel, action: str) -> Obse
     """Fold one observed action into the filter, one ``step`` call per
     action: the update ``observer.history_log_liks`` replaced."""
     r_next, lt_g, lt_b, lt_0 = step(model, state.r_track, is_g(action), True)
-    log_lik = state.log_lik + np.array([lt_g, lt_b, lt_0, lt_0])
+    log_lik = state.log_lik + np.array([lt_g, lt_b, lt_0])
     top = log_lik.max()
     if not (math.isfinite(top) and math.isfinite(r_next)):
         raise InvalidParameterError(

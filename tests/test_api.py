@@ -67,6 +67,9 @@ REMOVED = [
     "montecarlo.spec_from_dict",
     "observer.ObserverState.initial_r",
     "observer.ObserverState.posterior",
+    "observer.HYPOTHESES",
+    "montecarlo.LOG_2",
+    "tails.TailClassification.authoritative",
     "cli.config_from_manifest",
 ]
 

@@ -275,7 +275,7 @@ class TestSampling:
         a = gauss_fat.sample(1, "g", philox(3), size=100)
         b = gauss_fat.sample(1, "g", philox(3), size=100)
         np.testing.assert_array_equal(a, b)
-        assert gauss_fat.sample(1, "g", philox(3)) == a[0]
+        assert gauss_fat.sample(1, "g", philox(3), size=1)[0] == a[0]
 
     def test_informative_mean(self, gauss_fat):
         # Law is Normal(2, 4); the mean of 1e5 draws is within 3 standard errors.

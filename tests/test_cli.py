@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import herdlearn
 
 from herdlearn import GaussianSpec, InvalidParameterError, cli
+from herdlearn.beliefs import MAX_FLOATS
 from herdlearn.cli import (
     EXIT_OK,
     EXIT_UNDETERMINED,
@@ -930,11 +931,34 @@ class TestUsageErrors:
              "master_seed"),
             (["classify", "--sigma", "1", "--tau", "2", "--x-max", "1e200"], "x_max"),
             (["classify", "--sigma", "1", "--tau", "2", "--x-max", "1e308"], "x_max"),
+            # gamma in (0, 1) whose half underflows to 0.
+            (["simulate", "--sigma", "1", "--tau", "2", "--gamma", "5e-324"], "gamma"),
+            (["same-variance", "--sigma", "1", "--gamma", "5e-324"], "gamma"),
+            (["observer-replay", "--sigma", "1", "--tau", "2", "--gamma", "5e-324"],
+             "gamma"),
+            # Arrays beyond the largest float64 array numpy can index.
+            (["path", "--sigma", "1", "--horizon", str(10**20)], "horizon"),
+            (["path", "--sigma", "1", "--horizon", str(2**63 - 1)], "horizon"),
+            (["agree-prob", "--sigma", "1", "--regime", "b", "--horizon", str(10**20)],
+             "horizon"),
+            (["agree-prob", "--sigma", "1", "--regime", "b",
+              "--horizon", str(2**63 - 1)], "horizon"),
+            (["classify", "--sigma", "1", "--tau", "2", "--grid", str(10**20)], "n_grid"),
+            (["classify", "--sigma", "1", "--tau", "2", "--grid", str(2**63 - 1)],
+             "n_grid"),
+            (["simulate", "--sigma", "1", "--tau", "2", "--traces", "--trajectories", "1",
+              "--horizon", str(10**19)], "traced batch"),
         ],
     )
-    def test_runs_that_cannot_do_work_are_usage_errors(self, capsys, argv, fragment):
-        if argv[0] in ("simulate", "same-variance"):
+    def test_runs_that_cannot_do_work_are_usage_errors(
+        self, capsys, tmp_path, argv, fragment
+    ):
+        if argv[0] in ("simulate", "same-variance") and "--horizon" not in argv:
             argv = [*argv, "--horizon", "5", "--trajectories", "3"]
+        if argv[0] == "observer-replay":
+            actions = tmp_path / "actions.txt"
+            actions.write_text("G\nB\n")
+            argv = [*argv, "--actions-file", str(actions)]
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert err.startswith("herdlearn: error: ") and fragment in err
@@ -1108,12 +1132,16 @@ class TestFuzz:
             ("agree-prob", "--sigma", "1", "--regime", "b",
              "--horizon", "100000000000000"),
             ("classify", "--sigma", "1", "--tau", "2", "--grid", "100000000000000"),
+            # The largest sizes a float64 array numpy can index allows: the
+            # path holds horizon + 1 floats, the evidence grid 5 per point.
+            ("path", "--sigma", "1", "--horizon", str(MAX_FLOATS - 1)),
+            ("classify", "--sigma", "1", "--tau", "2", "--grid", str(MAX_FLOATS // 5)),
         ],
-        ids=["path", "agree-prob", "classify"],
+        ids=["path", "agree-prob", "classify", "path-limit", "classify-limit"],
     )
     def test_too_large_for_memory_is_a_usage_error(self, capsys, argv):
-        # Each command's first array would take 728 TiB, beyond any address
-        # space, so its allocation fails at once.
+        # Each command's first array would take from 728 TiB to 8 EiB, beyond
+        # any address space, so its allocation fails at once.
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""

@@ -263,7 +263,7 @@ def _engine_digests(config: ExperimentConfig) -> dict:
     result = run_experiment(config)
     agg_text = json.dumps(result.aggregates, indent=2, sort_keys=True) + "\n"
     traces = {
-        f"traj_{tr.index:06d}.csv": _trace_csv(tr).encode()
+        f"traj_{tr.index:06d}.csv": _trace_csv(tr, np.arange(1, config.horizon + 1)).encode()
         for tr in (result.traces or [])
     }
     return {

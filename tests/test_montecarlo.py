@@ -9,6 +9,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+import herdlearn.observer
 from herdlearn import (
     ExperimentConfig,
     GaussianSpec,
@@ -16,6 +17,7 @@ from herdlearn import (
     MixtureSpec,
     build_model,
     montecarlo,
+    observer_init,
     run_experiment,
     same_variance_experiment,
 )
@@ -86,9 +88,28 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             small_config(gamma=1.0)
         with pytest.raises(InvalidParameterError):
+            small_config(gamma=5e-324)  # in (0, 1), but its half is 0
+        with pytest.raises(InvalidParameterError):
             small_config(omega=2)
         with pytest.raises(InvalidParameterError):
             small_config(theta="q")
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 5e-324, math.nan])
+    def test_gamma_has_one_check(self, monkeypatch, gamma):
+        """The config and the observer reject gamma through the observer's
+        prior table, with the same message."""
+        checked = []
+        original = montecarlo._log_priors
+        monkeypatch.setattr(
+            montecarlo, "_log_priors", lambda g: checked.append(g) or original(g)
+        )
+        with pytest.raises(InvalidParameterError) as config_err:
+            small_config(gamma=gamma)
+        assert len(checked) == 1
+        with pytest.raises(InvalidParameterError) as observer_err:
+            observer_init(gamma)
+        assert str(config_err.value) == str(observer_err.value)
+        assert original is herdlearn.observer._log_priors
 
 
 class TestDeterminism:

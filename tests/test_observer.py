@@ -38,7 +38,7 @@ class TestInit:
             oracles.posterior(state), [0.35, 0.35, 0.15, 0.15], atol=1e-15
         )
 
-    @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.5, 2.0])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.5, 2.0, 5e-324])
     def test_gamma_validation(self, gamma):
         with pytest.raises(InvalidParameterError):
             observer_init(gamma)
@@ -205,6 +205,43 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+class TestPosteriorColumns:
+    """Three law columns give the bits of the former formula over four
+    hypotheses (``oracles.four_hypothesis_columns``)."""
+
+    @pytest.mark.parametrize("gamma", [1e-300, 0.5, 1 - 2**-53])
+    def test_gives_the_four_hypothesis_bits(self, gamma):
+        rng = philox(18)
+        rows = [rng.normal(0.0, scale, size=(200, 3)) for scale in (1.0, 50.0, 1e3)]
+        inf = math.inf
+        rows.append(
+            [
+                [0.0, 0.0, 0.0],
+                [0.0, -inf, -3.0],
+                [-inf, 0.0, -0.5],
+                [-inf, -inf, 0.0],  # log-odds -inf, q 0
+                [0.0, -2.0, -inf],  # log-odds +inf, q 1
+                [-inf, -inf, -inf],
+                [0.0, 0.0, -800.0],  # log-odds beyond +709
+                [-800.0, -900.0, 0.0],  # and beyond -709
+                [0.0, -1e300, -1e300],
+                [-1e-300, 5e-324, -5e-324],
+            ]
+        )
+        log_lik = np.concatenate(rows)
+        # The row of three -inf has no posterior: NaN, from both formulas.
+        with np.errstate(invalid="ignore"):
+            q, log_odds = posterior_columns(log_lik, gamma)
+            want_q, want_log_odds = oracles.four_hypothesis_columns(log_lik, gamma)
+            # One row at a time, as ``ObserverState`` forms its q.
+            states = [ObserverState(row, gamma, 0.0, 1) for row in log_lik[-10:]]
+            assert same_bits([s.q for s in states], q[-10:])
+            assert same_bits([s.log_odds for s in states], log_odds[-10:])
+        assert same_bits(q, want_q) and same_bits(log_odds, want_log_odds)
+        finite = log_odds[np.isfinite(log_odds)]
+        assert finite.max() > 709.0 and finite.min() < -709.0
+
+
 class TestHistoryLogLiks:
     """The block filter against ``oracles.reference_update``, the per-action
     fold of ``step`` it replaced."""
@@ -249,7 +286,7 @@ class TestHistoryLogLiks:
     )
     def test_impossible_action_message_is_unchanged(self, spec, initial_r, why):
         model = build_model(spec)
-        state = ObserverState(log_lik=np.zeros(4), gamma=0.5, r_track=initial_r, t=7)
+        state = ObserverState(log_lik=np.zeros(3), gamma=0.5, r_track=initial_r, t=7)
         with pytest.raises(InvalidParameterError) as want:
             with np.errstate(invalid="ignore"):
                 oracles.reference_update(state, model, "b")

@@ -55,7 +55,6 @@ class TestClassifyGaussian:
     def test_fatter(self):
         result = classify_gaussian(GaussianSpec(sigma=1.0, tau=2.0))
         assert result.verdict is Verdict.FATTER
-        assert result.authoritative
 
     def test_thinner(self):
         result = classify_gaussian(GaussianSpec(sigma=1.0, tau=0.5))
@@ -86,7 +85,6 @@ class TestClassifyMixture:
         result = classify_mixture(MixtureSpec(sigma=1.0, alpha=0.5))
         assert result.verdict is Verdict.FATTER
         assert result.epsilon_estimate == pytest.approx(0.5)
-        assert result.authoritative
 
 
 class TestClassifyEmpirical:
@@ -127,7 +125,6 @@ class TestClassifyEmpirical:
     def test_equal_variance_is_undetermined(self, gauss_boundary):
         result = classify_empirical(gauss_boundary, x_max=200.0)
         assert result.verdict is Verdict.UNDETERMINED
-        assert not result.authoritative
 
     def test_agrees_with_closed_form_away_from_boundary(self):
         rng = np.random.default_rng(57)
