@@ -687,7 +687,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 manifest.write(out)
         return code
     except (InvalidParameterError, ExperimentResourceError, MemoryError) as exc:
-        print(f"herdlearn: error: {exc}", file=sys.stderr)
+        print(f"herdlearn: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         # A usage error leaves no directory behind that this run made and
         # left empty.
         _remove_empty(made)

@@ -6,16 +6,16 @@ action then moves the public LLR by a jump that depends only on which action
 was taken and on r.  This module holds the decision rule, the one
 transition kernel, ``step``, and its scalar fold, ``walk``, which moves r
 through a whole action history one action at a time in Python floats.  The
-experiment engine (through a ``Workspace``, which lets a step reuse its
-buffers) and the observer's likelihood columns use ``step`` on arrays; the
-observer's public LLR and the consensus path use ``walk``, which
-tests pin bit for bit to folding ``step``.  The jump functions and the
-one-step update are views of these two.
+experiment engine and the observer's likelihood columns call ``step`` on
+arrays, each with a ``Workspace`` that holds its buffers; the observer's
+public LLR and the consensus path use ``walk``, which tests pin bit for bit
+to folding ``step``.  The jump functions make ``step``'s operations on a
+float or an array, and the one-step update is a one-action ``walk``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,39 +58,22 @@ def agent_action(r: float, llr: float) -> str:
     return GOOD if llr >= -r else BAD
 
 
-def step(
-    model: LlrModel,
-    r: ArrayLike,
-    took_g,
-    with_noise: bool,
-    work: Optional["Workspace"] = None,
-) -> tuple:
-    """One observed action at public LLR ``r``: the transition kernel.
+def step(model: LlrModel, r: np.ndarray, took_g, work: Workspace) -> tuple:
+    """One observed action at each public LLR of ``r``: the transition kernel.
 
-    ``r`` is a float or a 1-d array, ``took_g`` a bool or a boolean array
-    of r's length marking G actions.  An agent plays G iff llr >= -r, so the action's
-    log-probability under a law F is the right tail of F at -r after G and
-    the left tail after B; each law's tail is evaluated once, on that side.
-    The noise law of a ``MixtureSpec`` model mixes the informative pair, so
-    its tail is ``MixtureCdf.log_mix`` of the two tails just evaluated: the
-    operations ``MixtureCdf.log_side`` makes, without evaluating them again.
-    Returns ``(r_next, lt_g, lt_b, lt_0)``: the public LLR moved by the
-    jump ``lt_g - lt_b`` and clipped to [-R_CAP, R_CAP], and the log-
-    probabilities under F_g, F_b and (only ``with_noise``, else None) F_0,
-    as numpy floats for a float ``r`` and a bool ``took_g``.
-
-    ``work``, a ``Workspace`` for this model, r's length and
-    ``with_noise``, makes the call allocate almost nothing: ``r`` (an
-    array) is then moved in place and returned as ``r_next``, and the
-    tails are the rows of ``work.tails``, valid until its next use.
-    Without it the call runs on a temporary workspace over a copy of ``r``,
-    which it leaves as it was.
+    ``r`` is a 1-d array, ``took_g`` a boolean array of r's length marking
+    G actions and ``work`` a ``Workspace`` for this model and r's length.
+    An agent plays G iff llr >= -r, so the action's log-probability under a
+    law F is the right tail of F at -r after G and the left tail after B;
+    each law's tail is evaluated once, on that side.  The noise law of a
+    ``MixtureSpec`` model mixes the informative pair, so its tail is
+    ``MixtureCdf.log_mix`` of the two tails just evaluated: the operations
+    ``MixtureCdf.log_side`` makes, without evaluating them again.
+    Returns ``(r, lt_g, lt_b, lt_0)``: ``r`` moved in place by the jump
+    ``lt_g - lt_b`` and clipped to [-R_CAP, R_CAP], and the
+    log-probabilities under F_g, F_b and F_0, the rows of ``work.tails``,
+    valid until its next use.  The call allocates almost nothing.
     """
-    if work is None:  # a temporary workspace, over a copy of r
-        copy = np.array(r, dtype=float)
-        work = Workspace(model, copy.size, with_noise)
-        out = step(model, copy.reshape(-1), took_g, with_noise, work)
-        return out if copy.ndim else tuple(x if x is None else x[0] for x in out)
     sign = np.where(took_g, -1.0, 1.0)  # -1 selects the right tail, +1 the left
     neg_r, stack, scratch = work.neg_r, work.stack, work.scratch
     lt_g, lt_b, lt_0 = work.rows
@@ -100,7 +83,7 @@ def step(
     np.divide(stack, work.sds, out=stack)
     np.multiply(stack, sign, out=stack)
     log_ndtr(stack, out=stack)
-    if lt_0 is not None and len(stack) == 2:  # F_0 mixes the pair
+    if len(stack) == 2:  # F_0 mixes the pair
         model.cdf_0.log_mix(lt_g, lt_b, lt_0, scratch)
     np.subtract(lt_g, lt_b, out=scratch)
     np.add(r, scratch, out=r)
@@ -110,22 +93,20 @@ def step(
 
 
 class Workspace:
-    """The buffers of ``step(model, r, took_g, with_noise, work)`` on arrays
-    of length ``n``.
+    """The buffers of ``step`` on arrays of length ``n``.
 
-    ``tails`` holds one row per law: F_g, F_b and (only ``with_noise``)
-    F_0.  The rows of the Normal laws among them form ``stack``, whose
+    ``tails`` holds one row per law, F_g, F_b and F_0, and ``rows`` those
+    rows.  The rows of the Normal laws among them form ``stack``, whose
     ``NormalCdf.log_side`` runs as one call per operation on every row at
     once.  ``means`` and ``sds`` hold each of those laws' mean and sd as a
     full row of length ``n``, the shape of ``stack``: dividing by full rows
     took about half the time of dividing by a column broadcast down them.
     """
 
-    def __init__(self, model: LlrModel, n: int, with_noise: bool):
-        laws = 3 if with_noise else 2
-        self.means, self.sds = (np.repeat(col[:laws], n, axis=1) for col in model.normal_stack)
-        self.tails = np.empty((laws, n))
-        self.rows = tuple(self.tails) if with_noise else (*self.tails, None)
+    def __init__(self, model: LlrModel, n: int):
+        self.means, self.sds = (np.repeat(col, n, axis=1) for col in model.normal_stack)
+        self.tails = np.empty((3, n))
+        self.rows = tuple(self.tails)
         self.stack = self.tails[: len(self.means)]
         self.neg_r = np.empty(n)
         self.scratch = np.empty(n)
@@ -172,17 +153,16 @@ def walk(model: LlrModel, r: float, took_g: Sequence[bool]) -> np.ndarray:
 def jump_g(model: LlrModel, r: ArrayLike) -> ArrayLike:
     """Public-LLR jump caused by observing a G action at public LLR r.
 
-    Computed entirely from log tails so that |r| up to ~1e3 stays accurate.
-    Always nonnegative: a G action can only push the public belief toward G.
+    Computed entirely from log tails so that |r| up to ~1e3 stays accurate;
+    the IEEE operations of ``step``'s ``lt_g - lt_b`` after a G.  Always
+    nonnegative: a G action can only push the public belief toward G.
     """
-    _, lt_g, lt_b, _ = step(model, r, True, False)
-    return lt_g - lt_b
+    return model.cdf_g.log_sf(-r) - model.cdf_b.log_sf(-r)
 
 
 def jump_b(model: LlrModel, r: ArrayLike) -> ArrayLike:
     """Public-LLR jump caused by observing a B action; always nonpositive."""
-    _, lt_g, lt_b, _ = step(model, r, False, False)
-    return lt_g - lt_b
+    return model.cdf_g.log_cdf(-r) - model.cdf_b.log_cdf(-r)
 
 
 def is_g(action: str) -> bool:

@@ -53,8 +53,8 @@ class ExperimentConfig:
     """Everything needed to reproduce one experiment bit for bit.
 
     omega/theta of None mean "draw it": omega informative with probability
-    gamma, theta uniform.  record_q toggles the observer filter (turn it
-    off for action-only questions; q columns then hold NaN).
+    gamma, theta uniform.  Every run also runs the outside observer's
+    filter, which reads the actions and never changes them.
     record_traces keeps full per-step traces in memory -- intended for
     small runs that will be written out for plotting.
     """
@@ -67,7 +67,6 @@ class ExperimentConfig:
     theta: Optional[str] = None
     initial_r: float = 0.0
     master_seed: int = 0
-    record_q: bool = True
     record_traces: bool = False
     batch_size: int = 1024
     workers: int = 1
@@ -181,9 +180,9 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
 
     Each step is one call of the transition kernel ``step`` on the whole
     batch, with one ``Workspace`` for the batch so that the steps reuse
-    their buffers; it evaluates F_0's tail only when the observer is on.
-    The step keeps its actions, and their switches are counted once per
-    block of ACT_ROWS steps.
+    their buffers, and adds the tails under F_g, F_b and F_0 to the
+    observer's log-likelihoods.  The step keeps its actions, and their
+    switches are counted once per block of ACT_ROWS steps.
 
     The private LLRs are drawn one piece of CHUNK_STEPS steps at a time
     (``LlrModel.sample``), into one reused block, so a batch holds
@@ -202,7 +201,7 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     model = build_model(config.model)
     n = hi - lo
     horizon = config.horizon
-    traced, with_q = config.record_traces, config.record_q
+    traced = config.record_traces
     width = min(horizon, CHUNK_STEPS)  # the draws of a trajectory's first piece
     if traced:
         llrs = np.empty((n, horizon))
@@ -236,7 +235,7 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
             states.append(bits.state)
 
     r = np.full(n, config.initial_r, dtype=float)
-    work = Workspace(model, n, with_q)
+    work = Workspace(model, n)
     neg_r, tails = work.neg_r, work.tails
     log_liks = np.zeros((3, n))  # under F_g, F_b and F_0
     # The extremes of r after each step, NaN ignored: a trajectory is
@@ -254,11 +253,11 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     if traced:
         trace_actions = np.empty((n, horizon), dtype="U1")
         trace_r = np.empty((n, horizon))
-        trace_q = np.full((n, horizon), np.nan)
+        trace_q = np.empty((n, horizon))
         # Row k: r before step lo + k of the current block, and the
         # log-likelihoods after it.
         block_r = np.empty((ACT_ROWS, n))
-        block_ll = np.empty((ACT_ROWS, 3, n)) if with_q else None
+        block_ll = np.empty((ACT_ROWS, 3, n))
 
     def tally(lo: int, hi: int) -> None:
         """Count the switches of steps lo..hi-1 and note the last one; fill
@@ -276,9 +275,7 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
         if traced:
             trace_actions[:, lo:hi] = np.where(acts[1 : k + 1].T, GOOD, BAD)
             trace_r[:, lo:hi] = block_r[:k].T
-            if with_q:
-                lls = block_ll[:k]
-                trace_q[:, lo:hi] = q_arrays(lls[:, 0], lls[:, 1], lls[:, 2], gamma)[0].T
+            trace_q[:, lo:hi] = q_arrays(*block_ll[:k].swapaxes(0, 1), gamma)[0].T
         acts[0] = acts[k]
 
     for start in range(0, horizon, CHUNK_STEPS):
@@ -299,11 +296,10 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
                 np.greater_equal(block[:, t - start], np.negative(r, out=neg_r), out=took_g)
                 if traced:
                     block_r[j] = r
-                step(model, r, took_g, with_q, work)
-                if with_q:
-                    log_liks += tails
-                    if traced:
-                        block_ll[j] = log_liks
+                step(model, r, took_g, work)
+                log_liks += tails
+                if traced:
+                    block_ll[j] = log_liks
                 np.fmax(r_max, r, out=r_max)
                 np.fmin(r_min, r, out=r_min)
             tally(act_lo, act_hi)
@@ -315,13 +311,7 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     rows["final_action"] = np.where(acts[0], GOOD, BAD)
     rows["switch_count"] = switch_count
     rows["last_switch_time"] = last_switch
-    if with_q:
-        q, log_odds = q_arrays(*log_liks, gamma)
-        rows["q_final"] = q
-        rows["q_log_odds"] = log_odds
-    else:
-        rows["q_final"] = np.nan
-        rows["q_log_odds"] = np.nan
+    rows["q_final"], rows["q_log_odds"] = q_arrays(*log_liks, gamma)
     rows["absorbed"] = (r_max >= R_CAP) | (r_min <= -R_CAP)
 
     traces = None
@@ -337,10 +327,6 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
             for i in range(n)
         ]
     return rows, traces
-
-
-def _batch_bounds(n: int, batch_size: int) -> list:
-    return [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
 
 
 def _usable_cpus() -> int:
@@ -360,21 +346,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     from per-trajectory keys, so worker scheduling cannot reorder or
     perturb anything.
     """
-    bounds = _batch_bounds(config.num_trajectories, config.batch_size)
+    n, size = config.num_trajectories, config.batch_size
+    starts = range(0, n, size)  # each batch's first index, never listed
     parts: list = []  # finished batches, in index order
     broken: tuple = ()  # the pool's failure, imported by pooled runs only
     try:
-        if config.workers > 1 and len(bounds) > 1:
+        if config.workers > 1 and len(starts) > 1:
             from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
             broken = (BrokenProcessPool,)
             # Under fork, the first submit starts max_workers processes, so
             # the pool has no more of them than batches or usable CPUs.
             pool = ProcessPoolExecutor(
-                max_workers=min(config.workers, len(bounds), _usable_cpus())
+                max_workers=min(config.workers, len(starts), _usable_cpus())
             )
             try:
                 futures = [
-                    pool.submit(_simulate_batch, config, lo, hi) for lo, hi in bounds
+                    pool.submit(_simulate_batch, config, lo, min(lo + size, n))
+                    for lo in starts
                 ]
                 for fut in futures:
                     parts.append(fut.result())
@@ -382,8 +370,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 # After a failure, batches not yet started are not run.
                 pool.shutdown(cancel_futures=True)
         else:
-            for lo, hi in bounds:
-                parts.append(_simulate_batch(config, lo, hi))
+            for lo in starts:
+                parts.append(_simulate_batch(config, lo, min(lo + size, n)))
     except (MemoryError, *broken) as exc:
         done = np.concatenate([p[0] for p in parts] or [np.empty(0, ROW_DTYPE)])
         reason = (

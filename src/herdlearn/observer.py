@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .beliefs import BAD, GOOD, InvalidParameterError, LlrModel
-from .dynamics import WALK_BLOCK, is_g, step, walk
+from .dynamics import WALK_BLOCK, Workspace, is_g, step, walk
 
 __all__ = [
     "ObserverState",
@@ -127,10 +127,10 @@ def history_log_liks(
     ``rs`` holds the public LLR before each action and after the last.
     Only r is sequential, so the history goes in blocks of ``WALK_BLOCK``
     actions: ``walk`` folds r through the block, one ``step`` call on the
-    walked values gives each action's log-probability under the three
-    laws, and the likelihoods are accumulated and re-centered in Python
-    floats, so the filter stays well-conditioned over arbitrarily long
-    histories.
+    walked values, with a ``Workspace`` of the block's length, gives each
+    action's log-probability under the three laws, and the likelihoods are
+    accumulated and re-centered in Python floats, so the filter stays
+    well-conditioned over arbitrarily long histories.
 
     An action that has probability 0 under every hypothesis (or under both
     informative ones, which leaves the public LLR undefined) makes the
@@ -151,11 +151,13 @@ def history_log_liks(
         hi = lo + len(block)
         took = block.tolist()
         walked = walk(model, r, took)
+        after = walked.tolist()
+        rs[lo + 1 : hi + 1] = walked[1:]
+        # ``step`` moves walked[:-1] in place, so it runs after the reads.
         # An impossible action makes the kernel's jump NaN; it is rejected
         # below, so the NaN is expected, not worth a warning.
         with np.errstate(invalid="ignore"):
-            _, lt_g, lt_b, lt_0 = step(model, walked[:-1], block, True)
-        after = walked.tolist()
+            _, lt_g, lt_b, lt_0 = step(model, walked[:-1], block, Workspace(model, hi - lo))
         cells = []  # the block's log_liks rows, flattened
         for k, (vg, vb, v0) in enumerate(zip(lt_g.tolist(), lt_b.tolist(), lt_0.tolist())):
             a += vg
@@ -178,7 +180,6 @@ def history_log_liks(
             c -= top
             cells += (a, b, c)
         flat[3 * (lo + 1) : 3 * (hi + 1)] = cells
-        rs[lo + 1 : hi + 1] = walked[1:]
         r = after[-1]
     return log_liks, rs
 

@@ -6,11 +6,11 @@ four-hypothesis posterior for the decision rule, and a scalar trajectory
 simulator and one-pass history likelihood that take every tail from
 ``log_cdf``/``log_sf`` directly, never through the transition kernel, and a
 CSV writer that formats one cell at a time.  The exceptions are
-``reference_update``, the observer's former per-action update, which folds
-the kernel ``step`` one action at a time in numpy, and
-``four_hypothesis_columns``, the observer's former posterior over four
-hypotheses: the block filter and ``posterior_columns`` must equal them bit
-for bit.
+``step_at``, the kernel at one public LLR, ``reference_update``, the
+observer's former per-action update, which folds ``step_at`` one action at
+a time, and ``four_hypothesis_columns``, the observer's former posterior
+over four hypotheses: the block filter and ``posterior_columns`` must equal
+them bit for bit.
 """
 
 import math
@@ -22,7 +22,7 @@ import numpy as np
 
 from herdlearn import InvalidParameterError
 from herdlearn.beliefs import LlrModel
-from herdlearn.dynamics import R_CAP, is_g, step
+from herdlearn.dynamics import R_CAP, Workspace, is_g, step
 from herdlearn.observer import ObserverState
 
 mp.mp.dps = 50
@@ -249,10 +249,17 @@ def history_log_prob(
     return m + math.log(float(np.exp(w - m).sum()))
 
 
+def step_at(model: LlrModel, r: float, took_g: bool) -> tuple:
+    """``step`` at one public LLR after one action: ``(r_next, lt_g, lt_b,
+    lt_0)`` as numpy floats, from the kernel on a one-element workspace."""
+    out = step(model, np.array([r], dtype=float), took_g, Workspace(model, 1))
+    return tuple(x[0] for x in out)
+
+
 def reference_update(state: ObserverState, model: LlrModel, action: str) -> ObserverState:
     """Fold one observed action into the filter, one ``step`` call per
     action: the update ``observer.history_log_liks`` replaced."""
-    r_next, lt_g, lt_b, lt_0 = step(model, state.r_track, is_g(action), True)
+    r_next, lt_g, lt_b, lt_0 = step_at(model, state.r_track, is_g(action))
     log_lik = state.log_lik + np.array([lt_g, lt_b, lt_0])
     top = log_lik.max()
     if not (math.isfinite(top) and math.isfinite(r_next)):

@@ -294,7 +294,6 @@ def test_criterion_09_product_matches_simulation():
         num_trajectories=n,
         omega=0,
         master_seed=9001,
-        record_q=False,
         batch_size=16384,
     )
     rows = run_experiment(config).rows

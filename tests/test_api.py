@@ -69,6 +69,7 @@ REMOVED = [
     "observer.ObserverState.posterior",
     "observer.HYPOTHESES",
     "montecarlo.LOG_2",
+    "montecarlo.ExperimentConfig.record_q",
     "tails.TailClassification.authoritative",
     "cli.config_from_manifest",
 ]

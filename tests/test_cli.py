@@ -1189,6 +1189,16 @@ class TestFuzz:
         assert err.startswith("herdlearn: error: ") and "out of memory" in err
         assert "Traceback" not in err
 
+    def test_memory_error_without_text_says_out_of_memory(self, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "consensus_path", no_memory)
+        code, out, err = run_cli(capsys, "path", "--sigma", "1", "--horizon", "3")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "herdlearn: error: out of memory\n"
+
 
 def _python(code: str, *args: str):
     """Run ``code`` in a fresh interpreter that imports this herdlearn; the

@@ -5,9 +5,11 @@ digests were computed before any such change and must never be re-pinned
 by a change that claims to keep the random stream.  A change whose stated
 purpose is to alter the stream updates them and says so.
 
-Simulations are pinned through the CLI (the files it writes) with the
-observer on, and through ``run_experiment`` with the observer off, since
-the CLI has no switch for that.  The ``_long`` cases run 4500 steps, so
+Simulations are pinned through the CLI (the files it writes), and through
+``run_experiment`` with the observer's q columns (``q_final``,
+``q_log_odds`` and the traced ``q``) set to NaN before hashing, the
+outputs of a former run with the observer off: the observer reads the
+actions and must leave them alone.  The ``_long`` cases run 4500 steps, so
 they cross at least two boundaries of the engine's time chunks; their
 untraced engine runs keep switching past step 4096, so their rows depend
 on the last chunk's draws.  ``test_replay_log_odds`` pins only the
@@ -25,6 +27,7 @@ import pytest
 
 from herdlearn.cli import _rows_csv, _trace_csv, main
 from herdlearn import ExperimentConfig, GaussianSpec, MixtureSpec, run_experiment
+from herdlearn.montecarlo import compute_aggregates
 
 
 def _sha(data: bytes) -> str:
@@ -260,14 +263,21 @@ def test_simulate_files_capped(capsys, tmp_path, case):
 
 
 def _engine_digests(config: ExperimentConfig) -> dict:
+    """The digests of a run's rows, aggregates and traces with its q
+    columns masked as NaN and the aggregates rebuilt from the masked rows."""
     result = run_experiment(config)
-    agg_text = json.dumps(result.aggregates, indent=2, sort_keys=True) + "\n"
+    rows = result.rows
+    rows["q_final"] = rows["q_log_odds"] = np.nan
+    for tr in result.traces or []:
+        tr.q[:] = np.nan
+    aggregates = compute_aggregates(rows, config.horizon)
+    agg_text = json.dumps(aggregates, indent=2, sort_keys=True) + "\n"
     traces = {
         f"traj_{tr.index:06d}.csv": _trace_csv(tr, np.arange(1, config.horizon + 1)).encode()
         for tr in (result.traces or [])
     }
     return {
-        "rows.csv": _sha(_rows_csv(result.rows).encode()),
+        "rows.csv": _sha(_rows_csv(rows).encode()),
         "aggregates.json": _sha(agg_text.encode()),
         "traces": _traces_digest(traces) if traces else None,
     }
@@ -276,7 +286,7 @@ def _engine_digests(config: ExperimentConfig) -> dict:
 ENGINE_CASES = {
     "gauss_fat_no_q": (
         dict(model=GaussianSpec(sigma=1.0, tau=2.0), horizon=300,
-             num_trajectories=48, master_seed=7, record_q=False,
+             num_trajectories=48, master_seed=7,
              record_traces=True, batch_size=20),
         {
             "rows.csv": (
@@ -295,7 +305,7 @@ ENGINE_CASES = {
     ),
     "gauss_shifted_noise_no_q": (
         dict(model=GaussianSpec(sigma=1.0, tau=1.0, m0=0.4), omega=0,
-             horizon=400, num_trajectories=300, master_seed=3, record_q=False),
+             horizon=400, num_trajectories=300, master_seed=3,),
         {
             "rows.csv": (
                 "ab1ccdce07ea1604c3e5b64c1eb38208"
@@ -310,7 +320,7 @@ ENGINE_CASES = {
     ),
     "mixture_no_q": (
         dict(model=MixtureSpec(sigma=1.0, alpha=0.3), horizon=300,
-             num_trajectories=24, master_seed=5, record_q=False,
+             num_trajectories=24, master_seed=5,
              record_traces=True),
         {
             "rows.csv": (
@@ -329,7 +339,7 @@ ENGINE_CASES = {
     ),
     "gauss_fat_no_q_long": (
         dict(model=GaussianSpec(sigma=1.0, tau=2.0), horizon=4500,
-             num_trajectories=7, master_seed=23, record_q=False, batch_size=3),
+             num_trajectories=7, master_seed=23, batch_size=3),
         {
             "rows.csv": (
                 "92e43540131eb9574835a73742e5d254"
@@ -344,7 +354,7 @@ ENGINE_CASES = {
     ),
     "mixture_noise_no_q_long": (
         dict(model=MixtureSpec(sigma=0.5, alpha=0.5), omega=0, horizon=4500,
-             num_trajectories=16, master_seed=24, record_q=False, batch_size=5),
+             num_trajectories=16, master_seed=24, batch_size=5),
         {
             "rows.csv": (
                 "93e7d1f88ae09b358f5e1d8c830771c0"

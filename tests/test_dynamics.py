@@ -95,35 +95,51 @@ class TestJumps:
             )
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [GaussianSpec(sigma=1.0, tau=2.0), MixtureSpec(sigma=1.0, alpha=0.3)],
+        ids=["gaussian", "mixture"],
+    )
+    def test_equal_the_kernels_tail_difference(self, spec):
+        """On an array and on each float, ``jump_g`` and ``jump_b`` are
+        ``lt_g - lt_b`` of ``step`` after a G and after a B, bit for bit,
+        from 0, the cap and +-1e300 (``kernel_rs``) to the point -m."""
+        model = build_model(spec)
+        rs = np.append(kernel_rs(), -model.cdf_g.mean)
+        for took_g, jump in ((True, jump_g), (False, jump_b)):
+            with np.errstate(all="ignore"):  # the jump is NaN at -1e300 or 1e300
+                _, lt_g, lt_b, _ = step(model, rs.copy(), took_g, Workspace(model, len(rs)))
+                want = lt_g - lt_b
+                assert same_bits(jump(model, rs), want)
+                assert same_bits([jump(model, r) for r in rs.tolist()], want)
+
 
 class TestStep:
-    """The one transition kernel, on floats and on arrays."""
+    """The one transition kernel, on arrays and (through
+    ``oracles.step_at``) on floats."""
 
-    @pytest.mark.parametrize("with_noise", [True, False])
-    def test_array_equals_elementwise_floats(self, gauss_fat, mixture_half, with_noise):
+    def test_array_equals_elementwise_floats(self, gauss_fat, mixture_half):
         rs = np.concatenate([np.linspace(-60.0, 60.0, 121), [-1e3, 1e3, 0.0, R_CAP]])
         took = np.arange(len(rs)) % 3 != 0
         for model in (gauss_fat, mixture_half):
-            batch = step(model, rs, took, with_noise)
+            batch = step(model, rs.copy(), took, Workspace(model, len(rs)))
             for k, (r, g) in enumerate(zip(rs, took)):
-                one = step(model, float(r), bool(g), with_noise)
+                one = oracles.step_at(model, float(r), bool(g))
                 for got, want in zip(batch, one):
-                    if want is None:
-                        assert got is None
-                    else:
-                        assert got[k] == want
+                    assert got[k] == want
 
     def test_matches_direct_tails(self, mixture_half):
         for r in (-7.5, 0.0, 3.25):
             for took_g, tail in ((True, "log_sf"), (False, "log_cdf")):
-                r_next, lt_g, lt_b, lt_0 = step(mixture_half, r, took_g, True)
+                r_next, lt_g, lt_b, lt_0 = oracles.step_at(mixture_half, r, took_g)
                 cdfs = (mixture_half.cdf_g, mixture_half.cdf_b, mixture_half.cdf_0)
                 want = [getattr(cdf, tail)(-r) for cdf in cdfs]
                 assert [lt_g, lt_b, lt_0] == want
                 assert r_next == r + (want[0] - want[1])
 
     def test_clips_at_the_cap(self, gauss_fat):
-        r_next = step(gauss_fat, np.array([R_CAP, -R_CAP]), np.array([True, False]), False)[0]
+        work = Workspace(gauss_fat, 2)
+        r_next = step(gauss_fat, np.array([R_CAP, -R_CAP]), np.array([True, False]), work)[0]
         np.testing.assert_array_equal(r_next, [R_CAP, -R_CAP])
 
 
@@ -142,37 +158,32 @@ def random_took(n: int) -> np.ndarray:
     return philox(62).random(n) < 0.5
 
 
-def oracle_step(model, rs, took, with_noise) -> tuple:
+def oracle_step(model, rs, took) -> tuple:
     """``step``'s four results, element by element, from
     ``oracles.next_public`` and ``oracles.action_log_probs``, which take
-    every tail from ``log_cdf``/``log_sf``; F_0's is None without
-    ``with_noise``."""
+    every tail from ``log_cdf``/``log_sf``."""
     cols = [
         (oracles.next_public(model, r, g), *oracles.action_log_probs(model, r, g))
         for r, g in zip(rs.tolist(), took.tolist())
     ]
-    r_next, lt_g, lt_b, lt_0 = (np.array(col) for col in zip(*cols))
-    return r_next, lt_g, lt_b, lt_0 if with_noise else None
+    return tuple(np.array(col) for col in zip(*cols))
 
 
 def same_results(got, want) -> bool:
-    return all((g is None) if w is None else same_bits(g, w) for g, w in zip(got, want))
+    return all(same_bits(g, w) for g, w in zip(got, want))
 
 
-def assert_same_as_oracle(model, rs, took, with_noise):
-    """``step`` on arrays, without and with a workspace, and on floats gives
-    the oracle's bits; without a workspace it leaves ``r`` alone."""
-    want = oracle_step(model, rs, took, with_noise)
-    work = Workspace(model, len(rs), with_noise)
+def assert_same_as_oracle(model, rs, took):
+    """``step`` on an array, which it moves in place, and at each float
+    gives the oracle's bits."""
+    want = oracle_step(model, rs, took)
     r = rs.copy()
     with np.errstate(all="ignore"):  # the jump is NaN at +-1e300
-        assert same_results(step(model, r, took, with_noise), want)
-        assert same_bits(r, rs)
-        assert same_results(step(model, r, took, with_noise, work), want)
+        got = step(model, r, took, Workspace(model, len(rs)))
+        assert got[0] is r
+        assert same_results(got, want)
         for k, (r_k, g_k) in enumerate(zip(rs.tolist(), took.tolist())):
-            got = step(model, r_k, g_k, with_noise)
-            assert all(np.ndim(x) == 0 for x in got if x is not None)
-            assert same_results(got, [None if w is None else w[k] for w in want])
+            assert same_results(oracles.step_at(model, r_k, g_k), [w[k] for w in want])
 
 
 class TestNoiseTail:
@@ -184,30 +195,37 @@ class TestNoiseTail:
         model = build_model(MixtureSpec(sigma=1.0, alpha=alpha))
         rs = kernel_rs()
         for took in (np.ones(len(rs), bool), np.zeros(len(rs), bool), random_took(len(rs))):
-            assert_same_as_oracle(model, rs, took, True)
+            assert_same_as_oracle(model, rs, took)
 
 
 class TestWorkspace:
-    """``step`` with a workspace: the bits of the plain call (without one)
-    and of the oracle, written in place."""
+    """``step`` with a workspace reused across calls: the bits of the plain
+    call (on a fresh workspace) and of the oracle, written in place."""
 
-    @pytest.mark.parametrize("with_noise", [True, False])
-    def test_same_bits_as_the_plain_call(self, gauss_fat, mixture_half, with_noise):
+    def test_same_bits_as_the_plain_call(self, gauss_fat, mixture_half):
         shifted = build_model(GaussianSpec(sigma=0.8, tau=0.5, m0=0.3))
         rs = kernel_rs()
         took = random_took(len(rs))
         for model in (gauss_fat, mixture_half, shifted):
-            assert_same_as_oracle(model, rs, took, with_noise)
-            work = Workspace(model, len(rs), with_noise)
+            assert_same_as_oracle(model, rs, took)
+            work = Workspace(model, len(rs))
             r = rs.copy()
             with np.errstate(all="ignore"):
                 for _ in range(3):  # the workspace is reused across calls
-                    want = oracle_step(model, r, took, with_noise)
-                    plain = step(model, r, took, with_noise)
-                    got = step(model, r, took, with_noise, work)
+                    want = oracle_step(model, r, took)
+                    plain = step(model, r.copy(), took, Workspace(model, len(r)))
+                    got = step(model, r, took, work)
                     assert got[0] is r
                     assert same_results(got, plain) and same_results(got, want)
                     took = ~took
+
+    def test_holds_a_tail_row_per_law(self, gauss_fat, mixture_half):
+        # F_g, F_b and F_0, whether F_0 is a Normal law or mixes the pair.
+        for model in (gauss_fat, mixture_half):
+            work = Workspace(model, 5)
+            assert work.tails.shape == (3, 5)
+            assert len(work.rows) == 3
+            assert all(row.base is work.tails for row in work.rows)
 
 
 class TestWalk:
@@ -217,7 +235,7 @@ class TestWalk:
     def step_fold(model, r, took_g):
         rs = [float(r)]
         for g in took_g:
-            rs.append(step(model, rs[-1], g, False)[0])
+            rs.append(oracles.step_at(model, rs[-1], g)[0])
         return np.array(rs, dtype=float)
 
     @staticmethod
@@ -384,7 +402,6 @@ class TestStationarity:
             num_trajectories=n,
             omega=0,
             master_seed=501,
-            record_q=False,
             record_traces=True,
         )
         res_a = run_experiment(base)
@@ -403,7 +420,6 @@ class TestStationarity:
             omega=0,
             initial_r=r_after_g,
             master_seed=502,
-            record_q=False,
             record_traces=True,
         )
         res_b = run_experiment(fresh)

@@ -295,7 +295,6 @@ class TestMemory:
                 horizon=horizon,
                 num_trajectories=16,
                 master_seed=3,
-                record_q=False,
             )
             tracemalloc.start()
             try:
@@ -346,11 +345,6 @@ class TestAggregates:
     def test_recomputable_from_rows(self):
         result = run_experiment(small_config())
         assert compute_aggregates(result.rows, 120) == result.aggregates
-
-    def test_q_columns_nan_when_disabled(self):
-        result = run_experiment(small_config(record_q=False))
-        assert np.all(np.isnan(result.rows["q_final"]))
-        assert "median_q_final" not in result.aggregates
 
     def test_switch_statistics_consistency(self):
         result = run_experiment(small_config())
@@ -427,6 +421,29 @@ class TestResourceError:
             run_experiment(small_config(batch_size=100))
         assert len(err.value.completed_rows) == 200
 
+    def test_batches_are_not_listed_before_the_work(self, monkeypatch):
+        # A million one-trajectory batches: a list of their bounds, made
+        # before the first batch ran, peaked at 128 MB.
+        calls = {"n": 0}
+
+        def fails_third(config, lo, hi):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise MemoryError
+            return _simulate_batch(config, lo, hi)
+
+        monkeypatch.setattr(montecarlo, "_simulate_batch", fails_third)
+        config = small_config(num_trajectories=10**6, batch_size=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExperimentResourceError) as err:
+                run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(err.value.completed_rows) == 2
+        assert peak < 2**20, peak
+
     def test_partial_result_error_with_workers(self, monkeypatch):
         full = run_experiment(small_config()).rows
         monkeypatch.setattr(montecarlo, "_simulate_batch", _out_of_memory_from_200)
@@ -459,7 +476,6 @@ class TestConsistencyWithConsensus:
             num_trajectories=n,
             omega=0,
             master_seed=77,
-            record_q=False,
             record_traces=True,
         )
         result = run_experiment(config)

@@ -160,7 +160,6 @@ class TestLikelihoodSanity:
             horizon=3,
             num_trajectories=n,
             master_seed=808,
-            record_q=False,
             record_traces=True,
         )
         result = run_experiment(config)
@@ -300,9 +299,9 @@ class TestHistoryLogLiks:
         calls = []
         original = observer.step
 
-        def counted(model, r, took_g, with_noise):
+        def counted(model, r, took_g, work):
             calls.append(np.size(r))
-            return original(model, r, took_g, with_noise)
+            return original(model, r, took_g, work)
 
         monkeypatch.setattr(observer, "step", counted)
         history_log_liks(gauss_fat, observer_init(0.5), ["g", "b"] * WALK_BLOCK)
