@@ -118,11 +118,15 @@ class TestStep:
     """The one transition kernel, on arrays and (through
     ``oracles.step_at``) on floats."""
 
-    def test_array_equals_elementwise_floats(self, gauss_fat, mixture_half):
+    @pytest.mark.parametrize("view", [False, True])
+    def test_array_equals_elementwise_floats(self, gauss_fat, mixture_half, view):
         rs = np.concatenate([np.linspace(-60.0, 60.0, 121), [-1e3, 1e3, 0.0, R_CAP]])
         took = np.arange(len(rs)) % 3 != 0
         for model in (gauss_fat, mixture_half):
-            batch = step(model, rs.copy(), took, Workspace(model, len(rs)))
+            r, g = (strided(rs), strided(took)) if view else (rs.copy(), took)
+            batch = step(model, r, g, Workspace(model, len(rs)))
+            if view:
+                assert not r.base[1::2].any()  # the gaps between r's values
             for k, (r, g) in enumerate(zip(rs, took)):
                 one = oracles.step_at(model, float(r), bool(g))
                 for got, want in zip(batch, one):
@@ -141,6 +145,14 @@ class TestStep:
         work = Workspace(gauss_fat, 2)
         r_next = step(gauss_fat, np.array([R_CAP, -R_CAP]), np.array([True, False]), work)[0]
         np.testing.assert_array_equal(r_next, [R_CAP, -R_CAP])
+
+
+def strided(a: np.ndarray) -> np.ndarray:
+    """``a``'s values as a view of every other element of a larger, zeroed
+    array: the kernel's callers hand it views, not arrays of their own."""
+    buf = np.zeros(2 * len(a), dtype=a.dtype)
+    buf[::2] = a
+    return buf[::2]
 
 
 def same_bits(a, b) -> bool:
@@ -202,22 +214,26 @@ class TestWorkspace:
     """``step`` with a workspace reused across calls: the bits of the plain
     call (on a fresh workspace) and of the oracle, written in place."""
 
-    def test_same_bits_as_the_plain_call(self, gauss_fat, mixture_half):
+    @pytest.mark.parametrize("view", [False, True])
+    def test_same_bits_as_the_plain_call(self, gauss_fat, mixture_half, view):
         shifted = build_model(GaussianSpec(sigma=0.8, tau=0.5, m0=0.3))
         rs = kernel_rs()
         took = random_took(len(rs))
         for model in (gauss_fat, mixture_half, shifted):
             assert_same_as_oracle(model, rs, took)
             work = Workspace(model, len(rs))
-            r = rs.copy()
+            r = strided(rs) if view else rs.copy()
             with np.errstate(all="ignore"):
                 for _ in range(3):  # the workspace is reused across calls
-                    want = oracle_step(model, r, took)
-                    plain = step(model, r.copy(), took, Workspace(model, len(r)))
-                    got = step(model, r, took, work)
+                    g = strided(took) if view else took
+                    want = oracle_step(model, r, g)
+                    plain = step(model, r.copy(), g, Workspace(model, len(r)))
+                    got = step(model, r, g, work)
                     assert got[0] is r
                     assert same_results(got, plain) and same_results(got, want)
                     took = ~took
+            if view:
+                assert not r.base[1::2].any()  # the gaps between r's values
 
     def test_holds_a_tail_row_per_law(self, gauss_fat, mixture_half):
         # F_g, F_b and F_0, whether F_0 is a Normal law or mixes the pair.
