@@ -80,6 +80,7 @@ CSV_BLOCK_ROWS = 1024
 
 # The cell of each bool, indexed by its byte.
 _BOOL_CELLS = np.array(["False", "True"], dtype=object)
+_DIGITS = tuple("0123456789")
 
 
 def _cells(column: np.ndarray) -> list:
@@ -89,8 +90,9 @@ def _cells(column: np.ndarray) -> list:
 
     Bools, and integers spanning at most half as many values as the column
     has rows (such as 0/1 flags and small counts), are formatted once per
-    value in a table of cells, which each row then indexes; an integer
-    column spanning more values takes a ``str`` per row.
+    value in a table of cells, which each row then indexes; a run of
+    consecutive nonnegative integers, such as ``t``, a ``str`` per ten
+    values; any other integer column a ``str`` per row.
 
     A float column whose consecutive values repeat, such as converged
     partial sums, formats each run of equal values once.  Runs compare the
@@ -105,15 +107,21 @@ def _cells(column: np.ndarray) -> list:
     if kind == "b":
         return _BOOL_CELLS[column.view(np.uint8)].tolist()
     n = len(column)
-    # The span is at least the distance between the first and last values,
-    # so a column such as 1..n skips the passes for its least and greatest.
-    if kind in "iu" and n and 2 * (abs(int(column[-1]) - int(column[0])) + 1) <= n:
-        lo, hi = int(column.min()), int(column.max())
-        if 2 * (hi - lo + 1) <= n:
-            table = np.array(list(map(str, range(lo, hi + 1))), dtype=object)
-            # Offsets from lo, computed modulo 2**64: exact, because each is
-            # below the column's length.
-            return table[column.astype(np.uint64) - np.uint64(lo % 2**64)].tolist()
+    if kind in "iu" and n:
+        first, last = int(column[0]), int(column[-1])
+        # The span is at least the distance between the first and last values,
+        # so a column such as 1..n skips the passes for its least and greatest.
+        if 2 * (abs(last - first) + 1) <= n:
+            lo, hi = int(column.min()), int(column.max())
+            if 2 * (hi - lo + 1) <= n:
+                table = np.array(list(map(str, range(lo, hi + 1))), dtype=object)
+                # Offsets from lo, computed modulo 2**64: exact, because each is
+                # below the column's length.
+                return table[column.astype(np.uint64) - np.uint64(lo % 2**64)].tolist()
+        elif 0 <= first == last - n + 1 and (np.diff(column) == 1).all():
+            # Each ten's quotient, "" for 0, joined with each last digit.
+            tens = (str(q) if q else "" for q in range(first // 10, last // 10 + 1))
+            return [p + d for p in tens for d in _DIGITS][first % 10 : first % 10 + n]
     if kind != "f":
         return list(map(str, column.tolist()))
     bits = column.view(f"i{column.itemsize}")

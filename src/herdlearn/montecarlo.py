@@ -356,14 +356,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             broken = (BrokenProcessPool,)
             # Under fork, the first submit starts max_workers processes, so
             # the pool has no more of them than batches or usable CPUs.
-            pool = ProcessPoolExecutor(
-                max_workers=min(config.workers, len(starts), _usable_cpus())
-            )
+            workers = min(config.workers, len(starts), _usable_cpus())
+            pool = ProcessPoolExecutor(max_workers=workers)
             try:
-                futures = [
-                    pool.submit(_simulate_batch, config, lo, min(lo + size, n))
-                    for lo in starts
-                ]
+                # At most two batches per worker in flight, read in index order.
+                futures = []
+                for lo in starts:
+                    futures.append(pool.submit(_simulate_batch, config, lo, min(lo + size, n)))
+                    if len(futures) == 2 * workers:
+                        parts.append(futures.pop(0).result())
                 for fut in futures:
                     parts.append(fut.result())
             finally:

@@ -87,10 +87,12 @@ def posterior_columns(log_lik: np.ndarray, gamma: float) -> tuple:
     0 or 1 exponentially fast when learning occurs.
     """
     lg, l0 = _log_priors(gamma)
-    w = log_lik + (lg, lg, l0)
-    w = np.exp(w - w.max(axis=-1, keepdims=True))
-    w_info = w[..., 0] + w[..., 1]
-    q = w_info / (w_info + (w[..., 2] + w[..., 2]))
+    w = log_lik + (lg, lg, l0)  # the one temporary of rows
+    w_g, w_b, w_0 = w[..., 0], w[..., 1], w[..., 2]  # views, even of one row
+    w -= np.maximum(np.maximum(w_g, w_b), w_0)[..., None]  # the row max, exactly
+    np.exp(w, out=w)
+    w_info = w_g + w_b
+    q = w_info / (w_info + (w_0 + w_0))
     info = np.logaddexp(log_lik[..., 0], log_lik[..., 1])
     noise = log_lik[..., 2] + LOG_2
     return q, info - noise + math.log(gamma) - math.log1p(-gamma)
@@ -119,22 +121,23 @@ def history_log_liks(
 ) -> tuple:
     """Fold a whole action history into the filter.
 
-    ``actions`` holds "g" and "b" strings, or is a boolean array, True for
-    G (as ``observer-replay`` parses its file).
+    ``actions`` is a boolean array, True for G (as ``observer-replay``
+    parses its file), or any other sequence of "g" and "b".
 
     Returns ``(log_liks, rs)``: row 0 of ``log_liks`` is ``state.log_lik``
     and row t the re-centered log-likelihoods after t more actions, and
     ``rs`` holds the public LLR before each action and after the last.
     Only r is sequential, so the history goes in blocks of ``WALK_BLOCK``
     actions: ``walk`` folds r through the block, one ``step`` call on the
-    walked values, with a ``Workspace`` of the block's length, gives each
+    walked values, with one ``Workspace`` for every full block, gives each
     action's log-probability under the three laws, and the likelihoods are
     accumulated and re-centered in Python floats, so the filter stays
     well-conditioned over arbitrarily long histories.
 
     An action that has probability 0 under every hypothesis (or under both
     informative ones, which leaves the public LLR undefined) makes the
-    history impossible and raises ``InvalidParameterError``.
+    history impossible and raises ``InvalidParameterError``; such actions
+    are looked for once per block, after its fold.
     """
     n = len(actions)
     log_liks = np.empty((n + 1, 3))
@@ -143,44 +146,47 @@ def history_log_liks(
     log_liks[0] = state.log_lik
     rs[0] = r = state.r_track
     a, b, c = state.log_lik.tolist()
-    isfinite = math.isfinite
-    if not isinstance(actions, np.ndarray):
+    if not (isinstance(actions, np.ndarray) and actions.dtype == bool):
         actions = np.array([is_g(action) for action in actions], dtype=bool)
+    work = Workspace(model, min(n, WALK_BLOCK))
     for lo in range(0, n, WALK_BLOCK):
         block = actions[lo : lo + WALK_BLOCK]
         hi = lo + len(block)
-        took = block.tolist()
-        walked = walk(model, r, took)
-        after = walked.tolist()
+        walked = walk(model, r, block.tolist())
         rs[lo + 1 : hi + 1] = walked[1:]
+        r = rs[hi]
+        if hi - lo != len(work.scratch):  # the last block is shorter
+            work = Workspace(model, hi - lo)
         # ``step`` moves walked[:-1] in place, so it runs after the reads.
         # An impossible action makes the kernel's jump NaN; it is rejected
         # below, so the NaN is expected, not worth a warning.
         with np.errstate(invalid="ignore"):
-            _, lt_g, lt_b, lt_0 = step(model, walked[:-1], block, Workspace(model, hi - lo))
+            _, lt_g, lt_b, lt_0 = step(model, walked[:-1], block, work)
         cells = []  # the block's log_liks rows, flattened
-        for k, (vg, vb, v0) in enumerate(zip(lt_g.tolist(), lt_b.tolist(), lt_0.tolist())):
+        for vg, vb, v0 in zip(lt_g.tolist(), lt_b.tolist(), lt_0.tolist()):
             a += vg
             b += vb
             c += v0
-            # max(a, b, c) in two comparisons, which cost half the builtin;
-            # no entry is NaN, because the tails at a finite r never are.
+            # max(a, b, c) in two comparisons, which cost half the builtin.
             top = a if a > b else b
             if c > top:
                 top = c
-            if not (isfinite(top) and isfinite(after[k + 1])):
-                action = GOOD if took[k] else BAD
-                raise InvalidParameterError(
-                    f"action {state.t + lo + k} ({action!r}) is impossible at "
-                    f"public LLR {after[k]!r}: it has probability 0 under "
-                    + ("every hypothesis" if top == -math.inf else "both informative ones")
-                )
             a -= top
             b -= top
             c -= top
             cells += (a, b, c)
         flat[3 * (lo + 1) : 3 * (hi + 1)] = cells
-        r = after[-1]
+        # An impossible action makes its row NaN (-inf - -inf), and every
+        # later one, or its walked r non-finite; the first such is named.
+        bad = ~np.isfinite(rs[lo + 1 : hi + 1])
+        if math.isnan(a + b + c) or bad.any():
+            k = int((bad | np.isnan(log_liks[lo + 1 : hi + 1]).any(axis=1)).argmax())
+            top = max(log_liks[lo + k] + work.tails[:, k])
+            raise InvalidParameterError(
+                f"action {state.t + lo + k} ({GOOD if block[k] else BAD!r}) is impossible "
+                f"at public LLR {float(rs[lo + k])!r}: it has probability 0 under "
+                + ("every hypothesis" if top == -math.inf else "both informative ones")
+            )
     return log_liks, rs
 
 

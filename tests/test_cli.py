@@ -593,6 +593,41 @@ class TestValueTables:
         assert cli._cells(column) == list(map(str, column.tolist()))
 
 
+class TestIntegerRuns:
+    """``_cells`` formats a run of consecutive nonnegative integers, such as
+    a ``t`` or ``index`` column, from a table of ten last digits; every cell
+    must be the ``str`` of its value."""
+
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 1024, 1025, 25001])
+    def test_t_columns(self, n):
+        t = cli._steps(n)
+        want = list(map(str, t.tolist()))
+        assert cli._cells(t) == want
+        # Through the writer, whose blocks start above 0 after the first.
+        assert cli._csv_lines(("t",), (t,)) == "t\n" + "".join(c + "\n" for c in want)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32])
+    @pytest.mark.parametrize(
+        "lo, n",
+        [(0, 1), (0, 10), (1, 9), (7, 5), (10, 30), (95, 10), (99, 2), (1023, 1025),
+         (25000, 1), (10**9 - 3, 2000), (2**31 - 1025, 1024)],
+    )
+    def test_index_ranges(self, dtype, lo, n):
+        index = np.arange(lo, lo + n, dtype=dtype)
+        assert cli._cells(index) == list(map(str, index.tolist()))
+        strided = np.repeat(index, 2)[::2]
+        assert cli._cells(strided) == list(map(str, index.tolist()))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[5, 6, 8, 8, 9], [3, 5, 4, 6], [-2, -1, 0, 1], [9, 8, 7], [0, 2, 2, 2, 4]],
+    )
+    def test_near_runs_are_the_str_of_each_value(self, values):
+        # The same first and last value as a run, but not one.
+        column = np.array(values)
+        assert cli._cells(column) == list(map(str, values))
+
+
 class TestConfigLayering:
     def test_file_values_then_flag_override(self, capsys, tmp_path):
         config = tmp_path / "run.ini"

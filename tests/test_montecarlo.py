@@ -164,6 +164,44 @@ class TestDeterminism:
             rows, run_experiment(dataclasses.replace(config, batch_size=1024, workers=1)).rows
         )
 
+    def test_pool_keeps_two_batches_per_worker_in_flight(self, monkeypatch):
+        # Submitting every batch before reading any result would hold a
+        # future per batch; the run submits the next as each is read.
+        in_flight = []  # unresolved futures after each submit
+
+        class LazyPool:
+            def __init__(self, max_workers):
+                self.pending = set()
+
+            def submit(self, fn, *args):
+                pending = self.pending
+
+                class Lazy(Future):
+                    def result(self, timeout=None):
+                        if not self.done():
+                            pending.discard(self)
+                            self.set_result(fn(*args))
+                        return super().result()
+
+                future = Lazy()
+                pending.add(future)
+                in_flight.append(len(pending))
+                return future
+
+            def shutdown(self, cancel_futures):
+                pass
+
+        monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", LazyPool)
+        monkeypatch.setattr(
+            montecarlo.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        config = small_config(horizon=5, num_trajectories=200, batch_size=1, workers=2)
+        rows = run_experiment(config).rows
+        assert len(in_flight) == 200 and max(in_flight) == 4
+        np.testing.assert_array_equal(
+            rows, run_experiment(dataclasses.replace(config, workers=1)).rows
+        )
+
     def test_seed_changes_rows(self):
         a = run_experiment(small_config())
         b = run_experiment(small_config(master_seed=12))

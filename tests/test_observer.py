@@ -308,6 +308,112 @@ class TestHistoryLogLiks:
         assert calls == [WALK_BLOCK, WALK_BLOCK]
 
 
+class TestArrayActions:
+    """Only a boolean array is taken as the G mask; every other sequence,
+    arrays included, goes through ``is_g``."""
+
+    def test_string_arrays_replay_their_actions(self, gauss_fat):
+        state = observer_init(0.5, initial_r=0.2)
+        actions = ["g", "b", "b", "g", "b"]
+        got = history_log_liks(gauss_fat, state, np.array(actions))
+        want = history_log_liks(gauss_fat, state, actions)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        mask = history_log_liks(gauss_fat, state, np.array([a == "g" for a in actions]))
+        assert same_bits(mask[1], want[1])
+        all_g = history_log_liks(gauss_fat, state, ["g"] * len(actions))
+        assert not same_bits(got[1], all_g[1])
+
+    @pytest.mark.parametrize(
+        "actions",
+        [np.array([1, 0, 1]), np.array([1.0]), np.array(["g", "x"]), np.array(["G"])],
+        ids=["int", "float", "letter", "upper"],
+    )
+    def test_other_arrays_get_the_action_error(self, gauss_fat, actions):
+        with pytest.raises(InvalidParameterError, match="action must be one of"):
+            history_log_liks(gauss_fat, observer_init(0.5), actions)
+
+
+def _poison(monkeypatch, name, at, laws=slice(None)):
+    """Patch ``observer.step`` to give action ``at`` (0-based) of a history
+    -inf tails under ``laws`` (rows of F_g, F_b, F_0), or ``observer.walk``
+    to make the public LLR after it NaN; the blocks are counted as they
+    pass."""
+    original = getattr(observer, name)
+    done = [0]  # actions in the blocks before this call
+
+    def poisoned(model, r, took_g, *work):
+        out = original(model, r, took_g, *work)
+        k = at - done[0]
+        done[0] += len(took_g)
+        if 0 <= k < len(took_g):
+            if work:
+                work[0].tails[laws, k] = -math.inf
+            else:
+                out[k + 1] = math.nan
+        return out
+
+    monkeypatch.setattr(observer, name, poisoned)
+
+
+class TestBlockCheck:
+    """Impossible actions are found once per block; the error names the
+    action, the public LLR before it and the reason exactly as checking
+    each action in turn did."""
+
+    N = 2500  # two full blocks and a partial one
+
+    @pytest.mark.parametrize("at", [0, WALK_BLOCK - 1, WALK_BLOCK, 2300, N - 1])
+    @pytest.mark.parametrize(
+        "name, why", [("step", "every hypothesis"), ("walk", "both informative ones")]
+    )
+    def test_names_the_first_impossible_action(self, gauss_fat, monkeypatch, name, why, at):
+        actions = ["g" if u < 0.5 else "b" for u in philox(55).random(self.N)]
+        state = ObserverState(log_lik=np.zeros(3), gamma=0.5, r_track=0.4, t=3)
+        _, rs = history_log_liks(gauss_fat, state, actions)
+        _poison(monkeypatch, name, at)
+        with pytest.raises(InvalidParameterError) as err:
+            history_log_liks(gauss_fat, state, actions)
+        assert str(err.value) == (
+            f"action {3 + at} ({actions[at]!r}) is impossible at public LLR "
+            f"{float(rs[at])!r}: it has probability 0 under {why}"
+        )
+
+    def test_the_first_of_two_is_named(self, gauss_fat, monkeypatch):
+        actions = ["b"] * self.N
+        _poison(monkeypatch, "step", 1500)
+        _poison(monkeypatch, "walk", 1200)
+        with pytest.raises(InvalidParameterError, match="action 1201 .* both informative"):
+            history_log_liks(gauss_fat, observer_init(0.5), actions)
+
+    def test_a_law_ruled_out_before_counts(self, gauss_fat, monkeypatch):
+        # F_g is already impossible, so -inf tails under F_b and F_0 alone
+        # leave the action probability 0 under every hypothesis.
+        state = ObserverState(np.array([-math.inf, 0.0, -1.0]), 0.5, 0.4, 1)
+        actions = ["g", "b"] * (self.N // 2)
+        _, rs = history_log_liks(gauss_fat, state, actions)
+        _poison(monkeypatch, "step", 1500, laws=slice(1, None))
+        with pytest.raises(InvalidParameterError) as err:
+            history_log_liks(gauss_fat, state, actions)
+        assert str(err.value) == (
+            f"action 1501 ('g') is impossible at public LLR {float(rs[1500])!r}: "
+            "it has probability 0 under every hypothesis"
+        )
+
+    def test_full_blocks_share_a_workspace(self, gauss_fat, monkeypatch):
+        seen = []
+        original = observer.step
+
+        def recorded(model, r, took_g, work):
+            seen.append((work, len(r)))
+            return original(model, r, took_g, work)
+
+        monkeypatch.setattr(observer, "step", recorded)
+        history_log_liks(gauss_fat, observer_init(0.5), ["g", "b"] * (self.N // 2))
+        (w0, n0), (w1, n1), (w2, n2) = seen
+        assert w0 is w1 and w2 is not w0
+        assert (n0, n1, n2) == (WALK_BLOCK, WALK_BLOCK, self.N - 2 * WALK_BLOCK)
+
+
 class TestLongRunStability:
     def test_long_random_history_stays_finite(self, gauss_fat):
         rng = philox(4242)
