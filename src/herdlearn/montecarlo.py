@@ -31,7 +31,7 @@ from .beliefs import (
     build_model,
 )
 from .dynamics import R_CAP, Workspace, step
-from .observer import _log_priors, q_arrays
+from .observer import _log_priors, posterior_columns
 
 # Steps whose actions are kept to count switches in one pass; a divisor of
 # CHUNK_STEPS, so no block of them straddles two chunks.
@@ -191,12 +191,15 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     and a refill restores it.  A traced run draws straight into its trace
     matrix instead.
 
-    A traced run fills its trace columns once per block of ACT_ROWS steps
-    too: each step keeps r before it and the log-likelihoods after it in
-    a block buffer, and the block's q is then ``q_arrays`` of the whole
-    block, the same elementwise operations as at each step.  So a traced
-    batch holds one extra ACT_ROWS x 3 x batch block of log-likelihoods
-    and an ACT_ROWS x batch block of r; an untraced batch holds neither.
+    The log-likelihoods are running sums, never re-centered, and q and the
+    log-odds are ``observer.posterior_columns`` of them, so replaying a
+    trajectory's actions gives its q bit for bit.  A traced run fills its
+    trace columns once per block of ACT_ROWS steps too: each step keeps r
+    before it and the log-likelihoods after it in a block buffer, and the
+    block's q is then ``posterior_columns`` of the whole block, the same
+    elementwise operations as at each step.  So a traced batch holds one
+    extra ACT_ROWS x 3 x batch block of log-likelihoods and an
+    ACT_ROWS x batch block of r; an untraced batch holds neither.
     """
     model = build_model(config.model)
     n = hi - lo
@@ -275,7 +278,7 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
         if traced:
             trace_actions[:, lo:hi] = np.where(acts[1 : k + 1].T, GOOD, BAD)
             trace_r[:, lo:hi] = block_r[:k].T
-            trace_q[:, lo:hi] = q_arrays(*block_ll[:k].swapaxes(0, 1), gamma)[0].T
+            trace_q[:, lo:hi] = posterior_columns(block_ll[:k].swapaxes(1, 2), gamma)[0].T
         acts[0] = acts[k]
 
     for start in range(0, horizon, CHUNK_STEPS):
@@ -311,7 +314,7 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     rows["final_action"] = np.where(acts[0], GOOD, BAD)
     rows["switch_count"] = switch_count
     rows["last_switch_time"] = last_switch
-    rows["q_final"], rows["q_log_odds"] = q_arrays(*log_liks, gamma)
+    rows["q_final"], rows["q_log_odds"] = posterior_columns(log_liks.T, gamma)
     rows["absorbed"] = (r_max >= R_CAP) | (r_min <= -R_CAP)
 
     traces = None

@@ -10,9 +10,12 @@ F_0).  The public LLR itself is a deterministic function of the history, so
 the filter tracks it internally and needs nothing but the action stream.
 
 ``history_log_liks`` filters a whole history: ``dynamics.walk``, the scalar
-fold of the transition kernel, gives the public LLR before each action, and
-one call of the kernel ``step`` per block of actions gives their
-log-probabilities.  ``observer_update`` and ``replay`` are views of it.
+fold of the transition kernel, gives the public LLR before each action, one
+call of the kernel ``step`` per block of actions gives their
+log-probabilities, and their running sums are the log-likelihoods.
+``observer_update`` and ``replay`` are views of it.  ``posterior_columns``
+is the one posterior formula: the experiment engine forms q from the same
+running sums with it, so a replayed trace gives the trace's q bit for bit.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ class ObserverState:
     """Filter state after some number of observed actions.
 
     log_lik holds the log-likelihood of the observed history under F_g,
-    F_b and F_0, re-centered so the maximum is zero (a common shift never
-    changes the posterior).
+    F_b and F_0: the running sums of each action's log-probability, added
+    in order, as the experiment engine keeps them.
     """
 
     log_lik: np.ndarray
@@ -77,33 +80,20 @@ class ObserverState:
 
 def posterior_columns(log_lik: np.ndarray, gamma: float) -> tuple:
     """``(q, log_odds)`` of one row of log-likelihoods or of each row of a
-    stack (under F_g, F_b and F_0).
+    stack (under F_g, F_b and F_0): the one posterior formula, which the
+    experiment engine applies to its running sums and replay to its own.
 
-    q, the posterior probability that the source is informative, is formed
-    as w_info / (w_info + w_noise) so that rounding can never push it above
-    1, as adding two normalized weights can.  log_odds = log(q / (1-q)) is
-    computed from the log-likelihoods directly, so it stays exact when q
-    saturates; it is the primary convergence diagnostic, since q approaches
-    0 or 1 exponentially fast when learning occurs.
+    log_odds = log(q / (1-q)) is the informative hypotheses' log weight
+    ``logaddexp(ll_g, ll_b) + log(gamma/2)`` less the noise hypotheses'
+    ``ll_0 + log 2 + log((1-gamma)/2)``, exact however far q saturates; it
+    is the primary convergence diagnostic, since q approaches 0 or 1
+    exponentially fast when learning occurs.  q is ``1 / (1 + exp(-x))``
+    of the log-odds clipped to [-709, 709], so it never leaves [0, 1] and
+    floors at 1/(1 + e^709), about 1.2e-308.
     """
-    lg, l0 = _log_priors(gamma)
-    w = log_lik + (lg, lg, l0)  # the one temporary of rows
-    w_g, w_b, w_0 = w[..., 0], w[..., 1], w[..., 2]  # views, even of one row
-    w -= np.maximum(np.maximum(w_g, w_b), w_0)[..., None]  # the row max, exactly
-    np.exp(w, out=w)
-    w_info = w_g + w_b
-    q = w_info / (w_info + (w_0 + w_0))
-    info = np.logaddexp(log_lik[..., 0], log_lik[..., 1])
-    noise = log_lik[..., 2] + LOG_2
-    return q, info - noise + math.log(gamma) - math.log1p(-gamma)
-
-
-def q_arrays(ll_g, ll_b, ll_0, gamma: float) -> tuple:
-    """(q, log-odds) of log-likelihoods under F_g, F_b and F_0, elementwise,
-    as the experiment engine forms them from its running sums."""
     log_prior_info, log_prior_noise = _log_priors(gamma)
-    info = np.logaddexp(ll_g, ll_b) + log_prior_info
-    noise = ll_0 + LOG_2 + log_prior_noise
+    info = np.logaddexp(log_lik[..., 0], log_lik[..., 1]) + log_prior_info
+    noise = log_lik[..., 2] + LOG_2 + log_prior_noise
     log_odds = info - noise
     return 1.0 / (1.0 + np.exp(-np.clip(log_odds, -709.0, 709.0))), log_odds
 
@@ -125,14 +115,15 @@ def history_log_liks(
     parses its file), or any other sequence of "g" and "b".
 
     Returns ``(log_liks, rs)``: row 0 of ``log_liks`` is ``state.log_lik``
-    and row t the re-centered log-likelihoods after t more actions, and
-    ``rs`` holds the public LLR before each action and after the last.
-    Only r is sequential, so the history goes in blocks of ``WALK_BLOCK``
-    actions: ``walk`` folds r through the block, one ``step`` call on the
-    walked values, with one ``Workspace`` for every full block, gives each
-    action's log-probability under the three laws, and the likelihoods are
-    accumulated and re-centered in Python floats, so the filter stays
-    well-conditioned over arbitrarily long histories.
+    and row t the log-likelihoods after t more actions, and ``rs`` holds
+    the public LLR before each action and after the last.  Only r is
+    sequential, so the history goes in blocks of ``WALK_BLOCK`` actions:
+    ``walk`` folds r through the block, one ``step`` call on the walked
+    values, with one ``Workspace`` for every full block, gives each
+    action's log-probability under the three laws, and one ``np.cumsum``
+    over the carried row and the block's tails adds them up in order.  So
+    the rows are running sums, bit for bit those of the experiment engine,
+    which adds each step's tails to its own.
 
     An action that has probability 0 under every hypothesis (or under both
     informative ones, which leaves the public LLR undefined) makes the
@@ -142,10 +133,8 @@ def history_log_liks(
     n = len(actions)
     log_liks = np.empty((n + 1, 3))
     rs = np.empty(n + 1)
-    flat = log_liks.reshape(-1)  # a view: rows go in as flat lists of floats
     log_liks[0] = state.log_lik
     rs[0] = r = state.r_track
-    a, b, c = state.log_lik.tolist()
     if not (isinstance(actions, np.ndarray) and actions.dtype == bool):
         actions = np.array([is_g(action) for action in actions], dtype=bool)
     work = Workspace(model, min(n, WALK_BLOCK))
@@ -161,31 +150,20 @@ def history_log_liks(
         # An impossible action makes the kernel's jump NaN; it is rejected
         # below, so the NaN is expected, not worth a warning.
         with np.errstate(invalid="ignore"):
-            _, lt_g, lt_b, lt_0 = step(model, walked[:-1], block, work)
-        cells = []  # the block's log_liks rows, flattened
-        for vg, vb, v0 in zip(lt_g.tolist(), lt_b.tolist(), lt_0.tolist()):
-            a += vg
-            b += vb
-            c += v0
-            # max(a, b, c) in two comparisons, which cost half the builtin.
-            top = a if a > b else b
-            if c > top:
-                top = c
-            a -= top
-            b -= top
-            c -= top
-            cells += (a, b, c)
-        flat[3 * (lo + 1) : 3 * (hi + 1)] = cells
-        # An impossible action makes its row NaN (-inf - -inf), and every
-        # later one, or its walked r non-finite; the first such is named.
-        bad = ~np.isfinite(rs[lo + 1 : hi + 1])
-        if math.isnan(a + b + c) or bad.any():
-            k = int((bad | np.isnan(log_liks[lo + 1 : hi + 1]).any(axis=1)).argmax())
-            top = max(log_liks[lo + k] + work.tails[:, k])
+            step(model, walked[:-1], block, work)
+        rows = log_liks[lo : hi + 1]  # the carried row, then the block's
+        rows[1:] = work.tails.T
+        np.cumsum(rows, axis=0, out=rows)
+        # An impossible action leaves its row all -inf (and every later one
+        # -inf or NaN), or its walked r non-finite; the first such is named.
+        possible = (rows[1:].max(axis=1) > -math.inf) & np.isfinite(rs[lo + 1 : hi + 1])
+        if not possible.all():
+            k = int(possible.argmin())
             raise InvalidParameterError(
                 f"action {state.t + lo + k} ({GOOD if block[k] else BAD!r}) is impossible "
                 f"at public LLR {float(rs[lo + k])!r}: it has probability 0 under "
-                + ("every hypothesis" if top == -math.inf else "both informative ones")
+                + ("every hypothesis" if rows[k + 1].max() == -math.inf
+                   else "both informative ones")
             )
     return log_liks, rs
 

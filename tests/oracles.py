@@ -6,11 +6,11 @@ four-hypothesis posterior for the decision rule, and a scalar trajectory
 simulator and one-pass history likelihood that take every tail from
 ``log_cdf``/``log_sf`` directly, never through the transition kernel, and a
 CSV writer that formats one cell at a time.  The exceptions are
-``step_at``, the kernel at one public LLR, ``reference_update``, the
+``step_at``, the kernel at one public LLR, and ``reference_update``, the
 observer's former per-action update, which folds ``step_at`` one action at
-a time, and ``four_hypothesis_columns``, the observer's former posterior
-over four hypotheses: the block filter and ``posterior_columns`` must equal
-them bit for bit.
+a time: the block filter must equal it bit for bit.  The observer's former
+posterior over four hypotheses, ``four_hypothesis_columns``, is an
+independent reference that ``posterior_columns`` must match to rounding.
 """
 
 import math
@@ -125,7 +125,8 @@ def posterior(state: ObserverState) -> np.ndarray:
 def four_hypothesis_columns(log_lik: np.ndarray, gamma: float) -> tuple:
     """``(q, log_odds)`` of rows of three law columns by the observer's
     former formula over four hypotheses, with F_0's column duplicated:
-    ``observer.posterior_columns`` must give its bits."""
+    normalized weights for q, and the log-odds as logaddexp differences
+    plus log(gamma / (1 - gamma))."""
     log_lik = four_hypotheses(log_lik)
     w = log_lik + _log_priors(gamma)
     w = np.exp(w - w.max(axis=-1, keepdims=True))
@@ -258,7 +259,8 @@ def step_at(model: LlrModel, r: float, took_g: bool) -> tuple:
 
 def reference_update(state: ObserverState, model: LlrModel, action: str) -> ObserverState:
     """Fold one observed action into the filter, one ``step`` call per
-    action: the update ``observer.history_log_liks`` replaced."""
+    action, adding its tails to the running sums: the update
+    ``observer.history_log_liks`` replaced."""
     r_next, lt_g, lt_b, lt_0 = step_at(model, state.r_track, is_g(action))
     log_lik = state.log_lik + np.array([lt_g, lt_b, lt_0])
     top = log_lik.max()
@@ -268,7 +270,6 @@ def reference_update(state: ObserverState, model: LlrModel, action: str) -> Obse
             f"{state.r_track!r}: it has probability 0 under "
             + ("every hypothesis" if top == -math.inf else "both informative ones")
         )
-    log_lik -= top
     return ObserverState(
         log_lik=log_lik,
         gamma=state.gamma,

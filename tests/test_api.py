@@ -68,6 +68,7 @@ REMOVED = [
     "observer.ObserverState.initial_r",
     "observer.ObserverState.posterior",
     "observer.HYPOTHESES",
+    "observer.q_arrays",
     "montecarlo.LOG_2",
     "montecarlo.ExperimentConfig.record_q",
     "tails.TailClassification.authoritative",

@@ -178,6 +178,30 @@ class TestObserverReplay:
             oracles.Q3_AFTER_GG_SIGMA1_TAU2, abs=1e-12
         )
 
+    def test_replays_a_traced_runs_q_cells(self, capsys, tmp_path):
+        """``observer-replay`` of one trace's actions, with the run's model,
+        gamma and initial r, writes the trace's q cells from row 2 on: the
+        engine and replay form q the same way.  2500 steps cross a piece
+        of the engine's draws and two blocks of the replay."""
+        argv = ["--sigma", "1", "--tau", "2", "--gamma", "0.3", "--initial-r", "0.7"]
+        code, _, _ = run_cli(
+            capsys, "simulate", *argv, "--horizon", "2500", "--trajectories", "3",
+            "--seed", "5", "--traces", "--out", str(tmp_path / "sim"),
+        )
+        assert code == EXIT_OK
+        header, rows = parse_csv((tmp_path / "sim" / "traces" / "traj_000001.csv").read_text())
+        action, q = header.index("action"), header.index("q")
+        actions = tmp_path / "actions.txt"
+        actions.write_text("".join(row[action] + "\n" for row in rows))
+        code, _, _ = run_cli(
+            capsys, "observer-replay", *argv, "--actions-file", str(actions),
+            "--out", str(tmp_path / "replay"),
+        )
+        assert code == EXIT_OK
+        header, replayed = parse_csv((tmp_path / "replay" / "observer.csv").read_text())
+        assert len(replayed) == len(rows) + 1
+        assert [row[header.index("q")] for row in replayed[1:]] == [row[q] for row in rows]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "argv, history, action, why",

@@ -14,7 +14,13 @@ they cross at least two boundaries of the engine's time chunks; their
 untraced engine runs keep switching past step 4096, so their rows depend
 on the last chunk's draws.  ``test_replay_log_odds`` pins only the
 ``t`` and ``log_odds`` columns of a replay, and ``test_replay_observer_csv``
-the whole ``observer.csv``, ``q`` included.  The CSV files of ``path``,
+the whole ``observer.csv``, ``q`` included.  Replay keeps the engine's
+running sums and forms q with its one formula, ``posterior_columns``, so a
+replayed trace's q equals the trace's bit for bit, q floors at
+1/(1 + e^709) and the log-odds stay exact.  The six replay digests were
+re-pinned once when replay stopped re-centering and took that formula,
+which moved their ``q`` and ``log_odds`` cells by rounding alone (|dq| at
+most 4e-15); no simulation digest moved.  The CSV files of ``path``,
 ``agree-prob``, ``classify`` and ``same-variance`` are pinned as written.
 """
 
@@ -393,19 +399,19 @@ def _replay_actions() -> str:
 REPLAY_CASES = {
     "gauss_fat": (
         ["--sigma", "1", "--tau", "2"],
-        "47e6c98b3cf6434992ad4cc7f70fbc8c"
-        "34f7799f0512b31fe92e2a519a0ed45d",
+        "c29e998a8f1be88a29a2e6c17173949b"
+        "6318ce342f0da6b4e316dbc26d62f637",
     ),
     "gauss_shifted_noise": (
         ["--sigma", "1", "--tau", "1", "--m0", "0.4", "--gamma", "0.3",
          "--initial-r", "0.7"],
-        "6106858c8a36a458f6370f6fa7426491"
-        "7bf8657e9bbd79379145e2c236e1fa4c",
+        "d2353028ab33cdec77220dbf0b7c0bc9"
+        "1ae23a27bd60c86a9fd287e002d9dda2",
     ),
     "mixture": (
         ["--sigma", "1", "--mixture", "0.3"],
-        "1b9b7eb0c1d76dc30a84b0476071df70"
-        "6bb9f2ecee79703c840ded8855e9a64f",
+        "9e9391c12d82411687f719f5ee615424"
+        "698d291abb53be0492eed80e4c7090d0",
     ),
 }
 
@@ -494,16 +500,16 @@ def test_command_files(capsys, tmp_path, case):
 
 OBSERVER_CSV = {
     "gauss_fat": (
-        "36065dd6d9851491d5a9aa392a33dba8"
-        "a29c929e286f10c42528b24651160ce9"
+        "7de01485257e0fdb57545b4e011578fb"
+        "f32f1029ff4a014bbee78db4b8c116b4"
     ),
     "gauss_shifted_noise": (
-        "c3e127a19ccbe8d89c99e1f2d4a75ba5"
-        "d7526ad97e3590e8574d392b1bca9c8c"
+        "b3c2ed43d5fecbd31aab0b2410d6b3d1"
+        "269db48dcd8f14af22806485aee3c190"
     ),
     "mixture": (
-        "bd7c26f8cf323e95d066ea381a242852"
-        "bcca31a3c126ee07e585f98b7c1d7052"
+        "7a1db651c5acc978b3e0dbc3dd30fb48"
+        "a563959a2ad3abb464979320f5aa90ed"
     ),
 }
 

@@ -407,6 +407,27 @@ class TestAggregates:
         assert medians[0] < medians[1] < medians[2]
 
 
+class TestCalibration:
+    """With omega drawn from the prior, the observer's posterior is a
+    martingale under its own prior, so E[q_T] = gamma and E[omega - q_T]
+    = 0 at every horizon.  Both means must lie within 5 standard errors."""
+
+    @pytest.mark.parametrize(
+        "spec, gamma",
+        [(GaussianSpec(sigma=1.0, tau=2.0), 0.5), (MixtureSpec(sigma=1.0, alpha=0.3), 0.2)],
+        ids=["gauss-0.5", "mixture-0.2"],
+    )
+    def test_mean_q_final_is_gamma(self, spec, gamma):
+        config = ExperimentConfig(
+            model=spec, gamma=gamma, horizon=200, num_trajectories=20_000, master_seed=12
+        )
+        rows = run_experiment(config).rows
+        n = len(rows)
+        for x, mean in [(rows["q_final"], gamma), (rows["omega"] - rows["q_final"], 0.0)]:
+            z = (x.mean() - mean) / (x.std(ddof=1) / math.sqrt(n))
+            assert abs(z) <= 5.0, z
+
+
 class TestTraces:
     def test_trace_contents(self):
         config = small_config(record_traces=True, num_trajectories=5, horizon=40)

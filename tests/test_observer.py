@@ -13,9 +13,9 @@ from herdlearn import (
     update_public,
 )
 from herdlearn import observer
-from herdlearn.dynamics import R_CAP, WALK_BLOCK
-from herdlearn.observer import ObserverState, history_log_liks, posterior_columns
-from herdlearn import ExperimentConfig, GaussianSpec, build_model, run_experiment
+from herdlearn.dynamics import R_CAP, WALK_BLOCK, Workspace, step
+from herdlearn.observer import LOG_2, ObserverState, history_log_liks, posterior_columns
+from herdlearn import ExperimentConfig, GaussianSpec, MixtureSpec, build_model, run_experiment
 
 import oracles
 from oracles import batch_posterior, history_log_prob
@@ -77,11 +77,16 @@ class TestUpdate:
             r = update_public(mixture_half, r, action)
             assert state.r_track == r
 
-    def test_recentered_loglik(self, gauss_fat):
-        state = observer_init(0.5)
-        for action in ("g",) * 50:
+    def test_loglik_is_the_running_sum(self, gauss_fat):
+        # The kernel's tails, added in order, as the engine adds them.
+        state = observer_init(0.5, initial_r=0.3)
+        want = np.zeros(3)
+        for action in ("g",) * 50 + ("b",) * 5:
+            _, *tails = oracles.step_at(gauss_fat, state.r_track, action == "g")
+            want = want + tails
             state = observer_update(state, gauss_fat, action)
-        assert state.log_lik.max() == pytest.approx(0.0, abs=0.0)
+            assert same_bits(state.log_lik, want)
+        assert state.log_lik.max() < -1.0  # never re-centered
 
 
 class TestBatchPosterior:
@@ -205,8 +210,9 @@ def same_bits(a, b):
 
 
 class TestPosteriorColumns:
-    """Three law columns give the bits of the former formula over four
-    hypotheses (``oracles.four_hypothesis_columns``)."""
+    """Three law columns give the q and log-odds of the former formula over
+    four hypotheses (``oracles.four_hypothesis_columns``) to rounding, and
+    ``ObserverState`` gives ``posterior_columns``' bits."""
 
     @pytest.mark.parametrize("gamma", [1e-300, 0.5, 1 - 2**-53])
     def test_gives_the_four_hypothesis_bits(self, gamma):
@@ -218,7 +224,7 @@ class TestPosteriorColumns:
                 [0.0, 0.0, 0.0],
                 [0.0, -inf, -3.0],
                 [-inf, 0.0, -0.5],
-                [-inf, -inf, 0.0],  # log-odds -inf, q 0
+                [-inf, -inf, 0.0],  # log-odds -inf, q at its floor
                 [0.0, -2.0, -inf],  # log-odds +inf, q 1
                 [-inf, -inf, -inf],
                 [0.0, 0.0, -800.0],  # log-odds beyond +709
@@ -236,7 +242,21 @@ class TestPosteriorColumns:
             states = [ObserverState(row, gamma, 0.0, 1) for row in log_lik[-10:]]
             assert same_bits([s.q for s in states], q[-10:])
             assert same_bits([s.log_odds for s in states], log_odds[-10:])
-        assert same_bits(q, want_q) and same_bits(log_odds, want_log_odds)
+        # Each formula rounds a handful of sums of terms no larger than the
+        # row's finite entries and the log priors, so they may differ by 8
+        # units of that scale's last place; q, of slope at most 1/4 in the
+        # log-odds, by a quarter of that and its own rounding.  Beyond +-709
+        # the new q saturates at 1/(1 + e^709) or 1.
+        finite = np.where(np.isfinite(log_lik), np.abs(log_lik), 0.0).max(axis=1)
+        scale = 1.0 + finite + abs(math.log(gamma / 2)) + abs(math.log((1 - gamma) / 2))
+        tol = 8 * np.finfo(float).eps * scale
+        same = np.isfinite(want_log_odds)
+        assert same_bits(log_odds[~same], want_log_odds[~same])
+        tol = tol[same]
+        assert np.all(np.abs(log_odds[same] - want_log_odds[same]) <= tol)
+        assert np.all(np.abs(q[same] - want_q[same]) <= tol / 4 + 4 * np.finfo(float).eps)
+        assert same_bits(np.isnan(q), np.isnan(want_q))
+        assert q[-7] == 1 / (1 + math.exp(709.0)) and want_q[-7] == 0.0
         finite = log_odds[np.isfinite(log_odds)]
         assert finite.max() > 709.0 and finite.min() < -709.0
 
@@ -306,6 +326,46 @@ class TestHistoryLogLiks:
         monkeypatch.setattr(observer, "step", counted)
         history_log_liks(gauss_fat, observer_init(0.5), ["g", "b"] * WALK_BLOCK)
         assert calls == [WALK_BLOCK, WALK_BLOCK]
+
+
+class TestOnePosterior:
+    """Replaying a trace's actions through ``history_log_liks`` and
+    ``posterior_columns`` gives the trace's q and r and the row's q
+    columns bit for bit: the engine and replay keep the same running sums
+    and form q with the same formula."""
+
+    @pytest.mark.parametrize("gamma, initial_r", [(0.5, 0.0), (0.2, 0.7), (1e-300, -1.3)])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GaussianSpec(sigma=1.0, tau=2.0),
+            GaussianSpec(sigma=1.0, tau=0.5),
+            GaussianSpec(sigma=1.0, tau=1.0, m0=0.5),
+            MixtureSpec(sigma=1.0, alpha=0.3),
+        ],
+        ids=["tau2", "tau05", "m05", "mixture"],
+    )
+    def test_replay_gives_every_traced_bit(self, spec, gamma, initial_r):
+        # 4500 steps cross two pieces of CHUNK_STEPS draws.
+        config = ExperimentConfig(
+            model=spec,
+            gamma=gamma,
+            horizon=4500,
+            num_trajectories=16,
+            initial_r=initial_r,
+            master_seed=21,
+            record_traces=True,
+        )
+        result = run_experiment(config)
+        model = build_model(spec)
+        state = observer_init(gamma, initial_r)
+        for row, trace in zip(result.rows, result.traces):
+            log_liks, rs = history_log_liks(model, state, trace.actions == "g")
+            q, log_odds = posterior_columns(log_liks, gamma)
+            assert np.array_equal(trace.r_before, rs[:-1])
+            assert np.array_equal(trace.q, q[1:])
+            assert np.array_equal(row["q_final"], q[-1])
+            assert np.array_equal(row["q_log_odds"], log_odds[-1])
 
 
 class TestArrayActions:
@@ -415,6 +475,51 @@ class TestBlockCheck:
 
 
 class TestLongRunStability:
+    def test_running_sums_stay_accurate(self, gauss_fat):
+        """2e5 actions in long herds with breaks, and B actions at
+        r = +-R_CAP (tails near -1.25e11 at +R_CAP, -0 at -R_CAP), in
+        segments that start at the given r and carry the log-likelihoods.
+        The log-odds must match the priors plus ``math.fsum`` of the
+        kernel's tails per column.  Every tail is <= 0, so a column's sum
+        has no cancellation and recursive summation of n terms errs by at
+        most (n - 1) u of it (u = 2**-53); the log-odds add a few
+        roundings of the columns and priors.  Hence the tolerance, relative
+        to those magnitudes: (n + 8) u.  Measured at the four segment
+        ends: log-odds from -1640 to -2.8e11, relative errors 6e-15 to
+        5e-14, at most 158 u of the scale against the bound's 2e5 u."""
+        gamma, u = 0.3, 2.0**-53
+        rng = philox(2024)
+        segments = []  # (r before the segment, its actions)
+        for r0, lead in [(0.0, ""), (R_CAP, "b"), (-R_CAP, "bbb"), (R_CAP, "bb")]:
+            actions = list(lead)
+            action = "g"
+            while len(actions) < 50_000:
+                actions += [action] * int(rng.geometric(1 / 60))
+                action = "b" if action == "g" else "g"
+                actions += [action] * int(rng.geometric(1 / 2))
+                action = "b" if action == "g" else "g"
+            segments.append((r0, actions))
+        n = sum(len(actions) for _, actions in segments)
+        assert n >= 200_000
+        state = observer_init(gamma)
+        tails = [[], [], []]  # the kernel's tails under F_g, F_b, F_0
+        lg, l0 = math.log(gamma / 2), math.log((1 - gamma) / 2)
+        for r0, actions in segments:
+            state = ObserverState(state.log_lik, gamma, r0, state.t)
+            log_liks, rs = history_log_liks(gauss_fat, state, actions)
+            took_g = np.array(actions) == "g"
+            work = Workspace(gauss_fat, len(actions))
+            step(gauss_fat, rs[:-1].copy(), took_g, work)
+            for column, row in zip(tails, work.tails.tolist()):
+                column += row
+            state = ObserverState(log_liks[-1], gamma, float(rs[-1]), state.t + len(actions))
+            s_g, s_b, s_0 = (math.fsum(column) for column in tails)
+            want = float(np.logaddexp(s_g, s_b)) + lg - (s_0 + LOG_2 + l0)
+            got = state.log_odds
+            scale = abs(s_g) + abs(s_b) + abs(s_0) + abs(lg) + abs(l0) + LOG_2
+            assert abs(got - want) <= (n + 8) * u * scale, (got, want)
+
+
     def test_long_random_history_stays_finite(self, gauss_fat):
         rng = philox(4242)
         state = observer_init(0.5)
