@@ -114,28 +114,22 @@ class NormalCdf:
     ``log_cdf``/``log_sf`` stay accurate far beyond the range where the
     plain CDF underflows (log-probabilities down to about -1e6 carry ~13
     significant digits).  Every method maps a float to a numpy float and
-    an array elementwise.
+    an array elementwise.  ``dynamics.step`` makes the operations of both
+    tails in place on a stack of laws, with the standardized argument times
+    +1 (``log_cdf``) or -1 (``log_sf``), which is exact.  Its overflow is
+    ignored: ``log_ndtr`` of +-inf is exact, 0 or -inf.
     """
 
     mean: float
     sd: float
 
+    @np.errstate(over="ignore")
     def log_cdf(self, x: ArrayLike) -> ArrayLike:
-        return self.log_side(x, 1.0)
+        return log_ndtr((x - self.mean) / self.sd)
 
+    @np.errstate(over="ignore")
     def log_sf(self, x: ArrayLike) -> ArrayLike:
-        return self.log_side(x, -1.0)
-
-    def log_side(self, x: ArrayLike, sign: ArrayLike) -> ArrayLike:
-        """``log_sf(x)`` where ``sign`` is -1, ``log_cdf(x)`` where it is +1.
-
-        One tail per element: the standardized argument is multiplied by
-        ``sign``, which is exact, so ``log_cdf`` and ``log_sf`` are this
-        method at a fixed sign, and floats and arrays take the same path.
-        ``dynamics.step`` makes these operations in place on a stack of
-        laws.
-        """
-        return log_ndtr((x - self.mean) / self.sd * sign)
+        return log_ndtr((x - self.mean) / self.sd * -1.0)
 
     def draw_piece(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """One piece of ``k`` draws; see ``LlrModel.sample``."""
@@ -169,16 +163,10 @@ class MixtureCdf:
         return math.log1p(-self.weight_a)
 
     def log_cdf(self, x: ArrayLike) -> ArrayLike:
-        return self.log_side(x, 1.0)
+        return self.log_mix(self.component_a.log_cdf(x), self.component_b.log_cdf(x))
 
     def log_sf(self, x: ArrayLike) -> ArrayLike:
-        return self.log_side(x, -1.0)
-
-    def log_side(self, x: ArrayLike, sign: ArrayLike) -> ArrayLike:
-        """``log_sf(x)`` where ``sign`` is -1, ``log_cdf(x)`` where it is +1."""
-        return self.log_mix(
-            self.component_a.log_side(x, sign), self.component_b.log_side(x, sign)
-        )
+        return self.log_mix(self.component_a.log_sf(x), self.component_b.log_sf(x))
 
     def log_mix(
         self,
@@ -363,15 +351,6 @@ class LlrModel:
         if regime == "0":
             return self.cdf_0
         raise InvalidParameterError(f"regime must be one of {REGIMES}, got {regime!r}")
-
-    def log_tail(self, regime: str, side: str, x: ArrayLike) -> ArrayLike:
-        """log F(-x) for side "left", log(1 - F(x)) for side "right"."""
-        cdf = self.cdf_for(regime)
-        if side == "left":
-            return cdf.log_cdf(np.negative(x))
-        if side == "right":
-            return cdf.log_sf(x)
-        raise InvalidParameterError(f"side must be 'left' or 'right', got {side!r}")
 
     def sample(
         self, omega: int, theta: str, rng: np.random.Generator, size: int

@@ -247,16 +247,13 @@ def _steps(n: int) -> np.ndarray:
 
 def _cmd_classify(args: argparse.Namespace) -> tuple:
     spec = _model_spec(args)
-    model = build_model(spec)
-    advisory = classify_empirical(model, x_max=args.x_max, n_grid=args.grid)
+    advisory = classify_empirical(build_model(spec), x_max=args.x_max, n_grid=args.grid)
     if args.empirical:
         result = advisory
         comments = [f"verdict: {result.verdict.value} (finite grid, advisory)"]
     else:
-        if isinstance(spec, GaussianSpec):
-            result = classify_gaussian(spec, args.x_max, args.grid)
-        else:
-            result = classify_mixture(spec, args.x_max, args.grid)
+        rule = classify_gaussian if isinstance(spec, GaussianSpec) else classify_mixture
+        result = rule(spec)
         comments = [
             f"verdict: {result.verdict.value} (closed form, authoritative)",
             f"empirical verdict: {advisory.verdict.value} (finite grid, advisory)",
@@ -264,7 +261,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple:
     if result.epsilon_estimate is not None:
         comments.append(f"epsilon_estimate: {result.epsilon_estimate!r}")
     csv_text = _csv_lines(
-        TailClassification.EVIDENCE_COLUMNS, result.evidence.T, comments=comments
+        TailClassification.EVIDENCE_COLUMNS, advisory.evidence.T, comments=comments
     )
     code = EXIT_UNDETERMINED if result.verdict is Verdict.UNDETERMINED else EXIT_OK
     stdout = f"{result.verdict.value}\n{csv_text}"

@@ -137,14 +137,15 @@ def _log_jump_lower_bound(model: LlrModel, rs: np.ndarray) -> np.ndarray:
     Where the two tails are numerically indistinguishable the bound is
     reported as -inf, which disables the certificate rather than faking it.
     """
-    lv = model.log_tail("b", "left", rs)
-    lu = model.log_tail("g", "left", rs)
+    lv = model.cdf_b.log_cdf(-rs)
+    lu = model.cdf_g.log_cdf(-rs)
     diff = lu - lv
     with np.errstate(invalid="ignore", divide="ignore"):
         out = lv + np.log1p(-np.exp(diff))
     return np.where(diff >= -1e-15, -np.inf, out)
 
 
+@np.errstate(invalid="ignore", over="ignore")  # NaN or inf terms return inf
 def tail_sum_upper_bound(model: LlrModel, regime: str, rho: float) -> float:
     """Certified upper bound on sum_{t>=1} h(s_t) for the path s_1 = rho,
     s_{t+1} = the all-G step of s_t, where h(r) = F(-r) for the regime's
@@ -168,7 +169,8 @@ def tail_sum_upper_bound(model: LlrModel, regime: str, rho: float) -> float:
     """
     if not math.isfinite(rho):
         return math.inf
-    h_rho = math.exp(float(model.log_tail(regime, "left", np.array([rho]))[0]))
+    cdf = model.cdf_for(regime)
+    h_rho = math.exp(float(cdf.log_cdf(np.array([-rho]))[0]))
 
     cell = TAIL_BOUND_CELL
     chunk = 4096
@@ -180,11 +182,7 @@ def tail_sum_upper_bound(model: LlrModel, regime: str, rho: float) -> float:
     while offset < max_steps:
         ks = np.arange(offset, min(offset + chunk, max_steps))
         rs = rho + cell * ks
-        logf = model.log_tail(regime, "left", rs) - _log_jump_lower_bound(
-            model, rs + cell
-        )
-        with np.errstate(over="ignore"):
-            f = np.exp(logf)
+        f = np.exp(cdf.log_cdf(-rs) - _log_jump_lower_bound(model, rs + cell))
         if np.any(np.isnan(f)) or np.any(np.isinf(f)):
             return math.inf
         # Stop once contributions are negligible against what is accumulated.
@@ -229,7 +227,7 @@ def divergence_test(
     rs = path.values
     if rs.size == 0:
         raise InvalidParameterError("path must be non-empty")
-    hs = np.exp(model.log_tail(regime, "left", rs))
+    hs = np.exp(model.cdf_for(regime).log_cdf(-rs))
     partial = np.cumsum(hs)
 
     # Threshold crossing with non-vanishing increments.
@@ -244,7 +242,7 @@ def divergence_test(
         increments = np.diff(rs)
         # 1 - F_b(-r_1) must be certifiably positive; evaluate it as a
         # survival value so it cannot round to zero.
-        log_factor = float(model.log_tail("b", "right", -float(rs[0])))
+        log_factor = float(model.cdf_b.log_sf(-float(rs[0])))
         increments_ok = path.absorbed or (
             increments.size > 0 and float(increments.min()) > 0.0
         )
@@ -303,7 +301,8 @@ def immediate_agreement_prob(
     of survival values 1 - F_regime(-r_t).
     """
     path = consensus_path(model, initial_r, horizon)
-    log_trunc = float(model.log_tail(regime, "right", -path.values).sum())
+    cdf = model.cdf_for(regime)
+    log_trunc = float(cdf.log_sf(-path.values).sum())
     trunc = math.exp(log_trunc)
 
     div = divergence_test(model, path, regime)
@@ -315,7 +314,7 @@ def immediate_agreement_prob(
             upper = 0.0
     elif math.isfinite(div.tail_bound):
         # -log(1-x) <= x / (1-x), and F(-r) only shrinks along the path.
-        sf_rho = math.exp(float(model.log_tail(regime, "right", -path.next_r)))
+        sf_rho = math.exp(float(cdf.log_sf(-path.next_r)))
         correction = div.tail_bound / sf_rho if sf_rho > 0 else math.inf
         if math.isfinite(correction):
             lower = math.exp(log_trunc - correction)

@@ -68,7 +68,7 @@ def step(model: LlrModel, r: np.ndarray, took_g, work: Workspace) -> tuple:
     each law's tail is evaluated once, on that side.  The noise law of a
     ``MixtureSpec`` model mixes the informative pair, so its tail is
     ``MixtureCdf.log_mix`` of the two tails just evaluated: the operations
-    ``MixtureCdf.log_side`` makes, without evaluating them again.
+    of ``MixtureCdf.log_cdf`` or ``log_sf``, without evaluating them again.
     Returns ``(r, lt_g, lt_b, lt_0)``: ``r`` moved in place by the jump
     ``lt_g - lt_b`` and clipped to [-R_CAP, R_CAP], and the
     log-probabilities under F_g, F_b and F_0, the rows of ``work.tails``,
@@ -78,7 +78,8 @@ def step(model: LlrModel, r: np.ndarray, took_g, work: Workspace) -> tuple:
     neg_r, stack, scratch = work.neg_r, work.stack, work.scratch
     lt_g, lt_b, lt_0 = work.rows
     np.negative(r, out=neg_r)
-    # NormalCdf.log_side's operations, once for every stacked law.
+    # NormalCdf.log_cdf's operations (log_sf's where sign is -1), once for
+    # every stacked law.
     np.subtract(neg_r, work.means, out=stack)
     np.divide(stack, work.sds, out=stack)
     np.multiply(stack, sign, out=stack)
@@ -97,7 +98,7 @@ class Workspace:
 
     ``tails`` holds one row per law, F_g, F_b and F_0, and ``rows`` those
     rows.  The rows of the Normal laws among them form ``stack``, whose
-    ``NormalCdf.log_side`` runs as one call per operation on every row at
+    tails ``step`` evaluates as one call per operation on every row at
     once.  ``means`` and ``sds`` hold each of those laws' mean and sd as a
     full row of length ``n``, the shape of ``stack``: dividing by full rows
     took about half the time of dividing by a column broadcast down them.
@@ -125,11 +126,11 @@ def walk(model: LlrModel, r: float, took_g: Sequence[bool]) -> np.ndarray:
     impossible under both informative laws makes the jump NaN, and every
     later value NaN.
 
-    The tails call ``log_ndtr`` directly, not ``NormalCdf.log_side``, with
-    each law's mean m and sd s in locals.  ``log_side``'s argument
-    ``(-r - m) / s * sign`` is ``(r + m) / s`` after a G (sign -1) and its
-    negation after a B, bit for bit, because negation is exact under
-    round-to-nearest.  Only the sign of a zero argument can differ (at
+    The tails call ``log_ndtr`` directly, not ``NormalCdf.log_sf`` or
+    ``log_cdf``, with each law's mean m and sd s in locals.  ``step``'s
+    argument ``(-r - m) / s * sign`` is ``(r + m) / s`` after a G (sign -1)
+    and its negation after a B, bit for bit, because negation is exact
+    under round-to-nearest.  Only the sign of a zero argument can differ (at
     r = -m), and ``log_ndtr(+0.0) == log_ndtr(-0.0)``.
     """
     m_g, s_g = model.cdf_g.mean, model.cdf_g.sd

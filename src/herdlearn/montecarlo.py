@@ -172,6 +172,8 @@ def _trajectory_rng(rng: np.random.Generator, master_seed: int, index: int) -> N
     rng.bit_generator.state = _REKEY
 
 
+# The kernel's standardized tail arguments may overflow, as in NormalCdf.
+@np.errstate(over="ignore")
 def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     """Simulate trajectories lo..hi-1; returns (rows, traces or None).
 
@@ -187,9 +189,11 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     The private LLRs are drawn one piece of CHUNK_STEPS steps at a time
     (``LlrModel.sample``), into one reused block, so a batch holds
     batch_size x CHUNK_STEPS draws and memory does not grow with the
-    horizon.  Between pieces a trajectory keeps only its Philox state,
-    and a refill restores it.  A traced run draws straight into its trace
-    matrix instead.
+    horizon.  One loop per piece draws it for every trajectory: at the
+    first piece it re-keys the generator and draws the trajectory's world;
+    between pieces a trajectory keeps only its Philox state, and the next
+    piece restores it.  A traced run draws through the same block and
+    copies each piece into its trace matrix.
 
     The log-likelihoods are running sums, never re-centered, and q and the
     log-odds are ``observer.posterior_columns`` of them, so replaying a
@@ -205,37 +209,19 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     n = hi - lo
     horizon = config.horizon
     traced = config.record_traces
-    width = min(horizon, CHUNK_STEPS)  # the draws of a trajectory's first piece
-    if traced:
-        llrs = np.empty((n, horizon))
-    else:
-        # Padded rows: with rows exactly CHUNK_STEPS doubles apart, each
-        # step's column falls into a few cache sets, and reading it took
-        # 1.5x as long (n=512).
-        llrs = np.empty((n, width + 8))[:, :width]
-    first = llrs[:, :width]  # row i takes trajectory lo + i's first piece
+    width = min(horizon, CHUNK_STEPS)  # the draws of a trajectory's longest piece
+    # Padded rows: with rows exactly CHUNK_STEPS doubles apart, each step's
+    # column falls into a few cache sets, and reading it took 1.5x as long
+    # (n=512).
+    llrs = np.empty((n, width + 8))[:, :width]
     omegas = []
     thetas = []
     # Each trajectory's Philox state after its last piece, while more follow.
-    states = []
+    states = [None] * n
     seed, gamma = config.master_seed, config.gamma
     fixed_omega, fixed_theta = config.omega, config.theta
     rng = np.random.Generator(np.random.Philox())
     bits, random, sample = rng.bit_generator, rng.random, model.sample
-    for i in range(n):
-        _trajectory_rng(rng, seed, lo + i)
-        # The world: omega informative w.p. gamma, theta uniform.  Both
-        # uniforms are drawn even when the config fixes omega or theta, so
-        # the LLR draws that follow do not depend on the fixing.
-        u_omega = random()
-        u_theta = random()
-        omega = int(u_omega < gamma) if fixed_omega is None else fixed_omega
-        theta = (GOOD if u_theta < 0.5 else BAD) if fixed_theta is None else fixed_theta
-        omegas.append(omega)
-        thetas.append(theta)
-        first[i] = sample(omega, theta, rng, size=width)
-        if horizon > CHUNK_STEPS:
-            states.append(bits.state)
 
     r = np.full(n, config.initial_r, dtype=float)
     work = Workspace(model, n)
@@ -245,53 +231,48 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     # absorbed once |r| reaches R_CAP.
     r_max = np.full(n, -np.inf)
     r_min = np.full(n, np.inf)
-    # Row 1 + k of ``acts`` holds the actions of step lo + k of the current
-    # block of ACT_ROWS steps, and row 0 those of the step before it; the
-    # switches are tallied once per block.
+    # Row 1 + k of ``acts`` holds the actions of step act_lo + k of the
+    # current block of ACT_ROWS steps, and row 0 those of the step before
+    # it; the switches are tallied once per block.
     acts = np.empty((ACT_ROWS + 1, n), dtype=bool)
     switched = np.empty((ACT_ROWS, n), dtype=bool)
     switch_count = np.zeros(n, dtype=np.int64)
     last_switch = np.zeros(n, dtype=np.int64)
 
     if traced:
+        trace_llrs = np.empty((n, horizon))
         trace_actions = np.empty((n, horizon), dtype="U1")
         trace_r = np.empty((n, horizon))
         trace_q = np.empty((n, horizon))
-        # Row k: r before step lo + k of the current block, and the
+        # Row k: r before step act_lo + k of the current block, and the
         # log-likelihoods after it.
         block_r = np.empty((ACT_ROWS, n))
         block_ll = np.empty((ACT_ROWS, 3, n))
 
-    def tally(lo: int, hi: int) -> None:
-        """Count the switches of steps lo..hi-1 and note the last one; fill
-        their trace columns."""
-        k = hi - lo
-        sw = switched[:k]
-        np.not_equal(acts[1 : k + 1], acts[:k], out=sw)
-        if lo == 0:
-            sw[0] = False  # the first action switches from nothing
-        counts = np.count_nonzero(sw, axis=0)
-        np.add(switch_count, counts, out=switch_count)
-        # Step lo + j sets last_switch to lo + j + 1; argmax finds the last
-        # switch as the first True of the reversed rows.
-        np.copyto(last_switch, hi - sw[::-1].argmax(axis=0), where=counts > 0)
-        if traced:
-            trace_actions[:, lo:hi] = np.where(acts[1 : k + 1].T, GOOD, BAD)
-            trace_r[:, lo:hi] = block_r[:k].T
-            trace_q[:, lo:hi] = posterior_columns(block_ll[:k].swapaxes(1, 2), gamma)[0].T
-        acts[0] = acts[k]
-
     for start in range(0, horizon, CHUNK_STEPS):
         stop = min(start + CHUNK_STEPS, horizon)
-        block = llrs[:, start:stop] if traced else llrs
-        if start:
-            for i, state in enumerate(states):
-                bits.state = state
-                block[i, : stop - start] = sample(
-                    omegas[i], thetas[i], rng, size=stop - start
+        size = stop - start
+        block = llrs[:, :size]  # row i takes trajectory lo + i's piece
+        for i in range(n):
+            if start:
+                bits.state = states[i]
+            else:
+                _trajectory_rng(rng, seed, lo + i)
+                # The world: omega informative w.p. gamma, theta uniform.
+                # Both uniforms are drawn even when the config fixes omega or
+                # theta, so the LLR draws that follow do not depend on the
+                # fixing.
+                u_omega = random()
+                u_theta = random()
+                omegas.append(int(u_omega < gamma) if fixed_omega is None else fixed_omega)
+                thetas.append(
+                    (GOOD if u_theta < 0.5 else BAD) if fixed_theta is None else fixed_theta
                 )
-                if stop < horizon:
-                    states[i] = bits.state
+            block[i] = sample(omegas[i], thetas[i], rng, size=size)
+            if stop < horizon:
+                states[i] = bits.state
+        if traced:
+            trace_llrs[:, start:stop] = block
         for act_lo in range(start, stop, ACT_ROWS):
             act_hi = min(act_lo + ACT_ROWS, stop)
             for j, t in enumerate(range(act_lo, act_hi)):
@@ -305,7 +286,24 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
                     block_ll[j] = log_liks
                 np.fmax(r_max, r, out=r_max)
                 np.fmin(r_min, r, out=r_min)
-            tally(act_lo, act_hi)
+            # Count the block's switches and note the last one; fill its
+            # trace columns.
+            k = act_hi - act_lo
+            sw = switched[:k]
+            np.not_equal(acts[1 : k + 1], acts[:k], out=sw)
+            if act_lo == 0:
+                sw[0] = False  # the first action switches from nothing
+            counts = np.count_nonzero(sw, axis=0)
+            np.add(switch_count, counts, out=switch_count)
+            # Step act_lo + j sets last_switch to act_lo + j + 1; argmax finds
+            # the last switch as the first True of the reversed rows.
+            np.copyto(last_switch, act_hi - sw[::-1].argmax(axis=0), where=counts > 0)
+            if traced:
+                cols = slice(act_lo, act_hi)
+                trace_actions[:, cols] = np.where(acts[1 : k + 1].T, GOOD, BAD)
+                trace_r[:, cols] = block_r[:k].T
+                trace_q[:, cols] = posterior_columns(block_ll[:k].swapaxes(1, 2), gamma)[0].T
+            acts[0] = acts[k]
 
     rows = np.empty(n, dtype=ROW_DTYPE)
     rows["index"] = np.arange(lo, hi)
@@ -323,7 +321,7 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
             Trace(
                 index=lo + i,
                 actions=trace_actions[i],
-                llrs=llrs[i],
+                llrs=trace_llrs[i],
                 r_before=trace_r[i],
                 q=trace_q[i],
             )
@@ -413,10 +411,9 @@ def compute_aggregates(rows: np.ndarray, horizon: int) -> dict:
     watched sharpening as the horizon grows.  These thresholds are
     finite-horizon surrogates for asymptotic events, not paper values.
     """
-    n = len(rows)
     half = horizon / 2.0
-    out = {
-        "n": int(n),
+    return {
+        "n": len(rows),
         "horizon": int(horizon),
         "herd_correctness_rate": float(np.mean(rows["final_action"] == rows["theta"])),
         "frac_switch_after_half": float(np.mean(rows["last_switch_time"] > half)),
@@ -426,14 +423,12 @@ def compute_aggregates(rows: np.ndarray, horizon: int) -> dict:
         "switch_rate": float(np.mean(rows["switch_count"]))
         / max(horizon - 1, 1),
         "n_absorbed": int(np.sum(rows["absorbed"])),
+        "median_q_final": float(np.median(rows["q_final"])),
+        "q_by_regime": {
+            f"omega={omega}": _quantiles(rows["q_final"][rows["omega"] == omega])
+            for omega in np.unique(rows["omega"]).tolist()
+        },
     }
-    if np.all(np.isfinite(rows["q_final"])):
-        out["median_q_final"] = float(np.median(rows["q_final"]))
-        out["q_by_regime"] = {}
-        for omega in np.unique(rows["omega"]).tolist():
-            sel = rows["omega"] == omega
-            out["q_by_regime"][f"omega={omega}"] = _quantiles(rows["q_final"][sel])
-    return out
 
 
 def same_variance_experiment(

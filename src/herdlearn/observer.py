@@ -148,8 +148,9 @@ def history_log_liks(
             work = Workspace(model, hi - lo)
         # ``step`` moves walked[:-1] in place, so it runs after the reads.
         # An impossible action makes the kernel's jump NaN; it is rejected
-        # below, so the NaN is expected, not worth a warning.
-        with np.errstate(invalid="ignore"):
+        # below, so the NaN is expected, not worth a warning.  Overflow is
+        # ignored as in ``NormalCdf``'s tails.
+        with np.errstate(invalid="ignore", over="ignore"):
             step(model, walked[:-1], block, work)
         rows = log_liks[lo : hi + 1]  # the carried row, then the block's
         rows[1:] = work.tails.T

@@ -23,7 +23,6 @@ from .beliefs import (
     InvalidParameterError,
     LlrModel,
     MixtureSpec,
-    build_model,
 )
 
 __all__ = [
@@ -51,14 +50,16 @@ class Verdict(str, enum.Enum):
 class TailClassification:
     """Outcome of a tail comparison.
 
-    evidence is a (n, 5) array with columns x, log L_b, log R_g, log L_g,
-    log R_b.  epsilon_estimate, when present, is a lower bound on the
-    constant in the fatter-tails definition (Fatter) or on the constant
-    whose reciprocal bounds the ratio (Thinner).
+    evidence, the finite grid behind a heuristic verdict, is a (n, 5)
+    array with columns x, log L_b, log R_g, log L_g, log R_b; a closed-form
+    rule reads only the spec and has none.  epsilon_estimate, when
+    present, is a lower bound on the constant in the fatter-tails
+    definition (Fatter) or on the constant whose reciprocal bounds the
+    ratio (Thinner).
     """
 
     verdict: Verdict
-    evidence: np.ndarray
+    evidence: Optional[np.ndarray] = None
     epsilon_estimate: Optional[float] = None
 
     EVIDENCE_COLUMNS = ("x", "log_L_b", "log_R_g", "log_L_g", "log_R_b")
@@ -75,12 +76,12 @@ def tail_ratios(model: LlrModel, x: ArrayLike) -> tuple:
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0):
         raise InvalidParameterError("tail ratios are defined for x >= 0")
-    left_0 = np.asarray(model.log_tail("0", "left", x))
-    right_0 = np.asarray(model.log_tail("0", "right", x))
-    log_l_g = left_0 - np.asarray(model.log_tail("g", "left", x))
-    log_l_b = left_0 - np.asarray(model.log_tail("b", "left", x))
-    log_r_g = right_0 - np.asarray(model.log_tail("g", "right", x))
-    log_r_b = right_0 - np.asarray(model.log_tail("b", "right", x))
+    left_0 = np.asarray(model.cdf_0.log_cdf(-x))
+    right_0 = np.asarray(model.cdf_0.log_sf(x))
+    log_l_g = left_0 - np.asarray(model.cdf_g.log_cdf(-x))
+    log_l_b = left_0 - np.asarray(model.cdf_b.log_cdf(-x))
+    log_r_g = right_0 - np.asarray(model.cdf_g.log_sf(x))
+    log_r_b = right_0 - np.asarray(model.cdf_b.log_sf(x))
     return (log_l_g, log_l_b, log_r_g, log_r_b)
 
 
@@ -106,40 +107,31 @@ def _evidence_grid(model: LlrModel, x_max: float, n_grid: int) -> np.ndarray:
     return evidence
 
 
-def classify_gaussian(
-    spec: GaussianSpec, x_max: float = 200.0, n_grid: int = 64
-) -> TailClassification:
+def classify_gaussian(spec: GaussianSpec) -> TailClassification:
     """Closed-form rule for the Gaussian family: the variances decide.
 
     The noise law has fatter tails iff tau > sigma and thinner iff
     tau < sigma; equal variances give neither.  The mean m0 only shifts
-    the law and cannot change the tail order.  This verdict is exact;
-    the attached grid is illustration, not evidence.
+    the law and cannot change the tail order.  This verdict is exact.
     """
-    evidence = _evidence_grid(build_model(spec), x_max, n_grid)
     if abs(spec.tau - spec.sigma) < 1e-12:
         verdict = Verdict.NEITHER
     elif spec.tau > spec.sigma:
         verdict = Verdict.FATTER
     else:
         verdict = Verdict.THINNER
-    return TailClassification(verdict=verdict, evidence=evidence)
+    return TailClassification(verdict)
 
 
-def classify_mixture(
-    spec: MixtureSpec, x_max: float = 200.0, n_grid: int = 64
-) -> TailClassification:
+def classify_mixture(spec: MixtureSpec) -> TailClassification:
     """Closed-form rule for mixture noise: always fatter.
 
     With F_0 = alpha*F_g + (1-alpha)*F_b, dropping one term gives
     L_b >= 1-alpha and R_g >= alpha pointwise, so the fatter-tails
     condition holds with epsilon = min(alpha, 1-alpha) exactly.
     """
-    evidence = _evidence_grid(build_model(spec), x_max, n_grid)
     return TailClassification(
-        verdict=Verdict.FATTER,
-        evidence=evidence,
-        epsilon_estimate=min(spec.alpha, 1.0 - spec.alpha),
+        Verdict.FATTER, epsilon_estimate=min(spec.alpha, 1.0 - spec.alpha)
     )
 
 

@@ -117,7 +117,7 @@ def test_criterion_03_observer_martingale():
             np.dot(
                 post,
                 [
-                    math.exp(float(model.log_tail(reg, "right", -state.r_track)))
+                    math.exp(float(model.cdf_for(reg).log_sf(-state.r_track)))
                     for reg in ("g", "b", "0", "0")
                 ],
             )

@@ -61,6 +61,9 @@ REMOVED = [
     "beliefs.MixtureCdf.sample_chunks",
     "beliefs.MixtureCdf._normals",
     "beliefs.LlrModel.sample_chunks",
+    "beliefs.NormalCdf.log_side",
+    "beliefs.MixtureCdf.log_side",
+    "beliefs.LlrModel.log_tail",
     "beliefs._skip_raw",
     "consensus.ConsensusPath.mirrored",
     "consensus.phi",

@@ -111,8 +111,9 @@ class TestSupportAndContinuity:
         for model in (gauss_fat, mixture_half):
             for regime in ("g", "b", "0"):
                 # Positive mass arbitrarily far out: finite log tails.
-                assert math.isfinite(float(model.log_tail(regime, "left", 200.0)))
-                assert math.isfinite(float(model.log_tail(regime, "right", 200.0)))
+                law = model.cdf_for(regime)
+                assert math.isfinite(float(law.log_cdf(-200.0)))
+                assert math.isfinite(float(law.log_sf(200.0)))
 
     def test_strictly_increasing_with_bounded_increments(self, gauss_fat, mixture_half):
         # No atoms: strictly increasing, and each fine-grid cell carries at
@@ -136,7 +137,7 @@ class TestSupportAndContinuity:
 class TestLogTail:
     def test_left_tail_at_zero(self, gauss_fat):
         # F_g(-0) = Phi(-1) for the Normal(2, 4) law.
-        assert gauss_fat.log_tail("g", "left", 0.0) == pytest.approx(
+        assert gauss_fat.cdf_g.log_cdf(-0.0) == pytest.approx(
             oracles.LOG_PHI_MINUS_1, abs=1e-12
         )
 
@@ -148,13 +149,13 @@ class TestLogTail:
         for sigma in (0.3, 0.7, 1.0, 1.6, 3.0, 10.0):
             for spec in (GaussianSpec(sigma=sigma, tau=1.5), MixtureSpec(sigma=sigma, alpha=0.3)):
                 model = build_model(spec)
-                right_g = np.asarray(model.log_tail("g", "right", xs))
-                left_b = np.asarray(model.log_tail("b", "left", xs))
+                right_g = np.asarray(model.cdf_g.log_sf(xs))
+                left_b = np.asarray(model.cdf_b.log_cdf(-xs))
                 assert np.array_equal(right_g.view(np.uint64), left_b.view(np.uint64))
 
     def test_deep_tail_against_oracle(self, gauss_fat):
         # x=200 puts the Normal(2, 4) left tail at Phi(-101).
-        value = float(gauss_fat.log_tail("g", "left", 200.0))
+        value = float(gauss_fat.cdf_g.log_cdf(-200.0))
         assert value == pytest.approx(oracles.LOG_PHI_MINUS_101, rel=1e-12)
         # The three-term Mills expansion agrees to its own accuracy.
         assert value == pytest.approx(oracles.mills_log_cdf_3term(101.0), rel=1e-13)
@@ -170,13 +171,13 @@ class TestLogTail:
         for regime in ("g", "b", "0"):
             law = gauss_fat.cdf_for(regime)
             direct = np.array([oracles.normal_cdf(-x, law.mean, law.sd) for x in xs])
-            stable = np.exp(np.asarray(gauss_fat.log_tail(regime, "left", xs)))
+            stable = np.exp(np.asarray(law.log_cdf(-xs)))
             keep = direct > 1e-300
             np.testing.assert_allclose(stable[keep], direct[keep], rtol=1e-10)
 
     def test_oracle_grid(self, gauss_fat):
         for x in (-30.0, -3.0, 0.0, 3.0, 30.0, 120.0):
-            got = float(gauss_fat.log_tail("0", "left", x))
+            got = float(gauss_fat.cdf_0.log_cdf(-x))
             want = oracles.normal_log_cdf(-x, mean=0.0, sd=4.0)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -184,15 +185,22 @@ class TestLogTail:
     def test_side_selected_tail_is_bitwise_the_two_sided_pick(
         self, gauss_fat, mixture_half, regime
     ):
+        """A tail whose side is chosen per element as ``dynamics.step``
+        chooses it, the standardized argument times -1 for the right tail
+        and +1 for the left, is the pick of ``log_sf`` and ``log_cdf``;
+        so is each float on its own."""
         xs = np.concatenate([np.linspace(-60.0, 60.0, 241), [-1e3, 1e3, 0.0, -0.0]])
         right = np.arange(len(xs)) % 3 == 0
+        sign = np.where(right, -1.0, 1.0)
         for model in (gauss_fat, mixture_half):
             cdf = model.cdf_for(regime)
             picked = np.where(right, cdf.log_sf(xs), cdf.log_cdf(xs))
-            sign = np.where(right, -1.0, 1.0)
-            np.testing.assert_array_equal(cdf.log_side(xs, sign), picked)
-            for x, s, want in zip(xs, sign, picked):
-                assert cdf.log_side(float(x), float(s)) == want
+            normals = [cdf] if isinstance(cdf, NormalCdf) else [cdf.component_a, cdf.component_b]
+            tails = [beliefs.log_ndtr((xs - n.mean) / n.sd * sign) for n in normals]
+            sided = tails[0] if len(tails) == 1 else cdf.log_mix(*tails)
+            np.testing.assert_array_equal(sided, picked)
+            for x, r, want in zip(xs, right, picked):
+                assert (cdf.log_sf if r else cdf.log_cdf)(float(x)) == want
 
     def test_log_ndtr_gives_the_bits_of_scipys(self):
         """``beliefs.log_ndtr``, loaded from scipy's extension module alone,
@@ -216,10 +224,10 @@ class TestLogTail:
             assert np.array_equal(beliefs.log_ndtr(x), log_ndtr(x), equal_nan=True)
 
     def test_bad_regime_and_side(self, gauss_fat):
+        """A law is chosen by its regime; a tail's side is the method's
+        name, ``log_cdf`` or ``log_sf``, so no side can be wrong."""
         with pytest.raises(InvalidParameterError):
-            gauss_fat.log_tail("x", "left", 0.0)
-        with pytest.raises(InvalidParameterError):
-            gauss_fat.log_tail("g", "up", 0.0)
+            gauss_fat.cdf_for("x")
 
 
 class TestMixtureModel:
@@ -265,8 +273,8 @@ class TestMixtureModel:
     def test_left_ratio_floor(self, mixture_half):
         # F_0(-x) >= 0.5 * F_b(-x) for every x: drop the F_g term.
         xs = np.linspace(0.0, 60.0, 200)
-        log_f0 = np.asarray(mixture_half.log_tail("0", "left", xs))
-        log_fb = np.asarray(mixture_half.log_tail("b", "left", xs))
+        log_f0 = np.asarray(mixture_half.cdf_0.log_cdf(-xs))
+        log_fb = np.asarray(mixture_half.cdf_b.log_cdf(-xs))
         assert np.all(log_f0 - log_fb >= math.log(0.5) - 1e-12)
 
 

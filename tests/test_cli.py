@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import herdlearn
 
-from herdlearn import GaussianSpec, InvalidParameterError, cli
+from herdlearn import GaussianSpec, InvalidParameterError, cli, tails
 from herdlearn.beliefs import MAX_FLOATS
 from herdlearn.cli import (
     EXIT_OK,
@@ -83,6 +84,24 @@ class TestClassify:
         assert header == ["x", "log_L_b", "log_R_g", "log_L_g", "log_R_b"]
         assert len(rows) == 64
 
+    @pytest.mark.parametrize(
+        "model", [("--tau", "2"), ("--mixture", "0.3"), ("--tau", "2", "--empirical")],
+        ids=["gaussian", "mixture", "empirical"],
+    )
+    def test_evaluates_the_evidence_grid_once(self, capsys, monkeypatch, model):
+        # The closed-form rules read only the spec; evidence.csv is the
+        # advisory grid.
+        calls = []
+        grid = tails._evidence_grid
+
+        def counted(*args):
+            calls.append(args)
+            return grid(*args)
+
+        monkeypatch.setattr(tails, "_evidence_grid", counted)
+        code, _, _ = run_cli(capsys, "classify", "--sigma", "1", *model)
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("x_max", ["1e150", "1e154"])
@@ -1172,7 +1191,9 @@ class TestFuzz:
             try:
                 with mock.patch.dict(os.environ), \
                         contextlib.redirect_stdout(stdout), \
-                        contextlib.redirect_stderr(stderr):
+                        contextlib.redirect_stderr(stderr), \
+                        warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
                     os.environ.pop("HERDLEARN_OUT_DIR", None)
                     try:
                         code = main(argv)
@@ -1182,6 +1203,41 @@ class TestFuzz:
                 os.chdir(old_cwd)
         assert code in (EXIT_OK, EXIT_UNDETERMINED, EXIT_USAGE), (argv, code)
         assert "Traceback" not in stderr.getvalue()
+        leaked = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not leaked, (argv, leaked)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (("classify", "--sigma", "1", "--tau", "1e-150", "--x-max", "1e300"), EXIT_USAGE),
+            (("classify", "--sigma", "1", "--tau", "1e-150", "--x-max", "1e300",
+              "--empirical"), EXIT_USAGE),
+            (("agree-prob", "--sigma", "1e150", "--tau", "0.5", "--regime", "0",
+              "--horizon", "1"), EXIT_OK),
+            (("agree-prob", "--sigma", "0.0625", "--tau", "2", "--regime", "0",
+              "--horizon", "11"), EXIT_OK),
+            (("simulate", "--sigma", "1", "--tau", "5e-324", "--horizon", "30",
+              "--trajectories", "3"), EXIT_OK),
+            (("agree-prob", "--sigma", "1", "--tau", "5e-324", "--regime", "0",
+              "--horizon", "30"), EXIT_OK),
+            (("observer-replay", "--sigma", "1", "--tau", "5e-324",
+              "--actions-file", "{actions}"), EXIT_OK),
+        ],
+        ids=["classify", "classify-empirical", "agree-prob-nan", "agree-prob-overflow",
+             "simulate-point-noise", "agree-prob-point-noise", "replay-point-noise"],
+    )
+    def test_no_runtime_warning_escapes(self, capsys, tmp_path, argv, want):
+        # Each command meets non-finite values that it already handles: the
+        # grid's ratios overflow past x=57797 and are rejected; the remainder
+        # bound's terms are NaN, or sum to inf, and the bound is inf.  A noise
+        # sd of 1e-323 overflows the standardized tail arguments, whose tails
+        # are then exactly 0 or -inf.
+        actions = tmp_path / "actions.txt"
+        actions.write_text("G\nG\nB\nG\nB\nB\nG\n")
+        code, _, err = run_cli(capsys, *(a.format(actions=actions) for a in argv))
+        assert code == want
+        assert "Traceback" not in err
 
 
     @pytest.mark.parametrize(

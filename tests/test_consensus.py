@@ -170,7 +170,7 @@ class TestTailBoundSoundness:
         model = build_model(GaussianSpec(sigma=1.0, tau=tau))
         extended = consensus_path(model, 0.0, horizon + 300_000)
         rs = extended.values
-        h = np.exp(np.asarray(model.log_tail("0", "left", rs)))
+        h = np.exp(np.asarray(model.cdf_0.log_cdf(-rs)))
         brute_tail = float(h[horizon:].sum())
         rho = update_public(model, float(rs[horizon - 1]), "g")
         bound = tail_sum_upper_bound(model, "0", rho)
@@ -299,10 +299,8 @@ class TestImmediateAgreement:
         horizon = 500
         # The all-B path from 0 is the all-G path negated.
         all_b = -consensus_path(gauss_fat, 0.0, horizon).values
-        # Factor per step is F_g(-r_t^b); log_tail("left") maps x to F(-x).
-        log_all_b_under_g = float(
-            np.sum(np.asarray(gauss_fat.log_tail("g", "left", all_b)))
-        )
+        # Factor per step is F_g(-r_t^b).
+        log_all_b_under_g = float(np.sum(np.asarray(gauss_fat.cdf_g.log_cdf(-all_b))))
         estimate = immediate_agreement_prob(gauss_fat, "b", 0.0, horizon)
         assert log_all_b_under_g == pytest.approx(
             math.log(estimate.truncated_product), rel=1e-9
@@ -322,7 +320,7 @@ class TestEventualMonotonicity:
 
     def test_grid_property_beyond_threshold(self, gauss_fat):
         xs = np.linspace(-30.0, 30.0, 2000)
-        phis = xs + np.asarray(
-            gauss_fat.log_tail("g", "right", -xs)
-        ) - np.asarray(gauss_fat.log_tail("b", "right", -xs))
+        phis = xs + np.asarray(gauss_fat.cdf_g.log_sf(-xs)) - np.asarray(
+            gauss_fat.cdf_b.log_sf(-xs)
+        )
         assert np.all(np.diff(phis) >= -1e-12)

@@ -270,13 +270,15 @@ def test_simulate_files_capped(capsys, tmp_path, case):
 
 def _engine_digests(config: ExperimentConfig) -> dict:
     """The digests of a run's rows, aggregates and traces with its q
-    columns masked as NaN and the aggregates rebuilt from the masked rows."""
+    columns masked as NaN and the aggregates rebuilt from the masked rows,
+    without their two q keys."""
     result = run_experiment(config)
     rows = result.rows
     rows["q_final"] = rows["q_log_odds"] = np.nan
     for tr in result.traces or []:
         tr.q[:] = np.nan
     aggregates = compute_aggregates(rows, config.horizon)
+    del aggregates["median_q_final"], aggregates["q_by_regime"]
     agg_text = json.dumps(aggregates, indent=2, sort_keys=True) + "\n"
     traces = {
         f"traj_{tr.index:06d}.csv": _trace_csv(tr, np.arange(1, config.horizon + 1)).encode()

@@ -126,7 +126,7 @@ class TestMartingale:
         post = oracles.posterior(state)
         r = state.r_track
         probs = [
-            math.exp(float(model.log_tail(reg, "right", -r)))
+            math.exp(float(model.cdf_for(reg).log_sf(-r)))
             for reg in ("g", "b", "0", "0")
         ]
         return float(np.dot(post, probs))

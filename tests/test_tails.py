@@ -16,9 +16,17 @@ from herdlearn import (
     classify_mixture,
 )
 from herdlearn.beliefs import NormalCdf
+from herdlearn.cli import build_parser
 from herdlearn.tails import tail_ratios
 
 import oracles
+
+
+def classify_command(*argv):
+    """The ``classify`` command's result for ``argv``: its errors raise,
+    where ``cli.main`` would report them."""
+    args = build_parser().parse_args(["classify", *argv])
+    return args.func(args)
 
 
 class TestTailRatios:
@@ -76,7 +84,9 @@ class TestClassifyGaussian:
             )
 
     def test_evidence_shape(self):
-        result = classify_gaussian(GaussianSpec(1.0, 2.0), n_grid=32)
+        # The closed form reads only the spec; the grid is the advisory one.
+        assert classify_gaussian(GaussianSpec(1.0, 2.0)).evidence is None
+        result = classify_empirical(build_model(GaussianSpec(1.0, 2.0)), 200.0, n_grid=32)
         assert result.evidence.shape == (32, 5)
 
 
@@ -85,6 +95,7 @@ class TestClassifyMixture:
         result = classify_mixture(MixtureSpec(sigma=1.0, alpha=0.5))
         assert result.verdict is Verdict.FATTER
         assert result.epsilon_estimate == pytest.approx(0.5)
+        assert result.evidence is None
 
 
 class TestClassifyEmpirical:
@@ -100,7 +111,7 @@ class TestClassifyEmpirical:
         with pytest.raises(InvalidParameterError, match="not finite"):
             classify_empirical(gauss_fat, x_max=x_max)
         with pytest.raises(InvalidParameterError, match="not finite"):
-            classify_gaussian(GaussianSpec(sigma=1.0, tau=2.0), x_max=x_max)
+            classify_command("--sigma", "1", "--tau", "2", f"--x-max={x_max}")
 
     def test_fatter_epsilon_saturates_beyond_exp_range(self, gauss_fat):
         # On [100, 1e4] both log ratios exceed log(max float).
@@ -159,8 +170,9 @@ class TestClassifyEmpirical:
 @pytest.mark.parametrize(
     "classify",
     [
-        lambda n: classify_gaussian(GaussianSpec(1.0, 2.0), 200.0, n),
-        lambda n: classify_mixture(MixtureSpec(sigma=1.0, alpha=0.3), 200.0, n),
+        # The closed-form commands, whose advisory grid is classify_empirical's.
+        lambda n: classify_command("--sigma", "1", "--tau", "2", f"--grid={n}"),
+        lambda n: classify_command("--sigma", "1", "--mixture", "0.3", f"--grid={n}"),
         lambda n: classify_empirical(build_model(GaussianSpec(1.0, 2.0)), 200.0, n),
     ],
     ids=["gaussian", "mixture", "empirical"],
