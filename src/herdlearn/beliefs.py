@@ -35,7 +35,6 @@ __all__ = [
     "ACTIONS",
     "REGIMES",
     "InvalidParameterError",
-    "DistinctnessError",
     "NormalCdf",
     "MixtureCdf",
     "GaussianSpec",
@@ -103,8 +102,9 @@ class InvalidParameterError(ValueError):
     """A parameter is outside its admissible range."""
 
 
-class DistinctnessError(InvalidParameterError):
-    """The uninformative law exactly replicates an informative one."""
+def _equal_variance(sigma: float, tau: float) -> bool:
+    """Whether tau equals sigma, to within 1e-12 of sigma: at every scale."""
+    return abs(tau - sigma) < 1e-12 * sigma
 
 
 @dataclass(frozen=True)
@@ -154,14 +154,6 @@ class MixtureCdf:
     component_a: NormalCdf
     component_b: NormalCdf
 
-    @property
-    def _log_wa(self) -> float:
-        return math.log(self.weight_a)
-
-    @property
-    def _log_wb(self) -> float:
-        return math.log1p(-self.weight_a)
-
     def log_cdf(self, x: ArrayLike) -> ArrayLike:
         return self.log_mix(self.component_a.log_cdf(x), self.component_b.log_cdf(x))
 
@@ -178,14 +170,12 @@ class MixtureCdf:
         """The mixture's log-probability of an event whose log-probabilities
         under the components are ``lt_a`` and ``lt_b``.
 
-        ``out`` (and ``scratch``, of the same shape, or a temporary) take
-        the same operations in place; the result is ``out``.
+        With ``out`` (and ``scratch``, of the same shape, or a temporary)
+        the same ufunc calls run in place, and the result is ``out``.
         """
-        if out is None:
-            return np.logaddexp(self._log_wa + lt_a, self._log_wb + lt_b)
-        np.add(lt_a, self._log_wa, out=out)
-        lt_b = np.add(lt_b, self._log_wb, out=scratch)
-        return np.logaddexp(out, lt_b, out=out)
+        lt_a = np.add(lt_a, math.log(self.weight_a), out=out)
+        lt_b = np.add(lt_b, math.log1p(-self.weight_a), out=scratch)
+        return np.logaddexp(lt_a, lt_b, out=out)
 
     def draw_piece(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """One piece of ``k`` draws: the k component picks (one uniform
@@ -241,7 +231,9 @@ class GaussianSpec:
 
     The informative source emits Normal(+1, sigma^2) signals in the good
     state and Normal(-1, sigma^2) in the bad state; the uninformative
-    source emits Normal(m0, tau^2) regardless of the state.
+    source emits Normal(m0, tau^2) regardless of the state.  Noise equal to
+    an informative law (tau within 1e-12 of sigma, m0 within 1e-12 of +-1)
+    is an ``InvalidParameterError``.
     """
 
     sigma: float
@@ -252,12 +244,12 @@ class GaussianSpec:
 
     def __post_init__(self) -> None:
         _require(self, finite=("sigma", "tau", "m0"), positive=("sigma", "tau"))
-        # An uninformative law exactly equal to one of the informative laws
-        # would let pure noise perfectly mimic the source; excluded.
-        if abs(self.tau - self.sigma) < 1e-12 and (
+        # Such noise would mimic the source perfectly.  The informative means
+        # are +-1 in raw units at every sigma, so m0's test is absolute.
+        if _equal_variance(self.sigma, self.tau) and (
             abs(self.m0 - 1.0) < 1e-12 or abs(self.m0 + 1.0) < 1e-12
         ):
-            raise DistinctnessError(
+            raise InvalidParameterError(
                 "uninformative signal law coincides with an informative one "
                 f"(sigma={self.sigma}, tau={self.tau}, m0={self.m0})"
             )

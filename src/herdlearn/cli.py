@@ -196,22 +196,6 @@ class _Manifest:
         )
 
 
-def _load_config_file(path: str) -> dict:
-    """Flat INI -> {key: string}; sections only group keys, names stay flat."""
-    import configparser  # only --config runs load it
-    parser = configparser.ConfigParser()
-    flat: dict = {}
-    try:
-        if not parser.read(path, encoding="utf-8"):
-            raise InvalidParameterError(f"config file not found: {path}")
-        for section in parser.sections():
-            for key, value in parser.items(section):
-                flat[key.replace("-", "_")] = value
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise InvalidParameterError(f"bad config file {path}: {exc}") from exc
-    return flat
-
-
 def _model_spec(args: argparse.Namespace, noise_optional: bool = False):
     """Model spec from flags/config.
 
@@ -394,13 +378,7 @@ def _cmd_same_variance(args: argparse.Namespace) -> tuple:
         master_seed=args.seed,
         workers=args.workers,
     )
-    header = (
-        "m0",
-        "disagreement_rate",
-        "mean_switch_count",
-        "frac_switch_after_half",
-        "median_q_final",
-    )
+    header = tuple(table[0])  # the grid is never empty
     csv_text = _csv_lines(header, [[row[k] for row in table] for k in header])
     spec = GaussianSpec(sigma=sigma, tau=sigma, m0=0.0)
     return EXIT_OK, spec, csv_text, [("same_variance.csv", csv_text)]
@@ -608,14 +586,22 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
 def _file_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
     """The config file's values for the subcommand's own flags.
 
-    They become parser defaults, so argparse converts them with each flag's
-    type and flags given on the command line still win.  Flags that take no
-    value read true/false; keys the subcommand does not declare are ignored,
-    so that one file can serve several commands.
+    The file is flat INI: sections only group keys, and a later section's
+    value wins.  The values become parser defaults, so argparse converts
+    them with each flag's type and flags given on the command line still
+    win.  Flags that take no value read true/false; keys the subcommand does
+    not declare are ignored, so that one file can serve several commands.
     """
-    import configparser
-    defaults = {}
-    for key, value in _load_config_file(args.config).items():
+    import configparser  # only --config runs load it
+    path, config, defaults = args.config, configparser.ConfigParser(), {}
+    try:
+        if not config.read(path, encoding="utf-8"):
+            raise InvalidParameterError(f"config file not found: {path}")
+        items = (item for section in config.sections() for item in config.items(section))
+        flat = {key.replace("-", "_"): value for key, value in items}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise InvalidParameterError(f"bad config file {path}: {exc}") from exc
+    for key, value in flat.items():
         if key in ("command", "func", "config") or not hasattr(args, key):
             continue
         if isinstance(getattr(args, key), bool):

@@ -37,6 +37,9 @@ from .observer import _log_priors, posterior_columns
 # CHUNK_STEPS, so no block of them straddles two chunks.
 ACT_ROWS = 256
 
+# Trajectories per batch: it sets memory and scheduling, never a row.
+BATCH_SIZE = 1024
+
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
@@ -56,7 +59,8 @@ class ExperimentConfig:
     gamma, theta uniform.  Every run also runs the outside observer's
     filter, which reads the actions and never changes them.
     record_traces keeps full per-step traces in memory -- intended for
-    small runs that will be written out for plotting.
+    small runs that will be written out for plotting.  Neither ``workers``
+    nor the module's BATCH_SIZE, the trajectories per batch, changes a row.
     """
 
     model: ModelSpec
@@ -68,7 +72,6 @@ class ExperimentConfig:
     initial_r: float = 0.0
     master_seed: int = 0
     record_traces: bool = False
-    batch_size: int = 1024
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -93,9 +96,9 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"master_seed must lie in [0, 2**64), got {self.master_seed}"
             )
-        if self.batch_size < 1 or self.workers < 1:
-            raise InvalidParameterError("batch_size and workers must be >= 1")
-        batch = min(self.batch_size, self.num_trajectories)
+        if self.workers < 1:
+            raise InvalidParameterError(f"workers must be >= 1, got {self.workers}")
+        batch = min(BATCH_SIZE, self.num_trajectories)
         if self.record_traces and batch * self.horizon > MAX_FLOATS:
             raise InvalidParameterError(
                 f"a traced batch of {batch} trajectories x {self.horizon} steps "
@@ -188,7 +191,7 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
 
     The private LLRs are drawn one piece of CHUNK_STEPS steps at a time
     (``LlrModel.sample``), into one reused block, so a batch holds
-    batch_size x CHUNK_STEPS draws and memory does not grow with the
+    BATCH_SIZE x CHUNK_STEPS draws and memory does not grow with the
     horizon.  One loop per piece draws it for every trajectory: at the
     first piece it re-keys the generator and draws the trajectory's world;
     between pieces a trajectory keeps only its Philox state, and the next
@@ -347,7 +350,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     from per-trajectory keys, so worker scheduling cannot reorder or
     perturb anything.
     """
-    n, size = config.num_trajectories, config.batch_size
+    n, size = config.num_trajectories, BATCH_SIZE
     starts = range(0, n, size)  # each batch's first index, never listed
     parts: list = []  # finished batches, in index order
     broken: tuple = ()  # the pool's failure, imported by pooled runs only

@@ -23,6 +23,7 @@ from .beliefs import (
     InvalidParameterError,
     LlrModel,
     MixtureSpec,
+    _equal_variance,
 )
 
 __all__ = [
@@ -111,10 +112,11 @@ def classify_gaussian(spec: GaussianSpec) -> TailClassification:
     """Closed-form rule for the Gaussian family: the variances decide.
 
     The noise law has fatter tails iff tau > sigma and thinner iff
-    tau < sigma; equal variances give neither.  The mean m0 only shifts
-    the law and cannot change the tail order.  This verdict is exact.
+    tau < sigma; equal variances, tau within 1e-12 of sigma at any scale,
+    give neither.  The mean m0 only shifts the law and cannot change the
+    tail order.  This verdict is exact.
     """
-    if abs(spec.tau - spec.sigma) < 1e-12:
+    if _equal_variance(spec.sigma, spec.tau):
         verdict = Verdict.NEITHER
     elif spec.tau > spec.sigma:
         verdict = Verdict.FATTER

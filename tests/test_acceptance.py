@@ -151,7 +151,6 @@ def test_criterion_04_belief_ratio_identity():
             num_trajectories=n,
             omega=omega,
             master_seed=seed,
-            batch_size=8192,
         )
         runs[omega] = run_experiment(config).rows["q_final"]
     q0, q1 = runs[0], runs[1]
@@ -189,7 +188,6 @@ def _uninformative_run(tau: float, seed: int):
         num_trajectories=2000,
         omega=0,
         master_seed=seed,
-        batch_size=2048,
     )
     return run_experiment(config)
 
@@ -257,7 +255,6 @@ def test_criterion_07_correct_herding_when_informative(tau):
         num_trajectories=2000,
         omega=1,
         master_seed=7001,
-        batch_size=2048,
     )
     rate = run_experiment(config).aggregates["herd_correctness_rate"]
     report(f"C07[tau={tau}]", rate >= 0.95, f"herd_correctness={rate:.4f}", started)
@@ -294,7 +291,6 @@ def test_criterion_09_product_matches_simulation():
         num_trajectories=n,
         omega=0,
         master_seed=9001,
-        batch_size=16384,
     )
     rows = run_experiment(config).rows
     # A 20-step all-G run is exactly a switch-free run that ends on G.

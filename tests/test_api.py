@@ -65,6 +65,7 @@ REMOVED = [
     "beliefs.MixtureCdf.log_side",
     "beliefs.LlrModel.log_tail",
     "beliefs._skip_raw",
+    "beliefs.DistinctnessError",
     "consensus.ConsensusPath.mirrored",
     "consensus.phi",
     "montecarlo.spec_from_dict",
@@ -74,6 +75,7 @@ REMOVED = [
     "observer.q_arrays",
     "montecarlo.LOG_2",
     "montecarlo.ExperimentConfig.record_q",
+    "montecarlo.ExperimentConfig.batch_size",
     "tails.TailClassification.authoritative",
     "cli.config_from_manifest",
 ]

@@ -10,7 +10,7 @@ from scipy import stats
 
 from herdlearn import GaussianSpec, InvalidParameterError, MixtureSpec, build_model
 from herdlearn import beliefs
-from herdlearn.beliefs import DistinctnessError, NormalCdf
+from herdlearn.beliefs import NormalCdf
 
 import oracles
 
@@ -65,8 +65,17 @@ class TestGaussianModel:
 
     @pytest.mark.parametrize("m0", [1.0, -1.0])
     def test_distinctness_violation(self, m0):
-        with pytest.raises(DistinctnessError):
+        with pytest.raises(InvalidParameterError, match="coincides"):
             GaussianSpec(sigma=1.0, tau=1.0, m0=m0)
+
+    @pytest.mark.parametrize("sigma", [1e-150, 1e-13, 1e-6, 1.0, 1e6, 1e150])
+    @pytest.mark.parametrize("m0", [1.0, -1.0])
+    def test_distinctness_at_every_scale(self, sigma, m0):
+        # tau equals sigma to within 1e-12 of sigma, whatever sigma's scale.
+        for k in (0.5, 2.0):
+            GaussianSpec(sigma=sigma, tau=k * sigma, m0=m0)
+        with pytest.raises(InvalidParameterError, match="coincides"):
+            GaussianSpec(sigma=sigma, tau=sigma, m0=m0)
 
     def test_near_coincidence_allowed(self):
         GaussianSpec(sigma=1.0, tau=1.0, m0=0.999)

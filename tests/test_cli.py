@@ -66,6 +66,17 @@ class TestClassify:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "Neither"
 
+    def test_equal_variance_is_relative_to_sigma(self, capsys):
+        # tau = 2 sigma is Fatter at any scale, and the closed form agrees
+        # with the advisory grid.
+        code, out, _ = run_cli(capsys, "classify", "--sigma", "1e-13", "--tau", "2e-13")
+        assert code == EXIT_OK
+        assert out.splitlines()[:3] == [
+            "Fatter",
+            "# verdict: Fatter (closed form, authoritative)",
+            "# empirical verdict: Fatter (finite grid, advisory)",
+        ]
+
     def test_mixture_fatter(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--mixture", "0.5", "--sigma", "1")
         assert code == EXIT_OK
@@ -325,6 +336,15 @@ class TestSimulate:
             import hashlib
 
             assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+
+    def test_distinct_variances_are_accepted_at_a_small_scale(self, capsys):
+        # m0 = 1 is an informative mean, but tau = 5 sigma is not sigma.
+        code, out, err = run_cli(
+            capsys, "simulate", "--sigma", "1e-13", "--tau", "5e-13", "--m0", "1",
+            "--horizon", "5", "--trajectories", "3",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["n"] == 3
 
     def test_stress_preset_yields_to_explicit_sizes(self, capsys, tmp_path):
         out_dir = tmp_path / "run"
@@ -703,6 +723,23 @@ class TestConfigLayering:
         assert (tmp_path / "b" / "rows.csv").exists()
         assert not (tmp_path / "b" / "traces").exists()
         config.write_text("[run]\nempirical = true\n")
+        code, out, _ = run_cli(
+            capsys, "classify", "--sigma", "1", "--tau", "2", "--config", str(config)
+        )
+        assert code == EXIT_OK
+        assert "# verdict: Fatter (finite grid, advisory)" in out.splitlines()
+
+    def test_a_later_section_overrides_an_earlier_one(self, capsys, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text(
+            "[model]\nsigma = 1\nhorizon = 3\n\n[run]\nhorizon = 4\n"
+        )
+        code, out, _ = run_cli(capsys, "path", "--config", str(config))
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert len(rows) == 4
+        # Only the value that wins is read as a flag's value.
+        config.write_text("[model]\nempirical = maybe\n\n[run]\nempirical = true\n")
         code, out, _ = run_cli(
             capsys, "classify", "--sigma", "1", "--tau", "2", "--config", str(config)
         )

@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from herdlearn.cli import _rows_csv, _trace_csv, main
-from herdlearn import ExperimentConfig, GaussianSpec, MixtureSpec, run_experiment
+from herdlearn import ExperimentConfig, GaussianSpec, MixtureSpec, montecarlo, run_experiment
 from herdlearn.montecarlo import compute_aggregates
 
 
@@ -379,8 +379,13 @@ ENGINE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
-def test_engine_without_observer(case):
+def test_engine_without_observer(monkeypatch, case):
     kwargs, expected = ENGINE_CASES[case]
+    # A case's batch_size, where it gives one, sets the run's batches.
+    kwargs = dict(kwargs)
+    monkeypatch.setattr(
+        montecarlo, "BATCH_SIZE", kwargs.pop("batch_size", montecarlo.BATCH_SIZE)
+    )
     assert _engine_digests(ExperimentConfig(**kwargs)) == expected
 
 

@@ -120,17 +120,21 @@ class TestDeterminism:
         assert a.aggregates == b.aggregates
 
     def test_batch_size_invariance(self):
+        # Any partition of the index range into batches gives the same rows.
         for spec in (GaussianSpec(sigma=1.0, tau=2.0), MixtureSpec(sigma=1.0, alpha=0.35)):
-            a, b, c = (
-                run_experiment(small_config(model=spec, batch_size=size))
-                for size in (1, 7, 1024)
-            )
-            np.testing.assert_array_equal(a.rows, c.rows)
-            np.testing.assert_array_equal(b.rows, c.rows)
+            config = small_config(model=spec)
+            n = config.num_trajectories
+            whole = run_experiment(config).rows
+            for bounds in (range(n + 1), [*range(0, n, 7), n], [0, 1, 8, 299, n]):
+                rows = np.concatenate(
+                    [_simulate_batch(config, lo, hi)[0] for lo, hi in zip(bounds, bounds[1:])]
+                )
+                np.testing.assert_array_equal(rows, whole)
 
-    def test_worker_count_invariance(self):
-        a = run_experiment(small_config(batch_size=64, workers=1))
-        b = run_experiment(small_config(batch_size=64, workers=2))
+    def test_worker_count_invariance(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "BATCH_SIZE", 64)
+        a = run_experiment(small_config(workers=1))
+        b = run_experiment(small_config(workers=2))
         np.testing.assert_array_equal(a.rows, b.rows)
 
     def test_pool_has_no_more_workers_than_batches(self, monkeypatch):
@@ -140,9 +144,11 @@ class TestDeterminism:
         monkeypatch.setattr(
             montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False
         )
-        rows = run_experiment(small_config(batch_size=128, workers=64)).rows
+        monkeypatch.setattr(montecarlo, "BATCH_SIZE", 128)
+        config = small_config(workers=64)
+        rows = run_experiment(config).rows
         assert pool.sizes == [3]
-        np.testing.assert_array_equal(rows, run_experiment(small_config()).rows)
+        np.testing.assert_array_equal(rows, _simulate_batch(config, 0, 300)[0])
 
     @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
     def test_pool_has_no_more_workers_than_usable_cpus(self, monkeypatch, affinity):
@@ -157,12 +163,11 @@ class TestDeterminism:
         else:
             monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
-        config = small_config(horizon=5, num_trajectories=12, batch_size=1, workers=5000)
+        monkeypatch.setattr(montecarlo, "BATCH_SIZE", 1)
+        config = small_config(horizon=5, num_trajectories=12, workers=5000)
         rows = run_experiment(config).rows
         assert pool.sizes == [2 if affinity else 3]
-        np.testing.assert_array_equal(
-            rows, run_experiment(dataclasses.replace(config, batch_size=1024, workers=1)).rows
-        )
+        np.testing.assert_array_equal(rows, _simulate_batch(config, 0, 12)[0])
 
     def test_pool_keeps_two_batches_per_worker_in_flight(self, monkeypatch):
         # Submitting every batch before reading any result would hold a
@@ -195,7 +200,8 @@ class TestDeterminism:
         monkeypatch.setattr(
             montecarlo.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
         )
-        config = small_config(horizon=5, num_trajectories=200, batch_size=1, workers=2)
+        monkeypatch.setattr(montecarlo, "BATCH_SIZE", 1)
+        config = small_config(horizon=5, num_trajectories=200, workers=2)
         rows = run_experiment(config).rows
         assert len(in_flight) == 200 and max(in_flight) == 4
         np.testing.assert_array_equal(
@@ -280,8 +286,9 @@ class TestEngineMatchesReferenceSimulator:
     @pytest.mark.parametrize(
         "spec", [GaussianSpec(sigma=1.0, tau=2.0), MixtureSpec(sigma=1.0, alpha=0.35)]
     )
-    def test_agreement_across_chunk_boundaries(self, spec, horizon):
+    def test_agreement_across_chunk_boundaries(self, monkeypatch, spec, horizon):
         # Noise worlds, so the mixture runs draw from the mixture law.
+        monkeypatch.setattr(montecarlo, "BATCH_SIZE", 2)
         config = ExperimentConfig(
             model=spec,
             gamma=0.4,
@@ -290,7 +297,6 @@ class TestEngineMatchesReferenceSimulator:
             omega=0,
             master_seed=31,
             record_traces=True,
-            batch_size=2,
         )
         traced = self._assert_matches_reference(config)
         untraced = run_experiment(dataclasses.replace(config, record_traces=False))
@@ -476,8 +482,9 @@ class TestResourceError:
             return real(config, lo, hi)
 
         monkeypatch.setattr(mc, "_simulate_batch", flaky)
+        monkeypatch.setattr(mc, "BATCH_SIZE", 100)
         with pytest.raises(ExperimentResourceError) as err:
-            run_experiment(small_config(batch_size=100))
+            run_experiment(small_config())
         assert len(err.value.completed_rows) == 200
 
     def test_batches_are_not_listed_before_the_work(self, monkeypatch):
@@ -492,7 +499,8 @@ class TestResourceError:
             return _simulate_batch(config, lo, hi)
 
         monkeypatch.setattr(montecarlo, "_simulate_batch", fails_third)
-        config = small_config(num_trajectories=10**6, batch_size=1)
+        monkeypatch.setattr(montecarlo, "BATCH_SIZE", 1)
+        config = small_config(num_trajectories=10**6)
         tracemalloc.start()
         try:
             with pytest.raises(ExperimentResourceError) as err:
@@ -506,15 +514,17 @@ class TestResourceError:
     def test_partial_result_error_with_workers(self, monkeypatch):
         full = run_experiment(small_config()).rows
         monkeypatch.setattr(montecarlo, "_simulate_batch", _out_of_memory_from_200)
+        monkeypatch.setattr(montecarlo, "BATCH_SIZE", 100)
         with pytest.raises(ExperimentResourceError, match="out of memory") as err:
-            run_experiment(small_config(batch_size=100, workers=2))
+            run_experiment(small_config(workers=2))
         np.testing.assert_array_equal(err.value.completed_rows, full[:200])
 
     def test_dead_worker_keeps_finished_batches(self, monkeypatch):
         full = run_experiment(small_config()).rows
         monkeypatch.setattr(montecarlo, "_simulate_batch", _worker_dies_at_200)
+        monkeypatch.setattr(montecarlo, "BATCH_SIZE", 100)
         with pytest.raises(ExperimentResourceError, match="worker") as err:
-            run_experiment(small_config(batch_size=100, workers=2))
+            run_experiment(small_config(workers=2))
         # Batches that finished before the pool broke come back in order.
         done = err.value.completed_rows
         assert len(done) in (0, 100, 200)

@@ -72,6 +72,21 @@ class TestClassifyGaussian:
         result = classify_gaussian(GaussianSpec(sigma=1.0, tau=1.0, m0=0.3))
         assert result.verdict is Verdict.NEITHER
 
+    @pytest.mark.parametrize("sigma", [1e-150, 1e-13, 1e-6, 1.0, 1e6, 1e150])
+    def test_verdicts_at_every_scale(self, sigma):
+        # Equal variance is tau within 1e-12 of sigma, whatever sigma's scale.
+        for k, verdict in ((2.0, Verdict.FATTER), (0.5, Verdict.THINNER),
+                           (1.0, Verdict.NEITHER)):
+            assert classify_gaussian(GaussianSpec(sigma, k * sigma)).verdict is verdict
+
+    @pytest.mark.parametrize(
+        "sigma,tau,verdict",
+        [(1e-13, 2e-13, Verdict.FATTER), (1e6, 1e6 + 1e-7, Verdict.NEITHER),
+         (1.0, 1.0 + 1e-13, Verdict.NEITHER), (1.0, 1.0 + 1e-11, Verdict.FATTER)],
+    )
+    def test_equal_variance_is_relative(self, sigma, tau, verdict):
+        assert classify_gaussian(GaussianSpec(sigma, tau)).verdict is verdict
+
     def test_mean_never_changes_verdict(self):
         for m0 in (-2.0, -0.5, 0.0, 0.5, 2.0):
             assert (
