@@ -435,117 +435,70 @@ _NOT_ECHOED = frozenset(
 )
 
 
-def _make_manifest(args: argparse.Namespace, spec) -> _Manifest:
+def _make_manifest(args: argparse.Namespace, spec, started_utc: str) -> _Manifest:
     echo = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
     return _Manifest(
         command=args.command,
         config={"model": {"kind": spec.kind, **asdict(spec)}, **echo},
         master_seed=args.seed,
-        started_utc=datetime.now(timezone.utc).isoformat(),
+        started_utc=started_utc,
     )
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sigma", type=float, help="informative signal sd")
-    p.add_argument("--tau", type=float, help="uninformative signal sd")
-    p.add_argument("--m0", type=float, default=0.0, help="uninformative signal mean")
-    p.add_argument(
-        "--mixture",
-        type=float,
-        metavar="ALPHA",
-        help="use mixture noise alpha*F_g + (1-alpha)*F_b instead of --tau/--m0",
-    )
+# Each flag's ``add_argument`` keywords.  argparse derives each destination
+# from the flag (--x-max gives x_max).
+_FLAGS = {
+    "--sigma": dict(type=float, help="informative signal sd"),
+    "--tau": dict(type=float, help="uninformative signal sd"),
+    "--m0": dict(type=float, default=0.0, help="uninformative signal mean"),
+    "--mixture": dict(type=float, metavar="ALPHA", help="use mixture noise "
+                      "alpha*F_g + (1-alpha)*F_b instead of --tau/--m0"),
+    "--config": dict(help="flat INI config file; flags override it"),
+    "--seed": dict(type=int, default=0, help="master seed"),
+    "--out": dict(help=f"output directory (else ${OUT_DIR_ENV}, if set)"),
+    "--x-max": dict(type=float, default=200.0, help="grid upper end"),
+    "--grid": dict(type=int, default=64, help="grid size"),
+    "--empirical": dict(action="store_true", help="let the finite-grid classifier "
+                        "decide (can return Undetermined)"),
+    "--regime": dict(help="which conditional law: g, b or 0"),
+    "--gamma": dict(type=float, default=0.5),
+    "--horizon": dict(type=int),
+    "--trajectories": dict(type=int),
+    "--omega": dict(type=int, choices=(0, 1)),
+    "--theta": dict(choices=("g", "b")),
+    "--initial-r": dict(type=float, default=0.0),
+    "--traces": dict(action="store_true"),
+    "--workers": dict(type=int, default=1),
+    "--stress": dict(action="store_true", help="size the run at the long-horizon "
+                     "scale unless --horizon or --trajectories is given (takes minutes)"),
+    "--m0-grid": dict(default="0,0.25,0.5", help="comma list"),
+    "--actions-file": dict(help="one G/B per line"),
+}
+_MODEL = ("--sigma", "--tau", "--m0", "--mixture")
+_RUN = ("--config", "--seed", "--out")
 
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat INI config file; flags override it")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--out", help=f"output directory (else ${OUT_DIR_ENV}, if set)")
-
-
-def _classify_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--x-max", dest="x_max", type=float, default=200.0, help="grid upper end"
-    )
-    p.add_argument("--grid", type=int, default=64, help="grid size")
-    p.add_argument(
-        "--empirical",
-        action="store_true",
-        help="let the finite-grid classifier decide (can return Undetermined)",
-    )
-
-
-def _path_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--horizon", type=int, default=1000, help="path length")
-    p.add_argument("--initial-r", dest="initial_r", type=float, default=0.0)
-
-
-def _agree_prob_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--regime", help="which conditional law: g, b or 0")
-    p.add_argument("--horizon", type=int, default=1000, help="truncation horizon")
-    p.add_argument("--initial-r", dest="initial_r", type=float, default=0.0)
-
-
-def _simulate_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--trajectories", type=int)
-    p.add_argument("--omega", type=int, choices=(0, 1))
-    p.add_argument("--theta", choices=("g", "b"))
-    p.add_argument("--initial-r", dest="initial_r", type=float, default=0.0)
-    p.add_argument("--traces", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument(
-        "--stress",
-        action="store_true",
-        help="size the run at the long-horizon scale unless --horizon or "
-        "--trajectories is given (takes minutes)",
-    )
-
-
-def _same_variance_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--m0-grid", dest="m0_grid", default="0,0.25,0.5", help="comma list")
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--horizon", type=int, default=2000)
-    p.add_argument("--trajectories", type=int, default=2000)
-    p.add_argument("--workers", type=int, default=1)
-
-
-def _observer_replay_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--initial-r", dest="initial_r", type=float, default=0.0)
-    p.add_argument("--actions-file", dest="actions_file", help="one G/B per line")
-
-
-# name: (function, help, whether it takes the model flags, its own flags),
-# in the order the parser lists them.
+# name: (function, help, its flags in the order the parser lists them, the
+# keywords where its flag differs from ``_FLAGS``'s), in the order the parser
+# lists the commands.
 _COMMANDS = {
-    "classify": (
-        _cmd_classify, "relative tail thickness of the noise law", True, _classify_flags
-    ),
-    "path": (_cmd_path, "deterministic all-G public-LLR path", True, _path_flags),
-    "agree-prob": (
-        _cmd_agree_prob,
-        "probability bracket for immediate agreement",
-        True,
-        _agree_prob_flags,
-    ),
-    "simulate": (
-        _cmd_simulate, "Monte Carlo trajectory experiment", True, _simulate_flags
-    ),
-    "same-variance": (
-        _cmd_same_variance,
-        "noise-mean sweep at tau = sigma",
-        False,
-        _same_variance_flags,
-    ),
-    "observer-replay": (
-        _cmd_observer_replay,
-        "run the filter over recorded actions",
-        True,
-        _observer_replay_flags,
-    ),
+    "classify": (_cmd_classify, "relative tail thickness of the noise law",
+                 (*_MODEL, *_RUN, "--x-max", "--grid", "--empirical"), {}),
+    "path": (_cmd_path, "deterministic all-G public-LLR path",
+             (*_MODEL, *_RUN, "--horizon", "--initial-r"),
+             {"--horizon": dict(default=1000, help="path length")}),
+    "agree-prob": (_cmd_agree_prob, "probability bracket for immediate agreement",
+                   (*_MODEL, *_RUN, "--regime", "--horizon", "--initial-r"),
+                   {"--horizon": dict(default=1000, help="truncation horizon")}),
+    "simulate": (_cmd_simulate, "Monte Carlo trajectory experiment",
+                 (*_MODEL, *_RUN, "--gamma", "--horizon", "--trajectories", "--omega",
+                  "--theta", "--initial-r", "--traces", "--workers", "--stress"), {}),
+    "same-variance": (_cmd_same_variance, "noise-mean sweep at tau = sigma",
+                      (*_RUN, "--sigma", "--m0-grid", "--gamma", "--horizon",
+                       "--trajectories", "--workers"),
+                      {"--sigma": dict(help=None), "--horizon": dict(default=2000),
+                       "--trajectories": dict(default=2000)}),
+    "observer-replay": (_cmd_observer_replay, "run the filter over recorded actions",
+                        (*_MODEL, *_RUN, "--gamma", "--initial-r", "--actions-file"), {}),
 }
 
 
@@ -569,17 +522,15 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     parser.commands = {}
-    for name, (func, help, model_flags, add_flags) in _COMMANDS.items():
+    for name, (func, help, flags, differ) in _COMMANDS.items():
         if only not in (None, name):
             continue
         p = parser.commands[name] = sub.add_parser(
             name, help=help, formatter_class=formatter
         )
-        if model_flags:
-            _add_model_flags(p)
-        _add_common_flags(p)
         p.set_defaults(func=func)
-        add_flags(p)
+        for flag in flags:
+            p.add_argument(flag, **{**_FLAGS[flag], **differ.get(flag, {})})
     return parser
 
 
@@ -667,10 +618,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out = Path(out)
             with _writing_outputs():
                 made = _make_dirs(out)
+        started_utc = datetime.now(timezone.utc).isoformat()
         code, spec, stdout, files = args.func(args)
         print(stdout, end="")
         if out:
-            manifest = _make_manifest(args, spec)
+            manifest = _make_manifest(args, spec, started_utc)
             manifest.made.add(out)
             with _writing_outputs():
                 for rel, text in files:

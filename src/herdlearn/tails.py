@@ -162,15 +162,32 @@ def classify_empirical(
     -TREND_SLOPE_TOL) on the top half of a geometric grid; thinner needs
     log L_g or log R_b decisively decreasing.  This reports finite-grid
     evidence only -- it cannot certify an asymptotic statement, so anything
-    ambiguous comes back Undetermined with the grid attached.
+    ambiguous comes back Undetermined with the grid attached.  So does a
+    grid whose top half starts short of the informative mean plus one sd
+    (it sees the laws' bodies, not their tails), and one where rounding of
+    the log tails could move a slope across -TREND_SLOPE_TOL (the tails are
+    so large that their differences are lost, as at sigma = 1e150).
     """
     evidence = _evidence_grid(model, x_max, n_grid)
     top = evidence[n_grid // 2 :]
     xs = top[:, 0]
-    slope_l_b = _slope(xs, top[:, 1])
-    slope_r_g = _slope(xs, top[:, 2])
-    slope_l_g = _slope(xs, top[:, 3])
-    slope_r_b = _slope(xs, top[:, 4])
+    slopes = [_slope(xs, top[:, j]) for j in range(1, 5)]
+    slope_l_b, slope_r_g, slope_l_g, slope_r_b = slopes
+    # Each ratio is a difference of two log tails, and its rounding is taken
+    # as 8 ulps of the largest tail on the top half, at the grid's end (2.2
+    # at most measured, for sigma = tau from 1e3 to 1e7).  Ratios off by that
+    # much move a least-squares slope by at most ``tilt``: the slope of
+    # errors of that size signed as x's deviation from its mean.
+    end = float(xs[-1])
+    size = max(
+        -float(tail) for law in (model.cdf_0, model.cdf_g, model.cdf_b)
+        for tail in (law.log_cdf(-end), law.log_sf(end))
+    )
+    tilt = 8.0 * np.finfo(float).eps * size * _slope(xs, np.sign(xs - xs.mean()))
+    if xs[0] < model.cdf_g.mean + model.cdf_g.sd or any(
+        abs(s + TREND_SLOPE_TOL) <= tilt for s in slopes
+    ):
+        return TailClassification(Verdict.UNDETERMINED, evidence)
 
     fatter = slope_l_b >= -TREND_SLOPE_TOL and slope_r_g >= -TREND_SLOPE_TOL
     thinner = slope_l_g <= -TREND_SLOPE_TOL or slope_r_b <= -TREND_SLOPE_TOL

@@ -10,7 +10,9 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 import warnings
+from datetime import datetime, timedelta
 from pathlib import Path
 from unittest import mock
 
@@ -67,14 +69,15 @@ class TestClassify:
         assert out.splitlines()[0] == "Neither"
 
     def test_equal_variance_is_relative_to_sigma(self, capsys):
-        # tau = 2 sigma is Fatter at any scale, and the closed form agrees
-        # with the advisory grid.
+        # tau = 2 sigma is Fatter at any scale.  The default grid ends far
+        # short of the LLR laws' tails at this scale, so the advisory grid
+        # does not decide.
         code, out, _ = run_cli(capsys, "classify", "--sigma", "1e-13", "--tau", "2e-13")
         assert code == EXIT_OK
         assert out.splitlines()[:3] == [
             "Fatter",
             "# verdict: Fatter (closed form, authoritative)",
-            "# empirical verdict: Fatter (finite grid, advisory)",
+            "# empirical verdict: Undetermined (finite grid, advisory)",
         ]
 
     def test_mixture_fatter(self, capsys):
@@ -822,6 +825,24 @@ class TestOutputPath:
         assert code == EXIT_OK and out
         assert list(work.iterdir()) == []
 
+    def test_manifest_times_span_the_command(self, capsys, tmp_path, monkeypatch):
+        path = cli.consensus_path
+
+        def slow(*args, **kwargs):
+            time.sleep(0.2)
+            return path(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "consensus_path", slow)
+        code, _, _ = run_cli(
+            capsys, "path", "--sigma", "1", "--horizon", "5", "--out", str(tmp_path)
+        )
+        assert code == EXIT_OK
+        manifest = read_manifest(tmp_path)
+        started, finished = (
+            datetime.fromisoformat(manifest[k]) for k in ("started_utc", "finished_utc")
+        )
+        assert finished - started >= timedelta(seconds=0.2)
+
     def test_each_directory_is_made_once(self, capsys, tmp_path, monkeypatch):
         made = []
         mkdir = Path.mkdir
@@ -911,6 +932,28 @@ _SAMPLE_ARGV = {
 }
 
 
+_MODEL_DEFAULTS = [("--sigma", None), ("--tau", None), ("--m0", 0.0), ("--mixture", None)]
+_RUN_DEFAULTS = [("--config", None), ("--seed", 0), ("--out", None)]
+# Each command's flags, in the order its help lists them, with the values it
+# parses when none is given.
+_FLAGS_AND_DEFAULTS = {
+    "classify": [*_MODEL_DEFAULTS, *_RUN_DEFAULTS, ("--x-max", 200.0), ("--grid", 64),
+                 ("--empirical", False)],
+    "path": [*_MODEL_DEFAULTS, *_RUN_DEFAULTS, ("--horizon", 1000), ("--initial-r", 0.0)],
+    "agree-prob": [*_MODEL_DEFAULTS, *_RUN_DEFAULTS, ("--regime", None),
+                   ("--horizon", 1000), ("--initial-r", 0.0)],
+    "simulate": [*_MODEL_DEFAULTS, *_RUN_DEFAULTS, ("--gamma", 0.5), ("--horizon", None),
+                 ("--trajectories", None), ("--omega", None), ("--theta", None),
+                 ("--initial-r", 0.0), ("--traces", False), ("--workers", 1),
+                 ("--stress", False)],
+    "same-variance": [*_RUN_DEFAULTS, ("--sigma", None), ("--m0-grid", "0,0.25,0.5"),
+                      ("--gamma", 0.5), ("--horizon", 2000), ("--trajectories", 2000),
+                      ("--workers", 1)],
+    "observer-replay": [*_MODEL_DEFAULTS, *_RUN_DEFAULTS, ("--gamma", 0.5),
+                        ("--initial-r", 0.0), ("--actions-file", None)],
+}
+
+
 class TestSubcommandParser:
     """``main`` builds only the parser of the command it runs; that parser
     must be the full build's, and every other argv must get the full build."""
@@ -924,6 +967,16 @@ class TestSubcommandParser:
         argv = [name, *_SAMPLE_ARGV[name]]
         assert alone.parse_args(argv) == full.parse_args(argv)
         assert alone.format_usage() == full.format_usage()
+
+    @pytest.mark.parametrize("name", sorted(_FLAGS_AND_DEFAULTS))
+    def test_flag_order_and_defaults(self, name):
+        parser = cli.build_parser(name)
+        args = parser.parse_args([name])
+        flags = [
+            (a.option_strings[-1], getattr(args, a.dest))
+            for a in parser.commands[name]._actions[1:]  # after -h
+        ]
+        assert flags == _FLAGS_AND_DEFAULTS[name]
 
     def test_main_builds_only_the_invoked_parser(self, capsys, monkeypatch):
         built = []
@@ -1049,8 +1102,8 @@ class TestUsageErrors:
             # gamma in (0, 1) whose half underflows to 0.
             (["simulate", "--sigma", "1", "--tau", "2", "--gamma", "5e-324"], "gamma"),
             (["same-variance", "--sigma", "1", "--gamma", "5e-324"], "gamma"),
-            (["observer-replay", "--sigma", "1", "--tau", "2", "--gamma", "5e-324"],
-             "gamma"),
+            (["observer-replay", "--sigma", "1", "--tau", "2", "--gamma", "5e-324",
+              "--actions-file", "{actions}"], "gamma"),
             # Arrays beyond the largest float64 array numpy can index.
             (["path", "--sigma", "1", "--horizon", str(10**20)], "horizon"),
             (["path", "--sigma", "1", "--horizon", str(2**63 - 1)], "horizon"),
@@ -1063,6 +1116,11 @@ class TestUsageErrors:
              "n_grid"),
             (["simulate", "--sigma", "1", "--tau", "2", "--traces", "--trajectories", "1",
               "--horizon", str(10**19)], "traced batch"),
+            # Inputs a command needs, or cannot read.
+            (["same-variance", "--m0-grid", "0,1"], "same-variance needs --sigma"),
+            (["same-variance", "--sigma", "1", "--m0-grid", "0,x"], "bad --m0-grid"),
+            (["observer-replay", "--sigma", "1", "--tau", "2"],
+             "observer-replay needs --actions-file"),
         ],
     )
     def test_runs_that_cannot_do_work_are_usage_errors(
@@ -1070,10 +1128,9 @@ class TestUsageErrors:
     ):
         if argv[0] in ("simulate", "same-variance") and "--horizon" not in argv:
             argv = [*argv, "--horizon", "5", "--trajectories", "3"]
-        if argv[0] == "observer-replay":
-            actions = tmp_path / "actions.txt"
-            actions.write_text("G\nB\n")
-            argv = [*argv, "--actions-file", str(actions)]
+        actions = tmp_path / "actions.txt"
+        actions.write_text("G\nB\n")
+        argv = [a.format(actions=actions) for a in argv]
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert err.startswith("herdlearn: error: ") and fragment in err

@@ -178,6 +178,9 @@ class TestTailBoundSoundness:
         assert brute_tail <= bound, (brute_tail, bound)
         assert bound < 1e-6
 
+    def test_no_bound_from_an_infinite_start(self, gauss_fat):
+        assert tail_sum_upper_bound(gauss_fat, "0", math.inf) == math.inf
+
 
 class TestCertificateShape:
     """Each certificate fact is held once: no echoed inputs, one remainder

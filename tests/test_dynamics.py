@@ -278,9 +278,11 @@ class TestWalk:
     )
     def test_equals_the_step_fold(self, gauss_fat, mixture_half, seed, initial_r):
         shifted = build_model(GaussianSpec(sigma=0.7, tau=1.3, m0=0.5))
+        # Jumps far beyond R_CAP, so that both clips run.
+        tiny = build_model(GaussianSpec(sigma=1e-4, tau=2e-4))
         took = self.history(seed)
         assert len(took) >= 5000
-        for model in (gauss_fat, mixture_half, shifted):
+        for model in (gauss_fat, mixture_half, shifted, tiny):
             # "m" and "-m" start at the mean m of F_g or at -m, that of F_b,
             # where the first tail argument of F_b or of F_g is exactly zero:
             # walk's zero and step's differ in sign.

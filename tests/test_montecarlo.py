@@ -93,6 +93,8 @@ class TestValidation:
             small_config(omega=2)
         with pytest.raises(InvalidParameterError):
             small_config(theta="q")
+        with pytest.raises(InvalidParameterError, match="workers must be >= 1"):
+            small_config(workers=0)
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 5e-324, math.nan])
     def test_gamma_has_one_check(self, monkeypatch, gamma):

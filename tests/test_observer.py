@@ -43,6 +43,11 @@ class TestInit:
         with pytest.raises(InvalidParameterError):
             observer_init(gamma)
 
+    @pytest.mark.parametrize("initial_r", [math.inf, -math.inf, math.nan])
+    def test_initial_r_validation(self, initial_r):
+        with pytest.raises(InvalidParameterError, match="initial_r must be finite"):
+            observer_init(0.5, initial_r)
+
     def test_log_odds_at_prior(self):
         state = observer_init(0.5)
         assert state.log_odds == pytest.approx(0.0, abs=1e-15)

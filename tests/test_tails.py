@@ -168,6 +168,19 @@ class TestClassifyEmpirical:
             ).verdict
             assert closed is empirical, (sigma, tau, m0, closed, empirical)
 
+    @pytest.mark.parametrize("sigma", [1e-150, 1e-13, 1e-6, 1e-3, 1.0, 1e6, 1e150])
+    def test_never_contradicts_the_closed_form_at_any_scale(self, sigma):
+        # Below sigma of about 0.44 the default grid's top half lies inside
+        # the LLR laws' bodies; at large sigma the log tails are so large
+        # that rounding swamps their differences.  Either way the grid may
+        # not decide.
+        specs = [GaussianSpec(sigma, k * sigma) for k in (0.5, 1.0, 2.0)]
+        for spec in (*specs, MixtureSpec(sigma, 0.3)):
+            rule = classify_gaussian if isinstance(spec, GaussianSpec) else classify_mixture
+            closed = rule(spec).verdict
+            advisory = classify_empirical(build_model(spec), x_max=200.0).verdict
+            assert advisory in (closed, Verdict.UNDETERMINED), (spec, closed, advisory)
+
     def test_monotone_separation_for_fatter(self):
         # tau > sigma: log L_b runs away along the grid.
         params = GaussianSpec(sigma=1.0, tau=2.0)
