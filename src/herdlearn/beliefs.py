@@ -131,10 +131,6 @@ class NormalCdf:
     def log_sf(self, x: ArrayLike) -> ArrayLike:
         return log_ndtr((x - self.mean) / self.sd * -1.0)
 
-    def draw_piece(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        """One piece of ``k`` draws; see ``LlrModel.sample``."""
-        return rng.normal(self.mean, self.sd, k)
-
 
 @dataclass(frozen=True)
 class MixtureCdf:
@@ -176,15 +172,6 @@ class MixtureCdf:
         lt_a = np.add(lt_a, math.log(self.weight_a), out=out)
         lt_b = np.add(lt_b, math.log1p(-self.weight_a), out=scratch)
         return np.logaddexp(lt_a, lt_b, out=out)
-
-    def draw_piece(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        """One piece of ``k`` draws: the k component picks (one uniform
-        each), then k standard normals, scaled and shifted by numpy ufuncs,
-        whose roundings do not depend on how numpy was built."""
-        pick_a = rng.random(k) < self.weight_a
-        z = rng.standard_normal(k)
-        a, b = self.component_a, self.component_b
-        return np.where(pick_a, a.mean, b.mean) + np.where(pick_a, a.sd, b.sd) * z
 
 
 Cdf = Union[NormalCdf, MixtureCdf]
@@ -309,11 +296,12 @@ class LlrModel:
     is Normal for a ``GaussianSpec`` and the mixture of the very ``cdf_g``
     and ``cdf_b`` objects for a ``MixtureSpec``.  ``normal_stack`` holds the
     means and the sds of the Normal laws among them as columns, one law per
-    row, in the order of ``dynamics.step``'s stack of tails.  ``worlds``
-    maps each world (omega, theta) to the private LLR's law in it: ``cdf_0``
-    when omega is 0, else ``cdf_g`` or ``cdf_b`` as theta is "g" or "b".
-    Instances are immutable and safe to share across parallel workers;
-    random streams are never stored on the model.
+    row, in the order of ``dynamics.step``'s stack of tails.  ``piece_scale``
+    holds the mean and sd columns that ``sample`` scales a row's standard
+    normals by, one row per law: F_g, F_b, then F_0 (N(0, 1) for a mixture,
+    whose rows are mixed where they are drawn).  Instances are immutable and
+    safe to share across parallel workers; random streams are never stored
+    on the model.
     """
 
     spec: ModelSpec
@@ -326,13 +314,14 @@ class LlrModel:
         else:
             cdf_0 = NormalCdf(*noise)
             normal.append(cdf_0)
-        means = np.array([[law.mean] for law in normal])
-        sds = np.array([[law.sd] for law in normal])
-        cdf_g, cdf_b = normal[:2]
+        laws = (*normal, NormalCdf(0.0, 1.0))[:3]  # N(0, 1) for a mixture's F_0
+        means = np.array([[law.mean] for law in laws])
+        sds = np.array([[law.sd] for law in laws])
+        k = len(normal)
         # The derived attributes of a frozen instance, set past its __setattr__.
         self.__dict__.update(
-            cdf_g=cdf_g, cdf_b=cdf_b, cdf_0=cdf_0, normal_stack=(means, sds),
-            worlds={(1, GOOD): cdf_g, (1, BAD): cdf_b, (0, GOOD): cdf_0, (0, BAD): cdf_0},
+            cdf_g=normal[0], cdf_b=normal[1], cdf_0=cdf_0,
+            normal_stack=(means[:k], sds[:k]), piece_scale=(means, sds),
         )
 
     def cdf_for(self, regime: str) -> Cdf:
@@ -345,32 +334,56 @@ class LlrModel:
         raise InvalidParameterError(f"regime must be one of {REGIMES}, got {regime!r}")
 
     def sample(
-        self, omega: int, theta: str, rng: np.random.Generator, size: int
+        self, omega, theta, rng: np.random.Generator, size: int, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Draw private LLRs in the world (omega, theta), i.i.d. across draws.
 
         This is the one definition of the stream: the draws come in pieces
-        of CHUNK_STEPS (the last may be shorter), each one ``draw_piece``
-        of the world's law, so a mixture draws each piece's picks before
-        its normals.  A piece starts where the last one left ``rng``, so
-        the engine, which draws a trajectory's pieces one at a time with
-        other trajectories in between, gets the same values by restoring
-        the Philox state it saved after the last piece.
+        of CHUNK_STEPS (the last may be shorter), each k standard normals
+        that numpy ufuncs then scale and shift, ``z * sd + mean``: two
+        roundings on every build, those of numpy's own ``normal`` where the
+        build does not fuse it into one.  A mixture
+        piece first draws its k component picks (one uniform each), and its
+        normals take their picks' means.  A piece starts where the last one
+        left ``rng``, so the engine, which draws a trajectory's pieces one
+        at a time with other trajectories in between, gets the same values
+        by restoring the Philox state it saved after the last piece.
 
-        The world's law comes from ``worlds``, the table of the four worlds
-        (omega 0 or 1, theta "g" or "b") built with the model, so a call of
-        at most CHUNK_STEPS draws, such as each piece the engine draws, is
-        one lookup and one ``draw_piece``.
+        With ``out``, an (n, size) block with size at most CHUNK_STEPS, one
+        call draws a piece for each of n trajectories and returns ``out``.
+        ``rng`` is then an iterable that yields, for each row in turn, the
+        generator set to that row's stream, and omega and theta are arrays
+        of the rows' worlds.  A row costs only its own draws: the rows'
+        scaling is two ufunc calls on the whole block, after the last row.
+        The worlds are read only then, except that a mixture model reads a
+        row's omega when ``rng`` yields the row.  So a caller may draw each
+        row's world from the row's stream just before its piece.
         """
-        law = self.worlds[omega, theta]
-        if size <= CHUNK_STEPS:
-            return law.draw_piece(rng, size)
-        return np.concatenate(
-            [
-                law.draw_piece(rng, min(CHUNK_STEPS, size - start))
-                for start in range(0, size, CHUNK_STEPS)
-            ]
-        )
+        if out is None:  # one trajectory: a one-row block per piece
+            draws = np.empty(size)
+            worlds = np.array([omega]), np.array([theta])
+            for start in range(0, size, CHUNK_STEPS):
+                piece = draws[None, start : start + CHUNK_STEPS]
+                self.sample(*worlds, [rng], piece.shape[1], out=piece)
+            return draws
+        mix = self.cdf_0
+        if isinstance(mix, NormalCdf):
+            for gen, row in zip(rng, out):
+                gen.standard_normal(out=row)
+        else:
+            for i, (gen, row) in enumerate(zip(rng, out)):
+                if omega[i] == 0:
+                    pick_a = gen.random(size) < mix.weight_a
+                    gen.standard_normal(out=row)
+                    row *= self.cdf_g.sd  # the sd of both components
+                    row += np.where(pick_a, mix.component_a.mean, mix.component_b.mean)
+                else:
+                    gen.standard_normal(out=row)
+        law = np.where(omega == 0, 2, theta == BAD)
+        means, sds = self.piece_scale
+        out *= sds[law]
+        out += means[law]
+        return out
 
 
 def build_model(spec: ModelSpec) -> LlrModel:

@@ -190,13 +190,17 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     switches are counted once per block of ACT_ROWS steps.
 
     The private LLRs are drawn one piece of CHUNK_STEPS steps at a time
-    (``LlrModel.sample``), into one reused block, so a batch holds
-    BATCH_SIZE x CHUNK_STEPS draws and memory does not grow with the
-    horizon.  One loop per piece draws it for every trajectory: at the
-    first piece it re-keys the generator and draws the trajectory's world;
-    between pieces a trajectory keeps only its Philox state, and the next
-    piece restores it.  A traced run draws through the same block and
-    copies each piece into its trace matrix.
+    into one reused block, so a batch holds BATCH_SIZE x CHUNK_STEPS draws
+    and memory does not grow with the horizon.  Each piece is one
+    ``LlrModel.sample`` call for the whole batch, which ``streams`` feeds
+    one trajectory's stream at a time.  At the first piece it re-keys the
+    generator and draws the trajectory's two world uniforms into a batch
+    array, and the worlds are derived from that array with numpy after the
+    last row (a mixture's row at once, as ``sample`` reads it); between
+    pieces a trajectory keeps only its Philox state, and the next piece
+    restores it.  So a trajectory's own calls per piece are its RNG calls,
+    and the whole block is scaled at once.  A traced run draws through the
+    same block and copies each piece into its trace matrix.
 
     The log-likelihoods are running sums, never re-centered, and q and the
     log-odds are ``observer.posterior_columns`` of them, so replaying a
@@ -217,14 +221,38 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
     # column falls into a few cache sets, and reading it took 1.5x as long
     # (n=512).
     llrs = np.empty((n, width + 8))[:, :width]
-    omegas = []
-    thetas = []
+    world = np.empty((n, 2))  # each trajectory's two world uniforms
+    omega = np.full(n, config.omega or 0, dtype=np.int8)
+    theta = np.full(n, config.theta or GOOD)
     # Each trajectory's Philox state after its last piece, while more follow.
     states = [None] * n
     seed, gamma = config.master_seed, config.gamma
-    fixed_omega, fixed_theta = config.omega, config.theta
+    # A mixture reads a row's omega as soon as the row's world is drawn.
+    omega_now = config.omega is None and config.model.kind == "mixture"
     rng = np.random.Generator(np.random.Philox())
-    bits, random, sample = rng.bit_generator, rng.random, model.sample
+    bits, random = rng.bit_generator, rng.random
+
+    def streams(start: int, more: bool):
+        """``rng`` at each trajectory's stream in turn, for the piece at
+        ``start``; with ``more`` pieces to come, each state is kept."""
+        for i, uniforms in enumerate(world):
+            if start:
+                bits.state = states[i]
+            else:
+                _trajectory_rng(rng, seed, lo + i)
+                # The world: omega informative w.p. gamma, theta uniform.  Both
+                # uniforms are drawn even when the config fixes omega or theta,
+                # so the LLR draws that follow do not depend on the fixing.
+                random(out=uniforms)
+                if omega_now:
+                    omega[i] = uniforms[0] < gamma
+            yield rng
+            if more:
+                states[i] = bits.state
+        if not start and config.omega is None:
+            omega[:] = world[:, 0] < gamma
+        if not start and config.theta is None:
+            theta[:] = np.where(world[:, 1] < 0.5, GOOD, BAD)
 
     r = np.full(n, config.initial_r, dtype=float)
     work = Workspace(model, n)
@@ -256,24 +284,7 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
         stop = min(start + CHUNK_STEPS, horizon)
         size = stop - start
         block = llrs[:, :size]  # row i takes trajectory lo + i's piece
-        for i in range(n):
-            if start:
-                bits.state = states[i]
-            else:
-                _trajectory_rng(rng, seed, lo + i)
-                # The world: omega informative w.p. gamma, theta uniform.
-                # Both uniforms are drawn even when the config fixes omega or
-                # theta, so the LLR draws that follow do not depend on the
-                # fixing.
-                u_omega = random()
-                u_theta = random()
-                omegas.append(int(u_omega < gamma) if fixed_omega is None else fixed_omega)
-                thetas.append(
-                    (GOOD if u_theta < 0.5 else BAD) if fixed_theta is None else fixed_theta
-                )
-            block[i] = sample(omegas[i], thetas[i], rng, size=size)
-            if stop < horizon:
-                states[i] = bits.state
+        model.sample(omega, theta, streams(start, stop < horizon), size, out=block)
         if traced:
             trace_llrs[:, start:stop] = block
         for act_lo in range(start, stop, ACT_ROWS):
@@ -310,8 +321,8 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
 
     rows = np.empty(n, dtype=ROW_DTYPE)
     rows["index"] = np.arange(lo, hi)
-    rows["omega"] = omegas
-    rows["theta"] = thetas
+    rows["omega"] = omega
+    rows["theta"] = theta
     rows["final_action"] = np.where(acts[0], GOOD, BAD)
     rows["switch_count"] = switch_count
     rows["last_switch_time"] = last_switch

@@ -109,15 +109,20 @@ def _evidence_grid(model: LlrModel, x_max: float, n_grid: int) -> np.ndarray:
 
 
 def classify_gaussian(spec: GaussianSpec) -> TailClassification:
-    """Closed-form rule for the Gaussian family: the variances decide.
+    """Closed-form rule for the Gaussian family.
 
     The noise law has fatter tails iff tau > sigma and thinner iff
-    tau < sigma; equal variances, tau within 1e-12 of sigma at any scale,
-    give neither.  The mean m0 only shifts the law and cannot change the
-    tail order.  This verdict is exact.
+    tau < sigma.  With equal variances (tau within 1e-12 of sigma, at any
+    scale) the three LLR laws share one sd, so each log tail ratio is
+    asymptotically linear in x, with the sign of a difference of means:
+    log L_g falls iff m0 > 1, log R_b falls iff m0 < -1, and log L_b or
+    log R_g falls at every m0.  By the definitions this module uses
+    (Fatter needs L_b and R_g bounded below, Thinner needs L_g or R_b to
+    tend to 0), equal variances give thinner iff |m0| > 1 and neither iff
+    |m0| < 1; ``GaussianSpec`` rejects |m0| = 1.  This verdict is exact.
     """
     if _equal_variance(spec.sigma, spec.tau):
-        verdict = Verdict.NEITHER
+        verdict = Verdict.THINNER if abs(spec.m0) > 1.0 else Verdict.NEITHER
     elif spec.tau > spec.sigma:
         verdict = Verdict.FATTER
     else:

@@ -61,6 +61,8 @@ REMOVED = [
     "beliefs.MixtureCdf.sample_chunks",
     "beliefs.MixtureCdf._normals",
     "beliefs.LlrModel.sample_chunks",
+    "beliefs.NormalCdf.draw_piece",
+    "beliefs.MixtureCdf.draw_piece",
     "beliefs.NormalCdf.log_side",
     "beliefs.MixtureCdf.log_side",
     "beliefs.LlrModel.log_tail",

@@ -388,6 +388,35 @@ class TestSampling:
                 pieces.append(np.where(pick_g, mean, -mean) + sd * z)
         np.testing.assert_array_equal(got, np.concatenate(pieces))
 
+    @pytest.mark.parametrize("horizon", [1, 20, 2048, 2049])
+    @pytest.mark.parametrize("omega, theta", [(1, "g"), (1, "b"), (0, "g")])
+    def test_normal_piece_is_scaled_by_ufuncs(self, gauss_fat, omega, theta, horizon):
+        """A Normal piece is its standard normals times sd plus mean, each a
+        numpy ufunc over the piece; so is every Normal row of a batch."""
+        seed, index = 67, 3
+        law = {(1, "g"): gauss_fat.cdf_g, (1, "b"): gauss_fat.cdf_b}.get(
+            (omega, theta), gauss_fat.cdf_0
+        )
+        rng = philox(seed, index)
+        pieces = []
+        for start in range(0, horizon, 2048):
+            z = rng.standard_normal(min(2048, horizon - start))
+            pieces.append(np.add(np.multiply(z, law.sd), law.mean))
+        want = np.concatenate(pieces)
+        np.testing.assert_array_equal(
+            gauss_fat.sample(omega, theta, philox(seed, index), size=horizon), want
+        )
+        # The same row among others in one batch call.
+        size = min(horizon, 2048)
+        out = np.empty((3, size))
+        worlds = np.array([1, omega, 0]), np.array(["b", theta, "g"])
+        rngs = (philox(seed, i) for i in (index - 1, index, index + 1))
+        gauss_fat.sample(*worlds, rngs, size, out=out)
+        np.testing.assert_array_equal(out[1], want[:size])
+        np.testing.assert_array_equal(
+            out[2], gauss_fat.sample(0, "g", philox(seed, index + 1), size=size)
+        )
+
     def test_noise_ignores_theta(self, gauss_fat):
         a = gauss_fat.sample(0, "g", philox(41), size=50)
         b = gauss_fat.sample(0, "b", philox(41), size=50)

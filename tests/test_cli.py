@@ -68,6 +68,23 @@ class TestClassify:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "Neither"
 
+    @pytest.mark.parametrize(
+        "m0, verdict",
+        [("1.5", "Thinner"), ("2", "Thinner"), ("-2", "Thinner"), ("5", "Thinner"),
+         ("0", "Neither"), ("0.5", "Neither"), ("-0.9", "Neither")],
+    )
+    def test_equal_variance_with_a_shifted_noise_mean(self, capsys, m0, verdict):
+        # Noise whose mean lies beyond an informative one, |m0| > 1, is
+        # Thinner: a log tail ratio falls linearly.
+        code, out, _ = run_cli(
+            capsys, "classify", "--sigma", "1", "--tau", "1", f"--m0={m0}"
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[:2] == [
+            verdict,
+            f"# verdict: {verdict} (closed form, authoritative)",
+        ]
+
     def test_equal_variance_is_relative_to_sigma(self, capsys):
         # tau = 2 sigma is Fatter at any scale.  The default grid ends far
         # short of the LLR laws' tails at this scale, so the advisory grid

@@ -305,8 +305,8 @@ class TestEngineMatchesReferenceSimulator:
         np.testing.assert_array_equal(untraced.rows, traced.rows)
 
     @staticmethod
-    def _assert_matches_reference(config):
-        result = run_experiment(config)
+    def _assert_matches_reference(config, result=None):
+        result = result or run_experiment(config)
         model = build_model(config.model)
         seed, gamma, horizon = config.master_seed, config.gamma, config.horizon
         for row, trace in zip(result.rows, result.traces):
@@ -315,7 +315,7 @@ class TestEngineMatchesReferenceSimulator:
             )
             u_omega, u_theta = rng.random(2)
             omega = int(u_omega < gamma) if config.omega is None else config.omega
-            theta = "g" if u_theta < 0.5 else "b"
+            theta = ("g" if u_theta < 0.5 else "b") if config.theta is None else config.theta
             traj = simulate_trajectory(model, omega, theta, horizon, rng, gamma=gamma)
             assert omega == row["omega"]
             assert theta == row["theta"]
@@ -328,6 +328,47 @@ class TestEngineMatchesReferenceSimulator:
             assert traj.switch_count == row["switch_count"]
             assert (traj.last_switch_time or 0) == row["last_switch_time"]
         return result
+
+
+
+class TestPieceFill:
+    """One ``LlrModel.sample`` call fills a piece for the whole batch; each
+    trajectory still gets its own stream, whatever the batch boundaries."""
+
+    @pytest.mark.parametrize("horizon", [1, 2, 20, 2047, 2048, 2049])
+    @pytest.mark.parametrize("world", ["drawn", "fixed"])
+    @pytest.mark.parametrize(
+        "spec", [GaussianSpec(sigma=1.0, tau=2.0), MixtureSpec(sigma=1.0, alpha=0.35)]
+    )
+    def test_batches_of_seven(self, monkeypatch, spec, world, horizon):
+        fixed = {"drawn": {}, "fixed": {"omega": 0, "theta": "b"}}[world]
+        config = ExperimentConfig(
+            model=spec, gamma=0.4, horizon=horizon, num_trajectories=9,
+            master_seed=17, record_traces=True, **fixed,
+        )
+        whole = run_experiment(config)
+        monkeypatch.setattr(montecarlo, "BATCH_SIZE", 7)
+        result = run_experiment(config)
+        untraced = run_experiment(dataclasses.replace(config, record_traces=False))
+        np.testing.assert_array_equal(result.rows, whole.rows)
+        np.testing.assert_array_equal(untraced.rows, whole.rows)
+        if world == "drawn":  # both worlds occur among the nine
+            assert set(result.rows["omega"]) == {0, 1}
+        model = build_model(spec)
+        for row, trace in zip(result.rows, result.traces):
+            rng = np.random.Generator(
+                np.random.Philox(key=np.array([17, row["index"]], dtype=np.uint64))
+            )
+            u_omega, u_theta = rng.random(2)
+            omega = fixed.get("omega", int(u_omega < 0.4))
+            theta = fixed.get("theta", "g" if u_theta < 0.5 else "b")
+            assert (row["omega"], row["theta"]) == (omega, theta)
+            np.testing.assert_array_equal(
+                trace.llrs, model.sample(omega, theta, rng, size=horizon)
+            )
+        # The last trajectory of the first batch and the first of the second.
+        traced = dataclasses.replace(whole, rows=result.rows[6:8], traces=result.traces[6:8])
+        TestEngineMatchesReferenceSimulator._assert_matches_reference(config, traced)
 
 
 class TestMemory:

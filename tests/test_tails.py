@@ -87,6 +87,46 @@ class TestClassifyGaussian:
     def test_equal_variance_is_relative(self, sigma, tau, verdict):
         assert classify_gaussian(GaussianSpec(sigma, tau)).verdict is verdict
 
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("m0", [1.5, 2.0, -2.0, 5.0, 0.0, 0.5, -0.9])
+    def test_equal_variance_follows_the_slopes(self, sigma, m0):
+        """At tau = sigma every log tail ratio is asymptotically linear in x,
+        with slope +-(mu_0 - mu_t) / s^2.  The signs of the four slopes, from
+        mpmath tails, give the verdict: Fatter needs L_b and R_g bounded
+        below, Thinner needs L_g or R_b to fall to 0."""
+        spec = GaussianSpec(sigma, sigma, m0)
+        model = build_model(spec)
+        noise, s = model.cdf_0, model.cdf_0.sd
+        x1, x2 = 1e3, 2e3
+
+        def slope(law, left):
+            def log_ratio(x):
+                if left:
+                    return oracles.normal_log_cdf(-x, noise.mean, s) - oracles.normal_log_cdf(
+                        -x, law.mean, s
+                    )
+                return oracles.normal_log_sf(x, noise.mean, s) - oracles.normal_log_sf(
+                    x, law.mean, s
+                )
+
+            return (log_ratio(x2) - log_ratio(x1)) / (x2 - x1)
+
+        slopes = {
+            "L_g": slope(model.cdf_g, True),
+            "L_b": slope(model.cdf_b, True),
+            "R_g": slope(model.cdf_g, False),
+            "R_b": slope(model.cdf_b, False),
+        }
+        for name, law in (("L_g", model.cdf_g), ("L_b", model.cdf_b)):
+            assert slopes[name] == pytest.approx((law.mean - noise.mean) / s**2, rel=1e-2)
+        for name, law in (("R_g", model.cdf_g), ("R_b", model.cdf_b)):
+            assert slopes[name] == pytest.approx((noise.mean - law.mean) / s**2, rel=1e-2)
+        fatter = slopes["L_b"] >= 0 and slopes["R_g"] >= 0
+        thinner = slopes["L_g"] < 0 or slopes["R_b"] < 0
+        assert not fatter and thinner is (abs(m0) > 1)
+        verdict = Verdict.THINNER if thinner else Verdict.NEITHER
+        assert classify_gaussian(spec).verdict is verdict
+
     def test_mean_never_changes_verdict(self):
         for m0 in (-2.0, -0.5, 0.0, 0.5, 2.0):
             assert (
@@ -167,6 +207,14 @@ class TestClassifyEmpirical:
                 build_model(params), x_max=200.0
             ).verdict
             assert closed is empirical, (sigma, tau, m0, closed, empirical)
+        # The equal-variance line, away from |m0| = 1, where it is Thinner.
+        for _ in range(20):
+            sigma = rng.uniform(0.5, 2.0)
+            m0 = rng.uniform(1.2, 3.0) * (1 if rng.random() < 0.5 else -1)
+            params = GaussianSpec(sigma=sigma, tau=sigma, m0=m0)
+            closed = classify_gaussian(params).verdict
+            empirical = classify_empirical(build_model(params), x_max=200.0).verdict
+            assert closed is empirical is Verdict.THINNER, (sigma, m0, closed, empirical)
 
     @pytest.mark.parametrize("sigma", [1e-150, 1e-13, 1e-6, 1e-3, 1.0, 1e6, 1e150])
     def test_never_contradicts_the_closed_form_at_any_scale(self, sigma):
@@ -175,7 +223,7 @@ class TestClassifyEmpirical:
         # that rounding swamps their differences.  Either way the grid may
         # not decide.
         specs = [GaussianSpec(sigma, k * sigma) for k in (0.5, 1.0, 2.0)]
-        for spec in (*specs, MixtureSpec(sigma, 0.3)):
+        for spec in (*specs, GaussianSpec(sigma, sigma, 2.0), MixtureSpec(sigma, 0.3)):
             rule = classify_gaussian if isinstance(spec, GaussianSpec) else classify_mixture
             closed = rule(spec).verdict
             advisory = classify_empirical(build_model(spec), x_max=200.0).verdict
