@@ -175,13 +175,13 @@ def _trajectory_rng(rng: np.random.Generator, master_seed: int, index: int) -> N
     rng.bit_generator.state = _REKEY
 
 
-# The kernel's standardized tail arguments may overflow, as in NormalCdf.
-@np.errstate(over="ignore")
-def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
-    """Simulate trajectories lo..hi-1; returns (rows, traces or None).
+class _Batch:
+    """Trajectories lo..hi-1 after their first ``t`` steps.
 
-    Results depend only on (config, trajectory index), never on the batch
-    boundaries, so any partition of the index range gives identical rows.
+    ``advance(stop)`` runs whole blocks of ACT_ROWS steps until ``t``
+    reaches ``stop``, a multiple of ACT_ROWS or the horizon; ``rows`` and
+    ``traces`` read the batch at ``t``.  Nothing depends on the batch
+    boundaries or the stops, only on (config, trajectory index).
 
     Each step is one call of the transition kernel ``step`` on the whole
     batch, with one ``Workspace`` for the batch so that the steps reuse
@@ -191,51 +191,71 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
 
     The private LLRs are drawn one piece of CHUNK_STEPS steps at a time
     into one reused block, so a batch holds BATCH_SIZE x CHUNK_STEPS draws
-    and memory does not grow with the horizon.  Each piece is one
-    ``LlrModel.sample`` call for the whole batch, which ``streams`` feeds
-    one trajectory's stream at a time.  At the first piece it re-keys the
-    generator and draws the trajectory's two world uniforms into a batch
-    array, and the worlds are derived from that array with numpy after the
-    last row (a mixture's row at once, as ``sample`` reads it); between
-    pieces a trajectory keeps only its Philox state, and the next piece
-    restores it.  So a trajectory's own calls per piece are its RNG calls,
-    and the whole block is scaled at once.  A traced run draws through the
-    same block and copies each piece into its trace matrix.
+    whatever the horizon.  The block of steps that starts a piece draws it
+    with one ``LlrModel.sample`` call for the batch, which ``_streams``
+    feeds one trajectory's stream at a time.  At the first piece it re-keys
+    the generator and draws the trajectory's two world uniforms into a
+    batch array (numpy derives the worlds after the last row; a mixture's
+    row at once, as ``sample`` reads it); later pieces restore the Philox
+    state each trajectory kept.  So a trajectory's own calls per piece are
+    its RNG calls, the whole block is scaled at once, and a traced run
+    copies each piece into its trace matrix.
 
     The log-likelihoods are running sums, never re-centered, and q and the
     log-odds are ``observer.posterior_columns`` of them, so replaying a
     trajectory's actions gives its q bit for bit.  A traced run fills its
-    trace columns once per block of ACT_ROWS steps too: each step keeps r
-    before it and the log-likelihoods after it in a block buffer, and the
-    block's q is then ``posterior_columns`` of the whole block, the same
-    elementwise operations as at each step.  So a traced batch holds one
-    extra ACT_ROWS x 3 x batch block of log-likelihoods and an
-    ACT_ROWS x batch block of r; an untraced batch holds neither.
+    trace columns once per block too: each step keeps r before it and the
+    log-likelihoods after it in an ACT_ROWS x batch and an
+    ACT_ROWS x 3 x batch buffer, and the block's q is ``posterior_columns``
+    of the whole buffer, the same elementwise operations as at each step.
+    An untraced batch holds neither buffer.
     """
-    model = build_model(config.model)
-    n = hi - lo
-    horizon = config.horizon
-    traced = config.record_traces
-    width = min(horizon, CHUNK_STEPS)  # the draws of a trajectory's longest piece
-    # Padded rows: with rows exactly CHUNK_STEPS doubles apart, each step's
-    # column falls into a few cache sets, and reading it took 1.5x as long
-    # (n=512).
-    llrs = np.empty((n, width + 8))[:, :width]
-    world = np.empty((n, 2))  # each trajectory's two world uniforms
-    omega = np.full(n, config.omega or 0, dtype=np.int8)
-    theta = np.full(n, config.theta or GOOD)
-    # Each trajectory's Philox state after its last piece, while more follow.
-    states = [None] * n
-    seed, gamma = config.master_seed, config.gamma
-    # A mixture reads a row's omega as soon as the row's world is drawn.
-    omega_now = config.omega is None and config.model.kind == "mixture"
-    rng = np.random.Generator(np.random.Philox())
-    bits, random = rng.bit_generator, rng.random
 
-    def streams(start: int, more: bool):
+    def __init__(self, config: ExperimentConfig, lo: int, hi: int):
+        self.config, self.lo, self.hi, self.t = config, lo, hi, 0
+        self.model = model = build_model(config.model)
+        n, horizon = hi - lo, config.horizon
+        width = min(horizon, CHUNK_STEPS)  # the draws of a trajectory's longest piece
+        # Padded rows: rows exactly CHUNK_STEPS doubles apart put each step's
+        # column into a few cache sets, and reading it took 1.5x as long (n=512).
+        self.llrs = np.empty((n, width + 8))[:, :width]
+        self.world = np.empty((n, 2))  # each trajectory's two world uniforms
+        self.omega = np.full(n, config.omega or 0, dtype=np.int8)
+        self.theta = np.full(n, config.theta or GOOD)
+        # Each trajectory's Philox state after its last piece, while more follow.
+        self.states = [None] * n
+        self.rng = np.random.Generator(np.random.Philox())
+        self.r = np.full(n, config.initial_r, dtype=float)
+        self.work = Workspace(model, n)
+        self.log_liks = np.zeros((3, n))  # under F_g, F_b and F_0
+        # The extremes of r after each step, NaN ignored: a trajectory is
+        # absorbed once |r| reaches R_CAP.
+        self.r_max = np.full(n, -np.inf)
+        self.r_min = np.full(n, np.inf)
+        # Row 1 + k of ``acts`` holds the actions of step act_lo + k of the
+        # current block of ACT_ROWS steps, and row 0 those of the step before
+        # it; the switches are tallied once per block.
+        self.acts = np.empty((ACT_ROWS + 1, n), dtype=bool)
+        self.switched = np.empty((ACT_ROWS, n), dtype=bool)
+        self.switch_count = np.zeros(n, dtype=np.int64)
+        self.last_switch = np.zeros(n, dtype=np.int64)
+        if config.record_traces:
+            self.trace_llrs, self.trace_r, self.trace_q = np.empty((3, n, horizon))
+            self.trace_actions = np.empty((n, horizon), dtype="U1")
+            # Row k: r before step act_lo + k of the current block, and the
+            # log-likelihoods after it.
+            self.block_r = np.empty((ACT_ROWS, n))
+            self.block_ll = np.empty((ACT_ROWS, 3, n))
+
+    def _streams(self, start: int, more: bool):
         """``rng`` at each trajectory's stream in turn, for the piece at
         ``start``; with ``more`` pieces to come, each state is kept."""
-        for i, uniforms in enumerate(world):
+        config, rng, states, omega = self.config, self.rng, self.states, self.omega
+        bits, random = rng.bit_generator, rng.random
+        seed, lo, gamma = config.master_seed, self.lo, config.gamma
+        # A mixture reads a row's omega as soon as the row's world is drawn.
+        omega_now = config.omega is None and config.model.kind == "mixture"
+        for i, uniforms in enumerate(self.world):
             if start:
                 bits.state = states[i]
             else:
@@ -250,45 +270,30 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
             if more:
                 states[i] = bits.state
         if not start and config.omega is None:
-            omega[:] = world[:, 0] < gamma
+            omega[:] = self.world[:, 0] < gamma
         if not start and config.theta is None:
-            theta[:] = np.where(world[:, 1] < 0.5, GOOD, BAD)
+            self.theta[:] = np.where(self.world[:, 1] < 0.5, GOOD, BAD)
 
-    r = np.full(n, config.initial_r, dtype=float)
-    work = Workspace(model, n)
-    neg_r, tails = work.neg_r, work.tails
-    log_liks = np.zeros((3, n))  # under F_g, F_b and F_0
-    # The extremes of r after each step, NaN ignored: a trajectory is
-    # absorbed once |r| reaches R_CAP.
-    r_max = np.full(n, -np.inf)
-    r_min = np.full(n, np.inf)
-    # Row 1 + k of ``acts`` holds the actions of step act_lo + k of the
-    # current block of ACT_ROWS steps, and row 0 those of the step before
-    # it; the switches are tallied once per block.
-    acts = np.empty((ACT_ROWS + 1, n), dtype=bool)
-    switched = np.empty((ACT_ROWS, n), dtype=bool)
-    switch_count = np.zeros(n, dtype=np.int64)
-    last_switch = np.zeros(n, dtype=np.int64)
-
-    if traced:
-        trace_llrs = np.empty((n, horizon))
-        trace_actions = np.empty((n, horizon), dtype="U1")
-        trace_r = np.empty((n, horizon))
-        trace_q = np.empty((n, horizon))
-        # Row k: r before step act_lo + k of the current block, and the
-        # log-likelihoods after it.
-        block_r = np.empty((ACT_ROWS, n))
-        block_ll = np.empty((ACT_ROWS, 3, n))
-
-    for start in range(0, horizon, CHUNK_STEPS):
-        stop = min(start + CHUNK_STEPS, horizon)
-        size = stop - start
-        block = llrs[:, :size]  # row i takes trajectory lo + i's piece
-        model.sample(omega, theta, streams(start, stop < horizon), size, out=block)
+    # The kernel's standardized tail arguments may overflow, as in NormalCdf.
+    @np.errstate(over="ignore")
+    def advance(self, stop: int) -> None:
+        """Run the blocks of steps from ``t`` until ``t`` reaches ``stop``."""
+        config, model, work, acts = self.config, self.model, self.work, self.acts
+        horizon, gamma, traced = config.horizon, config.gamma, config.record_traces
+        r, log_liks, r_max, r_min = self.r, self.log_liks, self.r_max, self.r_min
+        neg_r, tails = work.neg_r, work.tails
         if traced:
-            trace_llrs[:, start:stop] = block
-        for act_lo in range(start, stop, ACT_ROWS):
-            act_hi = min(act_lo + ACT_ROWS, stop)
+            block_r, block_ll, trace_llrs = self.block_r, self.block_ll, self.trace_llrs
+            trace_actions, trace_r, trace_q = self.trace_actions, self.trace_r, self.trace_q
+        for act_lo in range(self.t, stop, ACT_ROWS):
+            start = act_lo - act_lo % CHUNK_STEPS  # the first step of the block's piece
+            block = self.llrs[:, : horizon - start]  # row i takes trajectory lo + i's piece
+            if act_lo == start:
+                streams = self._streams(start, start + CHUNK_STEPS < horizon)
+                model.sample(self.omega, self.theta, streams, block.shape[1], out=block)
+                if traced:
+                    trace_llrs[:, start : start + CHUNK_STEPS] = block
+            act_hi = min(act_lo + ACT_ROWS, horizon)
             for j, t in enumerate(range(act_lo, act_hi)):
                 took_g = acts[j + 1]
                 np.greater_equal(block[:, t - start], np.negative(r, out=neg_r), out=took_g)
@@ -300,48 +305,51 @@ def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
                     block_ll[j] = log_liks
                 np.fmax(r_max, r, out=r_max)
                 np.fmin(r_min, r, out=r_min)
-            # Count the block's switches and note the last one; fill its
-            # trace columns.
+            # Count the block's switches, note the last; fill its trace columns.
             k = act_hi - act_lo
-            sw = switched[:k]
+            sw = self.switched[:k]
             np.not_equal(acts[1 : k + 1], acts[:k], out=sw)
             if act_lo == 0:
                 sw[0] = False  # the first action switches from nothing
             counts = np.count_nonzero(sw, axis=0)
-            np.add(switch_count, counts, out=switch_count)
+            np.add(self.switch_count, counts, out=self.switch_count)
             # Step act_lo + j sets last_switch to act_lo + j + 1; argmax finds
             # the last switch as the first True of the reversed rows.
-            np.copyto(last_switch, act_hi - sw[::-1].argmax(axis=0), where=counts > 0)
+            np.copyto(self.last_switch, act_hi - sw[::-1].argmax(axis=0), where=counts > 0)
             if traced:
                 cols = slice(act_lo, act_hi)
                 trace_actions[:, cols] = np.where(acts[1 : k + 1].T, GOOD, BAD)
                 trace_r[:, cols] = block_r[:k].T
                 trace_q[:, cols] = posterior_columns(block_ll[:k].swapaxes(1, 2), gamma)[0].T
             acts[0] = acts[k]
+            self.t = act_hi
 
-    rows = np.empty(n, dtype=ROW_DTYPE)
-    rows["index"] = np.arange(lo, hi)
-    rows["omega"] = omega
-    rows["theta"] = theta
-    rows["final_action"] = np.where(acts[0], GOOD, BAD)
-    rows["switch_count"] = switch_count
-    rows["last_switch_time"] = last_switch
-    rows["q_final"], rows["q_log_odds"] = posterior_columns(log_liks.T, gamma)
-    rows["absorbed"] = (r_max >= R_CAP) | (r_min <= -R_CAP)
+    def rows(self) -> np.ndarray:
+        """Each trajectory's ``ROW_DTYPE`` row after its first ``t`` steps."""
+        rows = np.empty(self.hi - self.lo, dtype=ROW_DTYPE)
+        rows["index"] = np.arange(self.lo, self.hi)
+        rows["omega"] = self.omega
+        rows["theta"] = self.theta
+        rows["final_action"] = np.where(self.acts[0], GOOD, BAD)
+        rows["switch_count"] = self.switch_count
+        rows["last_switch_time"] = self.last_switch
+        posterior = posterior_columns(self.log_liks.T, self.config.gamma)  # (q, log-odds)
+        rows["q_final"], rows["q_log_odds"] = posterior
+        rows["absorbed"] = (self.r_max >= R_CAP) | (self.r_min <= -R_CAP)
+        return rows
 
-    traces = None
-    if traced:
-        traces = [
-            Trace(
-                index=lo + i,
-                actions=trace_actions[i],
-                llrs=trace_llrs[i],
-                r_before=trace_r[i],
-                q=trace_q[i],
-            )
-            for i in range(n)
-        ]
-    return rows, traces
+    def traces(self) -> list:
+        """Each trajectory's ``Trace`` of its first ``t`` steps (traced runs)."""
+        t, lo = self.t, self.lo
+        columns = (self.trace_actions, self.trace_llrs, self.trace_r, self.trace_q)
+        return [Trace(lo + i, *(c[i, :t] for c in columns)) for i in range(self.hi - lo)]
+
+
+def _simulate_batch(config: ExperimentConfig, lo: int, hi: int):
+    """Trajectories lo..hi-1 to the horizon (``_Batch``): (rows, traces or None)."""
+    batch = _Batch(config, lo, hi)
+    batch.advance(config.horizon)
+    return batch.rows(), batch.traces() if config.record_traces else None
 
 
 def _usable_cpus() -> int:
@@ -456,11 +464,12 @@ def same_variance_experiment(
 ) -> list:
     """Sweep the noise mean with tau = sigma, under an uninformative source.
 
-    Equal variances put the noise law at the boundary where the tail order
-    decides nothing; the noise mean then controls whether agents keep
-    disagreeing (symmetric noise) or herd like an informed crowd (shifted
-    noise).  Each grid point reuses the same per-trajectory streams, so
-    the comparison across m0 is paired.
+    At equal variances the noise mean decides the tail order
+    (``tails.classify_gaussian``): Neither for |m0| < 1, where agents keep
+    disagreeing, and Thinner for |m0| > 1, where they herd like an informed
+    crowd.  The CLI's default grid, 0, 0.25 and 0.5, stays on the Neither
+    side.  Each grid point reuses the same per-trajectory streams, so the
+    comparison across m0 is paired.
 
     Returns one dict per m0 with the disagreement rate (mean fraction of
     steps on which the action switched -- the desk-scale surrogate of the

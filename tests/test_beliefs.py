@@ -1,6 +1,7 @@
 """Distribution-layer tests: induced laws, symmetry, stable tails, sampling."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -231,6 +232,19 @@ class TestLogTail:
         assert np.array_equal(stack.reshape(-1).view(np.uint64), want)
         for x in specials:
             assert np.array_equal(beliefs.log_ndtr(x), log_ndtr(x), equal_nan=True)
+
+    def test_log_ndtr_falls_back_to_the_package(self, monkeypatch):
+        """Where scipy ships no ``_special_ufuncs`` file to load alone, as in
+        scipy 1.10, the loader imports ``log_ndtr`` from ``scipy.special``."""
+        import scipy.special
+
+        monkeypatch.setattr(beliefs, "EXTENSION_SUFFIXES", ())
+        monkeypatch.delitem(sys.modules, "scipy.special._special_ufuncs", raising=False)
+        loaded = beliefs._load_log_ndtr()
+        xs = np.concatenate([[np.inf, -np.inf, 0.0, -0.0, 40.0, -40.0],
+                             np.linspace(-40.0, 40.0, 801)])
+        want = scipy.special.log_ndtr(xs).view(np.uint64)
+        assert np.array_equal(loaded(xs).view(np.uint64), want)
 
     def test_bad_regime_and_side(self, gauss_fat):
         """A law is chosen by its regime; a tail's side is the method's

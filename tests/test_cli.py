@@ -894,6 +894,18 @@ class TestOutputPath:
             assert list(tmp_path.iterdir()) == [kept]
             assert list(kept.iterdir()) == []
 
+    def test_removing_made_directories_stops_at_one_not_empty(self, tmp_path):
+        # Deepest first: c goes, b holds a file, so b and a stay.
+        a = tmp_path / "a"
+        b = a / "b"
+        c = b / "c"
+        c.mkdir(parents=True)
+        (b / "file").write_text("kept")
+        cli._remove_empty([c, b, a])
+        assert not c.exists()
+        assert (b / "file").read_text() == "kept"
+        assert list(tmp_path.iterdir()) == [a] and list(a.iterdir()) == [b]
+
     def test_usage_error_keeps_a_directory_holding_files(self, capsys, tmp_path):
         # An output that cannot be written fails the run after other files
         # went in; those stay.

@@ -21,6 +21,7 @@ from herdlearn import (
     run_experiment,
     same_variance_experiment,
 )
+from herdlearn.beliefs import CHUNK_STEPS
 from herdlearn.montecarlo import ExperimentResourceError, compute_aggregates
 
 from oracles import simulate_trajectory
@@ -369,6 +370,60 @@ class TestPieceFill:
         # The last trajectory of the first batch and the first of the second.
         traced = dataclasses.replace(whole, rows=result.rows[6:8], traces=result.traces[6:8])
         TestEngineMatchesReferenceSimulator._assert_matches_reference(config, traced)
+
+
+class TestBatchStops:
+    """``_Batch.advance`` stops at multiples of ACT_ROWS, inside a piece of
+    CHUNK_STEPS draws and at its end, and the batch reads the same there as
+    a run whose horizon is the stop, wherever the stream allows it."""
+
+    STOPS = (256, 2048, 2304, 4608)
+
+    @staticmethod
+    def _assert_traces_equal(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.index == b.index
+            for field in ("actions", "llrs", "r_before", "q"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), (a.index, field)
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize(
+        "spec",
+        [GaussianSpec(sigma=1.0, tau=2.0), MixtureSpec(sigma=1.0, alpha=0.3)],
+        ids=["gauss", "mixture"],
+    )
+    def test_stops_read_as_shorter_runs(self, spec, traced):
+        config = ExperimentConfig(
+            model=spec, gamma=0.4, horizon=self.STOPS[-1], num_trajectories=20,
+            master_seed=23, record_traces=traced,
+        )
+        lo, hi = 1, 9  # index 1 is the one informative world among them
+        batch = montecarlo._Batch(config, lo, hi)
+        for stop in self.STOPS:
+            batch.advance(stop)
+            assert batch.t == stop
+            rows = batch.rows()
+            short_rows, short_traces = _simulate_batch(
+                dataclasses.replace(config, horizon=stop), lo, hi
+            )
+            # A Gaussian piece's first draws do not depend on its length; a
+            # mixture piece draws all its picks before its normals, so a
+            # shorter last piece reads other values from the stream.
+            if spec.kind == "gaussian" or stop % CHUNK_STEPS == 0 or stop == config.horizon:
+                assert rows.tobytes() == short_rows.tobytes(), stop
+                if traced:
+                    self._assert_traces_equal(batch.traces(), short_traces)
+            elif traced:
+                llrs = [(a.llrs != b.llrs).any() for a, b in zip(batch.traces(), short_traces)]
+                assert llrs == list(rows["omega"] == 0) and 0 < sum(llrs) < len(llrs), stop
+        whole_rows, whole_traces = _simulate_batch(config, lo, hi)
+        assert batch.rows().tobytes() == whole_rows.tobytes()
+        if traced:
+            self._assert_traces_equal(batch.traces(), whole_traces)
+        else:
+            assert whole_traces is None
 
 
 class TestMemory:
