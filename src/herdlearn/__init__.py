@@ -35,7 +35,6 @@ from .observer import (
     observer_init,
     observer_update,
     posterior_columns,
-    replay,
 )
 from .tails import (
     TailClassification,

@@ -333,47 +333,36 @@ class LlrModel:
             return self.cdf_0
         raise InvalidParameterError(f"regime must be one of {REGIMES}, got {regime!r}")
 
-    def sample(
-        self, omega, theta, rng: np.random.Generator, size: int, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Draw private LLRs in the world (omega, theta), i.i.d. across draws.
+    def sample(self, omega, theta, streams, out: np.ndarray) -> np.ndarray:
+        """Fill ``out``, an (n, k) block with k at most CHUNK_STEPS, with the
+        next piece of n trajectories' private LLRs, and return it.
 
-        This is the one definition of the stream: the draws come in pieces
-        of CHUNK_STEPS (the last may be shorter), each k standard normals
-        that numpy ufuncs then scale and shift, ``z * sd + mean``: two
-        roundings on every build, those of numpy's own ``normal`` where the
-        build does not fuse it into one.  A mixture
-        piece first draws its k component picks (one uniform each), and its
-        normals take their picks' means.  A piece starts where the last one
-        left ``rng``, so the engine, which draws a trajectory's pieces one
-        at a time with other trajectories in between, gets the same values
-        by restoring the Philox state it saved after the last piece.
+        This is the one definition of the stream.  Row i draws from the i-th
+        generator that ``streams`` yields, set to its trajectory's stream,
+        in the world (omega[i], theta[i]), i.i.d. along the row: k standard
+        normals that numpy ufuncs then scale and shift, ``z * sd + mean``:
+        two roundings on every build, those of numpy's own ``normal`` where
+        the build does not fuse it into one.  A mixture piece first draws
+        its k component picks (one uniform each), and its normals take
+        their picks' means.  A piece starts where the last one left the
+        generator, so the engine resumes a stream by restoring the Philox
+        state it saved after the stream's last piece.
 
-        With ``out``, an (n, size) block with size at most CHUNK_STEPS, one
-        call draws a piece for each of n trajectories and returns ``out``.
-        ``rng`` is then an iterable that yields, for each row in turn, the
-        generator set to that row's stream, and omega and theta are arrays
-        of the rows' worlds.  A row costs only its own draws: the rows'
-        scaling is two ufunc calls on the whole block, after the last row.
-        The worlds are read only then, except that a mixture model reads a
-        row's omega when ``rng`` yields the row.  So a caller may draw each
-        row's world from the row's stream just before its piece.
+        A row costs only its own draws: the rows' scaling is two ufunc calls
+        on the whole block, after the last row.  The worlds are read only
+        then, except that a mixture model reads a row's omega when
+        ``streams`` yields the row.  So a caller may draw each row's world
+        from the row's stream just before its piece.
         """
-        if out is None:  # one trajectory: a one-row block per piece
-            draws = np.empty(size)
-            worlds = np.array([omega]), np.array([theta])
-            for start in range(0, size, CHUNK_STEPS):
-                piece = draws[None, start : start + CHUNK_STEPS]
-                self.sample(*worlds, [rng], piece.shape[1], out=piece)
-            return draws
         mix = self.cdf_0
         if isinstance(mix, NormalCdf):
-            for gen, row in zip(rng, out):
+            for gen, row in zip(streams, out):
                 gen.standard_normal(out=row)
         else:
-            for i, (gen, row) in enumerate(zip(rng, out)):
+            k = out.shape[1]
+            for i, (gen, row) in enumerate(zip(streams, out)):
                 if omega[i] == 0:
-                    pick_a = gen.random(size) < mix.weight_a
+                    pick_a = gen.random(k) < mix.weight_a
                     gen.standard_normal(out=row)
                     row *= self.cdf_g.sd  # the sd of both components
                     row += np.where(pick_a, mix.component_a.mean, mix.component_b.mean)

@@ -162,10 +162,10 @@ def tail_sum_upper_bound(model: LlrModel, regime: str, rho: float) -> float:
     jump_lb(r_k + TAIL_BOUND_CELL) (the difference of the two
     informative left tails is decreasing wherever the left density ratio
     is below one).  A geometric end slack is added from the last observed
-    decay ratio once the integrand is negligible against the accumulated
-    bound (below 1e-20 of it), so even a large error in that premise
-    cannot move the reported bound.  Returns inf when no certificate is
-    available.
+    decay ratio (the first two cells' when the first is already negligible)
+    once the integrand is negligible against the accumulated bound (below
+    1e-20 of it), so even a large error in that premise cannot move the
+    reported bound.  Returns inf when no certificate is available.
     """
     if not math.isfinite(rho):
         return math.inf
@@ -182,7 +182,8 @@ def tail_sum_upper_bound(model: LlrModel, regime: str, rho: float) -> float:
     while offset < max_steps:
         ks = np.arange(offset, min(offset + chunk, max_steps))
         rs = rho + cell * ks
-        f = np.exp(cdf.log_cdf(-rs) - _log_jump_lower_bound(model, rs + cell))
+        log_f = cdf.log_cdf(-rs) - _log_jump_lower_bound(model, rs + cell)
+        f = np.exp(log_f)
         if np.any(np.isnan(f)) or np.any(np.isinf(f)):
             return math.inf
         # Stop once contributions are negligible against what is accumulated.
@@ -192,11 +193,13 @@ def tail_sum_upper_bound(model: LlrModel, regime: str, rho: float) -> float:
             cut = int(below[0])
             total += cell * float(f[: cut + 1].sum())
             last = float(f[cut])
-            prev = float(f[cut - 1]) if cut >= 1 else (f_last if f_last else last)
+            prev = float(f[cut - 1]) if cut >= 1 else f_last
+            # With no earlier cell, the decay of the first two, from their
+            # logs: both may be subnormal and round to one value.
+            ratio = last / prev if prev else math.exp(log_f[1] - log_f[0])
             if last <= 0.0:
                 slack = 1e-300  # underflowed: remainder below double-precision floor
-            elif last < prev:
-                ratio = last / prev
+            elif ratio < 1.0:
                 slack = cell * last / (1.0 - ratio)
             break
         total += cell * float(f.sum())
@@ -207,7 +210,8 @@ def tail_sum_upper_bound(model: LlrModel, regime: str, rho: float) -> float:
     else:
         return math.inf
 
-    return h_rho + total + slack
+    # Below the floor of an underflowed remainder, the bound is that floor.
+    return max(h_rho + total + slack, 1e-300)
 
 
 def divergence_test(

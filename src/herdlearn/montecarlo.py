@@ -290,7 +290,7 @@ class _Batch:
             block = self.llrs[:, : horizon - start]  # row i takes trajectory lo + i's piece
             if act_lo == start:
                 streams = self._streams(start, start + CHUNK_STEPS < horizon)
-                model.sample(self.omega, self.theta, streams, block.shape[1], out=block)
+                model.sample(self.omega, self.theta, streams, block)
                 if traced:
                     trace_llrs[:, start : start + CHUNK_STEPS] = block
             act_hi = min(act_lo + ACT_ROWS, horizon)

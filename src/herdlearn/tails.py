@@ -74,8 +74,8 @@ def tail_ratios(model: LlrModel, x: ArrayLike) -> tuple:
     is a difference of stable log tails, finite for all finite x because
     the three laws are mutually absolutely continuous.
     """
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
         raise InvalidParameterError("tail ratios are defined for x >= 0")
     left_0 = np.asarray(model.cdf_0.log_cdf(-x))
     right_0 = np.asarray(model.cdf_0.log_sf(x))

@@ -5,12 +5,16 @@ library: extended-precision mpmath for normal tails, the full
 four-hypothesis posterior for the decision rule, and a scalar trajectory
 simulator and one-pass history likelihood that take every tail from
 ``log_cdf``/``log_sf`` directly, never through the transition kernel, and a
-CSV writer that formats one cell at a time.  The exceptions are
-``step_at``, the kernel at one public LLR, and ``reference_update``, the
-observer's former per-action update, which folds ``step_at`` one action at
-a time: the block filter must equal it bit for bit.  The observer's former
-posterior over four hypotheses, ``four_hypothesis_columns``, is an
-independent reference that ``posterior_columns`` must match to rounding.
+CSV writer that formats one cell at a time.  The simulator draws its own
+stream, ``llr_stream``, by raw numpy calls on the spec's laws, never through
+``LlrModel.sample``.  The exceptions are ``sample_one``, which drives
+``LlrModel.sample`` one trajectory at a time for the tests of ``sample``
+itself, ``step_at``, the kernel at one public LLR, and
+``reference_update``, the observer's former per-action update, which folds
+``step_at`` one action at a time: the block filter must equal it bit for
+bit.  The observer's former posterior over four hypotheses,
+``four_hypothesis_columns``, is an independent reference that
+``posterior_columns`` must match to rounding.
 """
 
 import math
@@ -20,7 +24,7 @@ from typing import Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from herdlearn import InvalidParameterError
+from herdlearn import InvalidParameterError, beliefs
 from herdlearn.beliefs import LlrModel
 from herdlearn.dynamics import R_CAP, Workspace, is_g, step
 from herdlearn.observer import ObserverState
@@ -137,6 +141,39 @@ def four_hypothesis_columns(log_lik: np.ndarray, gamma: float) -> tuple:
     return q, info - noise + math.log(gamma) - math.log1p(-gamma)
 
 
+def sample_one(model: LlrModel, omega: int, theta: str, rng, size: int) -> np.ndarray:
+    """``size`` private LLRs of one trajectory from ``LlrModel.sample``: a
+    one-row block per piece of ``beliefs.CHUNK_STEPS``, all from ``rng``."""
+    draws = np.empty(size)
+    worlds = np.array([omega]), np.array([theta])
+    for start in range(0, size, beliefs.CHUNK_STEPS):
+        model.sample(*worlds, [rng], draws[None, start : start + beliefs.CHUNK_STEPS])
+    return draws
+
+
+def llr_stream(model: LlrModel, omega: int, theta: str, horizon: int, rng) -> np.ndarray:
+    """The stream of private LLRs of one trajectory in the world (omega,
+    theta), stated by raw numpy calls on ``model.spec``'s laws.
+
+    In pieces of ``beliefs.CHUNK_STEPS`` draws: a mixture's noise piece is
+    its component picks (F_g's with probability alpha), then its standard
+    normals times the informative sd plus the picks' means; any other piece
+    is standard normals times its law's sd plus its mean.
+    """
+    spec = model.spec
+    mean, sd, *noise = spec.llr_laws()
+    pieces = []
+    for start in range(0, horizon, beliefs.CHUNK_STEPS):
+        k = min(beliefs.CHUNK_STEPS, horizon - start)
+        if omega == 0 and spec.kind == "mixture":
+            pick_g = rng.random(k) < spec.alpha
+            pieces.append(rng.standard_normal(k) * sd + np.where(pick_g, mean, -mean))
+        else:
+            m, s = noise if omega == 0 else (mean if theta == "g" else -mean, sd)
+            pieces.append(rng.standard_normal(k) * s + m)
+    return np.concatenate(pieces)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """One simulated run of the action process.
@@ -168,14 +205,15 @@ def simulate_trajectory(
     """Simulate ``horizon`` agents acting in sequence, one at a time, in
     the world (omega, theta).
 
-    Private LLRs are drawn from ``rng`` as one block up front, as the
-    experiment engine does, so the two see the same draws.  When ``gamma``
-    is given, the observer's belief that the source is informative is
-    tracked alongside from the four hypotheses' log-likelihoods.
+    Private LLRs are drawn from ``rng`` up front by ``llr_stream``, in the
+    engine's pieces, so the two see the same draws if both state the
+    stream alike.  When ``gamma`` is given, the observer's belief that the
+    source is informative is tracked alongside from the four hypotheses'
+    log-likelihoods.
     """
     if horizon < 1:
         raise InvalidParameterError(f"horizon must be >= 1, got {horizon}")
-    llrs = np.asarray(model.sample(omega, theta, rng, size=horizon), dtype=float)
+    llrs = llr_stream(model, omega, theta, horizon, rng)
     actions = np.empty(horizon, dtype="U1")
     public = np.empty(horizon + 1, dtype=float)
     public[0] = initial_r

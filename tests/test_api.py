@@ -32,7 +32,6 @@ EXPORTS = {
     "observer_init",
     "observer_update",
     "posterior_columns",
-    "replay",
     "run_experiment",
     "same_variance_experiment",
     "update_public",

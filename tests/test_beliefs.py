@@ -303,14 +303,14 @@ class TestMixtureModel:
 
 class TestSampling:
     def test_deterministic_given_stream(self, gauss_fat):
-        a = gauss_fat.sample(1, "g", philox(3), size=100)
-        b = gauss_fat.sample(1, "g", philox(3), size=100)
+        a = oracles.sample_one(gauss_fat, 1, "g", philox(3), 100)
+        b = oracles.sample_one(gauss_fat, 1, "g", philox(3), 100)
         np.testing.assert_array_equal(a, b)
-        assert gauss_fat.sample(1, "g", philox(3), size=1)[0] == a[0]
+        assert oracles.sample_one(gauss_fat, 1, "g", philox(3), 1)[0] == a[0]
 
     def test_informative_mean(self, gauss_fat):
         # Law is Normal(2, 4); the mean of 1e5 draws is within 3 standard errors.
-        draws = gauss_fat.sample(1, "g", philox(11), size=100_000)
+        draws = oracles.sample_one(gauss_fat, 1, "g", philox(11), 100_000)
         assert abs(draws.mean() - 2.0) < 3.0 * 2.0 / math.sqrt(100_000)
 
     def test_pushforward_matches_raw_signal_mapping(self):
@@ -324,13 +324,13 @@ class TestSampling:
         assert stat < 1.63 / math.sqrt(100_000)  # 1% critical value
 
     def test_mixture_distribution(self, mixture_half):
-        draws = mixture_half.sample(0, "g", philox(29), size=100_000)
+        draws = oracles.sample_one(mixture_half, 0, "g", philox(29), 100_000)
         stat = stats.kstest(draws, lambda x: cdf(mixture_half.cdf_0, x)).statistic
         assert stat < 1.63 / math.sqrt(100_000)
 
     def test_mixture_draws_are_independent(self, mixture_half):
         # A component reused across draws would correlate neighbours at ~0.5.
-        draws = mixture_half.sample(0, "g", philox(31), size=100_000)
+        draws = oracles.sample_one(mixture_half, 0, "g", philox(31), 100_000)
         lag1 = np.corrcoef(draws[:-1], draws[1:])[0, 1]
         assert abs(lag1) < 4.0 / math.sqrt(100_000)
 
@@ -358,7 +358,7 @@ class TestSampling:
         for consumed in range(4):
             rng = philox(53, 7)
             rng.bit_generator.random_raw(consumed)
-            whole = model.sample(omega, theta, rng, size=horizon)
+            whole = oracles.sample_one(model, omega, theta, rng, horizon)
             rng = philox(53, 7)
             rng.bit_generator.random_raw(consumed)
             pieces = []
@@ -366,7 +366,7 @@ class TestSampling:
                 if start:
                     rng.bit_generator.state = state
                 pieces.append(
-                    model.sample(omega, theta, rng, size=min(chunk, horizon - start))
+                    oracles.sample_one(model, omega, theta, rng, min(chunk, horizon - start))
                 )
                 state = rng.bit_generator.state
                 # Another trajectory's stream runs between two pieces.
@@ -381,13 +381,14 @@ class TestSampling:
         """The stream of trajectory i is that of a fresh ``Philox(key=[seed,
         i])`` in pieces of 2048 draws: a Normal piece is one ``normal`` call;
         a mixture piece draws its component picks, then its standard
-        normals, and scales and shifts them."""
+        normals, and scales and shifts them.  The reference simulator's
+        ``oracles.llr_stream`` states the same layout."""
         seed, index = 61, 5
         if law == "gauss_noise":
             model = gauss_fat
         else:
             model = build_model(MixtureSpec(sigma=1.0, alpha=0.3))
-        got = model.sample(0, "g", philox(seed, index), size=horizon)
+        got = oracles.sample_one(model, 0, "g", philox(seed, index), horizon)
 
         rng = np.random.Generator(np.random.Philox(key=[seed, index]))
         mean, sd = model.cdf_g.mean, model.cdf_g.sd
@@ -401,6 +402,9 @@ class TestSampling:
                 z = rng.standard_normal(k)
                 pieces.append(np.where(pick_g, mean, -mean) + sd * z)
         np.testing.assert_array_equal(got, np.concatenate(pieces))
+        np.testing.assert_array_equal(
+            oracles.llr_stream(model, 0, "g", horizon, philox(seed, index)), got
+        )
 
     @pytest.mark.parametrize("horizon", [1, 20, 2048, 2049])
     @pytest.mark.parametrize("omega, theta", [(1, "g"), (1, "b"), (0, "g")])
@@ -418,20 +422,20 @@ class TestSampling:
             pieces.append(np.add(np.multiply(z, law.sd), law.mean))
         want = np.concatenate(pieces)
         np.testing.assert_array_equal(
-            gauss_fat.sample(omega, theta, philox(seed, index), size=horizon), want
+            oracles.sample_one(gauss_fat, omega, theta, philox(seed, index), horizon), want
         )
         # The same row among others in one batch call.
         size = min(horizon, 2048)
         out = np.empty((3, size))
         worlds = np.array([1, omega, 0]), np.array(["b", theta, "g"])
         rngs = (philox(seed, i) for i in (index - 1, index, index + 1))
-        gauss_fat.sample(*worlds, rngs, size, out=out)
+        gauss_fat.sample(*worlds, rngs, out)
         np.testing.assert_array_equal(out[1], want[:size])
         np.testing.assert_array_equal(
-            out[2], gauss_fat.sample(0, "g", philox(seed, index + 1), size=size)
+            out[2], oracles.sample_one(gauss_fat, 0, "g", philox(seed, index + 1), size)
         )
 
     def test_noise_ignores_theta(self, gauss_fat):
-        a = gauss_fat.sample(0, "g", philox(41), size=50)
-        b = gauss_fat.sample(0, "b", philox(41), size=50)
+        a = oracles.sample_one(gauss_fat, 0, "g", philox(41), 50)
+        b = oracles.sample_one(gauss_fat, 0, "b", philox(41), 50)
         np.testing.assert_array_equal(a, b)

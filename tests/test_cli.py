@@ -192,6 +192,20 @@ class TestAgreeProb:
         code, _, _ = run_cli(capsys, "agree-prob", "--regime", "zz", "--sigma", "1")
         assert code == EXIT_USAGE
 
+    def test_a_negligible_first_cell_converges(self, capsys):
+        # At --initial-r 41 the remainder integrand is negligible from its
+        # first cell on; the bound then takes the first two cells' decay.
+        code, out, _ = run_cli(
+            capsys, "agree-prob", "--sigma", "1", "--tau", "0.5", "--regime", "0",
+            "--initial-r", "41", "--horizon", "5",
+        )
+        assert code == EXIT_OK
+        comments = dict(
+            line[2:].split(": ", 1) for line in out.splitlines() if line.startswith("# ")
+        )
+        assert comments["verdict"] == "Converges"
+        assert comments["lower"] == comments["upper"]
+
     def test_builds_the_consensus_path_once(self, capsys, monkeypatch):
         calls = []
         original = herdlearn.consensus.consensus_path

@@ -181,6 +181,39 @@ class TestTailBoundSoundness:
     def test_no_bound_from_an_infinite_start(self, gauss_fat):
         assert tail_sum_upper_bound(gauss_fat, "0", math.inf) == math.inf
 
+    # (sigma, tau) and the starts, in steps of 0.25, at which the integrand's
+    # first cell is already negligible but not yet 0.
+    @pytest.mark.parametrize(
+        "sigma, tau, lo, hi",
+        [(1.0, 0.5, 40.25, 43.75), (1.0, 0.9, 137.5, 151.0), (2.0, 1.0, 20.25, 22.0),
+         (0.5, 0.25, 79.0, 86.5)],
+    )
+    def test_a_negligible_first_cell_still_gives_a_bound(self, sigma, tau, lo, hi):
+        """The decay ratio then comes from the first two cells."""
+        model = build_model(GaussianSpec(sigma=sigma, tau=tau))
+        for rho in np.arange(lo, hi + 0.125, 0.25):
+            assert 0 < tail_sum_upper_bound(model, "0", float(rho)) < 1e-250, rho
+
+    @pytest.mark.parametrize("rho", [41.0, 42.0])
+    def test_a_negligible_first_cell_bound_dominates_the_cells(self, rho):
+        """The bound at a start whose first cell is negligible dominates the
+        first 4096 cells of the integrand, cell x F_0(-r_k) / jump_lb(r_k +
+        cell), summed in mpmath."""
+        model = build_model(GaussianSpec(sigma=1.0, tau=0.5))
+        cell = consensus.TAIL_BOUND_CELL
+        law_0, law_g, law_b = model.cdf_0, model.cdf_g, model.cdf_b
+
+        def ncdf(x, law):
+            return oracles.mp.ncdf((x - oracles.mp.mpf(law.mean)) / oracles.mp.mpf(law.sd))
+
+        total = oracles.mp.mpf(0)
+        for k in range(4096):
+            r = oracles.mp.mpf(rho) + k * oracles.mp.mpf(cell)
+            jump_lb = ncdf(-(r + cell), law_b) - ncdf(-(r + cell), law_g)
+            total += cell * ncdf(-r, law_0) / jump_lb
+        bound = tail_sum_upper_bound(model, "0", rho)
+        assert 0 < total <= bound < 1e-250
+
 
 class TestCertificateShape:
     """Each certificate fact is held once: no echoed inputs, one remainder

@@ -24,7 +24,7 @@ from herdlearn import (
 from herdlearn.beliefs import CHUNK_STEPS
 from herdlearn.montecarlo import ExperimentResourceError, compute_aggregates
 
-from oracles import simulate_trajectory
+from oracles import llr_stream, simulate_trajectory
 
 _simulate_batch = montecarlo._simulate_batch
 
@@ -260,7 +260,8 @@ class TestTrajectoryStream:
 
 class TestEngineMatchesReferenceSimulator:
     """The vectorized engine and the scalar trajectory simulator must agree
-    bit for bit when driven by the same per-trajectory streams."""
+    bit for bit when driven by the same per-trajectory generators; the
+    simulator draws its LLRs by its own statement of the stream."""
 
     @pytest.mark.parametrize(
         "spec", [GaussianSpec(sigma=1.0, tau=2.0), MixtureSpec(sigma=1.0, alpha=0.35)]
@@ -334,7 +335,8 @@ class TestEngineMatchesReferenceSimulator:
 
 class TestPieceFill:
     """One ``LlrModel.sample`` call fills a piece for the whole batch; each
-    trajectory still gets its own stream, whatever the batch boundaries."""
+    trajectory still gets its own stream, as ``oracles.llr_stream`` states
+    it, whatever the batch boundaries."""
 
     @pytest.mark.parametrize("horizon", [1, 2, 20, 2047, 2048, 2049])
     @pytest.mark.parametrize("world", ["drawn", "fixed"])
@@ -365,7 +367,7 @@ class TestPieceFill:
             theta = fixed.get("theta", "g" if u_theta < 0.5 else "b")
             assert (row["omega"], row["theta"]) == (omega, theta)
             np.testing.assert_array_equal(
-                trace.llrs, model.sample(omega, theta, rng, size=horizon)
+                trace.llrs, llr_stream(model, omega, theta, horizon, rng)
             )
         # The last trajectory of the first batch and the first of the second.
         traced = dataclasses.replace(whole, rows=result.rows[6:8], traces=result.traces[6:8])

@@ -9,12 +9,17 @@ from herdlearn import (
     InvalidParameterError,
     observer_init,
     observer_update,
-    replay,
     update_public,
 )
 from herdlearn import observer
 from herdlearn.dynamics import R_CAP, WALK_BLOCK, Workspace, step
-from herdlearn.observer import LOG_2, ObserverState, history_log_liks, posterior_columns
+from herdlearn.observer import (
+    LOG_2,
+    ObserverState,
+    history_log_liks,
+    posterior_columns,
+    replay,
+)
 from herdlearn import ExperimentConfig, GaussianSpec, MixtureSpec, build_model, run_experiment
 
 import oracles

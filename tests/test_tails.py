@@ -34,6 +34,16 @@ class TestTailRatios:
         with pytest.raises(InvalidParameterError):
             tail_ratios(gauss_fat, -0.5)
 
+    def test_a_list_reads_as_its_array(self, gauss_fat, mixture_half):
+        for model in (gauss_fat, mixture_half):
+            from_list = tail_ratios(model, [1.0, 2.0])
+            from_array = tail_ratios(model, np.array([1.0, 2.0]))
+            for got, want in zip(from_list, from_array):
+                assert got.tobytes() == want.tobytes()
+            for value, at_2 in zip(tail_ratios(model, 2.0), from_array):
+                assert value.shape == ()
+                assert value.tobytes() == at_2[1].tobytes()
+
     def test_frozen_value(self, gauss_fat):
         # log L_b(8) = log Phi(-2) - log Phi(-3) for sigma=1, tau=2.
         _, log_l_b, _, _ = tail_ratios(gauss_fat, 8.0)
