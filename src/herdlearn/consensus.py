@@ -219,8 +219,7 @@ def divergence_test(
 ) -> DivergenceResult:
     """Certify the behaviour of the left sum of F(-r_t) for one regime.
 
-    Diverges: the partial sum crosses DIVERGENCE_THRESHOLD while its
-    increments are still above CONVERGENCE_INCREMENT_CUTOFF, or (for regime
+    Diverges: the partial sum crosses DIVERGENCE_THRESHOLD, or (for regime
     "b", whose values dominate the path increments) the telescoping
     argument certifies an infinite sum.  Otherwise, unless the path is
     absorbed, the remainder beyond the horizon gets its certified bound
@@ -234,9 +233,8 @@ def divergence_test(
     hs = np.exp(model.cdf_for(regime).log_cdf(-rs))
     partial = np.cumsum(hs)
 
-    # Threshold crossing with non-vanishing increments.
-    crossing = np.nonzero(partial >= DIVERGENCE_THRESHOLD)[0]
-    crossed = crossing.size > 0 and hs[crossing[0]] > CONVERGENCE_INCREMENT_CUTOFF
+    # Any crossing, not only partial[-1]'s: a NaN term makes every later sum NaN.
+    crossed = np.any(partial >= DIVERGENCE_THRESHOLD)
 
     # Structural domination: the tail values F_b(-r_t) bound the path
     # increments from below (up to the bounded factor 1 - F_b(-r_1)), and
@@ -304,8 +302,8 @@ def immediate_agreement_prob(
     -r_t along the deterministic path, so its probability is the product
     of survival values 1 - F_regime(-r_t).
     """
-    path = consensus_path(model, initial_r, horizon)
     cdf = model.cdf_for(regime)
+    path = consensus_path(model, initial_r, horizon)
     log_trunc = float(cdf.log_sf(-path.values).sum())
     trunc = math.exp(log_trunc)
 

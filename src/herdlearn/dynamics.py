@@ -176,7 +176,8 @@ def is_g(action: str) -> bool:
 def update_public(model: LlrModel, r: float, action: str) -> float:
     """One observed action moves the public LLR by the matching jump.
 
-    The result is clipped to [-R_CAP, R_CAP]; the experiment engine marks
-    runs that touch the cap as absorbed.  A one-action ``walk``.
+    The result is clipped to [-R_CAP, R_CAP]; the experiment engine marks a
+    run absorbed once a step puts |r| at the cap, even if later steps move
+    it off.  A one-action ``walk``.
     """
     return float(walk(model, r, (is_g(action),))[1])

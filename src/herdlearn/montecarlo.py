@@ -99,10 +99,11 @@ class ExperimentConfig:
         if self.workers < 1:
             raise InvalidParameterError(f"workers must be >= 1, got {self.workers}")
         batch = min(BATCH_SIZE, self.num_trajectories)
-        if self.record_traces and batch * self.horizon > MAX_FLOATS:
+        # A traced batch holds its llr, r and q traces as one array, 3 floats a step.
+        if self.record_traces and 3 * batch * self.horizon > MAX_FLOATS:
             raise InvalidParameterError(
-                f"a traced batch of {batch} trajectories x {self.horizon} steps "
-                f"exceeds the {MAX_FLOATS} floats a numpy array can hold"
+                f"a traced batch of {batch} trajectories x {self.horizon} steps needs "
+                f"3 floats a step, more than the {MAX_FLOATS} a numpy array can hold"
             )
 
 
@@ -204,11 +205,11 @@ class _Batch:
     The log-likelihoods are running sums, never re-centered, and q and the
     log-odds are ``observer.posterior_columns`` of them, so replaying a
     trajectory's actions gives its q bit for bit.  A traced run fills its
-    trace columns once per block too: each step keeps r before it and the
-    log-likelihoods after it in an ACT_ROWS x batch and an
-    ACT_ROWS x 3 x batch buffer, and the block's q is ``posterior_columns``
-    of the whole buffer, the same elementwise operations as at each step.
-    An untraced batch holds neither buffer.
+    trace columns once per block too: each step stages the log-likelihoods
+    after it and r before it in one ACT_ROWS x 4 x batch block, and the
+    block's q is ``posterior_columns`` of its log-likelihood rows, the same
+    elementwise operations as at each step.  An untraced batch holds no
+    staging block.
     """
 
     def __init__(self, config: ExperimentConfig, lo: int, hi: int):
@@ -228,24 +229,21 @@ class _Batch:
         self.r = np.full(n, config.initial_r, dtype=float)
         self.work = Workspace(model, n)
         self.log_liks = np.zeros((3, n))  # under F_g, F_b and F_0
-        # The extremes of r after each step, NaN ignored: a trajectory is
-        # absorbed once |r| reaches R_CAP.
-        self.r_max = np.full(n, -np.inf)
-        self.r_min = np.full(n, np.inf)
+        # The largest |r| after any step, NaN ignored: a trajectory is
+        # absorbed once it reaches R_CAP.
+        self.reach = np.zeros(n)
         # Row 1 + k of ``acts`` holds the actions of step act_lo + k of the
         # current block of ACT_ROWS steps, and row 0 those of the step before
         # it; the switches are tallied once per block.
         self.acts = np.empty((ACT_ROWS + 1, n), dtype=bool)
-        self.switched = np.empty((ACT_ROWS, n), dtype=bool)
         self.switch_count = np.zeros(n, dtype=np.int64)
         self.last_switch = np.zeros(n, dtype=np.int64)
         if config.record_traces:
             self.trace_llrs, self.trace_r, self.trace_q = np.empty((3, n, horizon))
             self.trace_actions = np.empty((n, horizon), dtype="U1")
-            # Row k: r before step act_lo + k of the current block, and the
-            # log-likelihoods after it.
-            self.block_r = np.empty((ACT_ROWS, n))
-            self.block_ll = np.empty((ACT_ROWS, 3, n))
+            # Row k: the log-likelihoods after step act_lo + k of the current
+            # block (rows 0-2), and r before it (row 3).
+            self.staged = np.empty((ACT_ROWS, 4, n))
 
     def _streams(self, start: int, more: bool):
         """``rng`` at each trajectory's stream in turn, for the piece at
@@ -280,10 +278,10 @@ class _Batch:
         """Run the blocks of steps from ``t`` until ``t`` reaches ``stop``."""
         config, model, work, acts = self.config, self.model, self.work, self.acts
         horizon, gamma, traced = config.horizon, config.gamma, config.record_traces
-        r, log_liks, r_max, r_min = self.r, self.log_liks, self.r_max, self.r_min
-        neg_r, tails = work.neg_r, work.tails
+        r, log_liks, reach = self.r, self.log_liks, self.reach
+        neg_r, tails, scratch = work.neg_r, work.tails, work.scratch
         if traced:
-            block_r, block_ll, trace_llrs = self.block_r, self.block_ll, self.trace_llrs
+            staged, trace_llrs = self.staged, self.trace_llrs
             trace_actions, trace_r, trace_q = self.trace_actions, self.trace_r, self.trace_q
         for act_lo in range(self.t, stop, ACT_ROWS):
             start = act_lo - act_lo % CHUNK_STEPS  # the first step of the block's piece
@@ -298,17 +296,16 @@ class _Batch:
                 took_g = acts[j + 1]
                 np.greater_equal(block[:, t - start], np.negative(r, out=neg_r), out=took_g)
                 if traced:
-                    block_r[j] = r
+                    staged[j, 3] = r
                 step(model, r, took_g, work)
                 log_liks += tails
                 if traced:
-                    block_ll[j] = log_liks
-                np.fmax(r_max, r, out=r_max)
-                np.fmin(r_min, r, out=r_min)
+                    staged[j, :3] = log_liks
+                # |r| goes to the step's scratch row, which the next step overwrites.
+                np.fmax(reach, np.abs(r, out=scratch), out=reach)
             # Count the block's switches, note the last; fill its trace columns.
             k = act_hi - act_lo
-            sw = self.switched[:k]
-            np.not_equal(acts[1 : k + 1], acts[:k], out=sw)
+            sw = acts[1 : k + 1] != acts[:k]
             if act_lo == 0:
                 sw[0] = False  # the first action switches from nothing
             counts = np.count_nonzero(sw, axis=0)
@@ -319,8 +316,8 @@ class _Batch:
             if traced:
                 cols = slice(act_lo, act_hi)
                 trace_actions[:, cols] = np.where(acts[1 : k + 1].T, GOOD, BAD)
-                trace_r[:, cols] = block_r[:k].T
-                trace_q[:, cols] = posterior_columns(block_ll[:k].swapaxes(1, 2), gamma)[0].T
+                trace_r[:, cols] = staged[:k, 3].T
+                trace_q[:, cols] = posterior_columns(staged[:k, :3].swapaxes(1, 2), gamma)[0].T
             acts[0] = acts[k]
             self.t = act_hi
 
@@ -335,7 +332,7 @@ class _Batch:
         rows["last_switch_time"] = self.last_switch
         posterior = posterior_columns(self.log_liks.T, self.config.gamma)  # (q, log-odds)
         rows["q_final"], rows["q_log_odds"] = posterior
-        rows["absorbed"] = (self.r_max >= R_CAP) | (self.r_min <= -R_CAP)
+        rows["absorbed"] = self.reach >= R_CAP
         return rows
 
     def traces(self) -> list:

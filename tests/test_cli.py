@@ -1164,6 +1164,14 @@ class TestUsageErrors:
             (["same-variance", "--sigma", "1", "--m0-grid", "0,x"], "bad --m0-grid"),
             (["observer-replay", "--sigma", "1", "--tau", "2"],
              "observer-replay needs --actions-file"),
+            # A traced batch keeps 3 floats a step in one array: batch x horizon
+            # floats would fit, their three planes do not.  At the largest
+            # traced batch numpy accepts the shape, and allocating it fails.
+            (["simulate", "--sigma", "1", "--tau", "2", "--traces", "--trajectories",
+              "1024", "--horizon", str(MAX_FLOATS // 1024)], "traced batch"),
+            (["simulate", "--sigma", "1", "--tau", "2", "--traces", "--trajectories",
+              "1024", "--horizon", str(MAX_FLOATS // 3 // 1024)],
+             "out of memory during simulation"),
         ],
     )
     def test_runs_that_cannot_do_work_are_usage_errors(

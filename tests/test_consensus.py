@@ -300,6 +300,14 @@ class TestImmediateAgreement:
         assert estimate.upper - estimate.lower < 1e-6
         assert not estimate.diverged
 
+    def test_bad_regime_fails_before_the_path(self, gauss_fat, monkeypatch):
+        def no_path(*args):
+            raise AssertionError("walked the path before resolving the regime")
+
+        monkeypatch.setattr(consensus, "consensus_path", no_path)
+        with pytest.raises(InvalidParameterError):
+            immediate_agreement_prob(gauss_fat, "x", 0.0, 10**6)
+
     def test_good_state_from_strong_prior(self, gauss_fat):
         estimate = immediate_agreement_prob(gauss_fat, "g", 10.0, 1000)
         assert estimate.lower >= 0.99

@@ -21,7 +21,8 @@ from herdlearn import (
     run_experiment,
     same_variance_experiment,
 )
-from herdlearn.beliefs import CHUNK_STEPS
+from herdlearn.beliefs import CHUNK_STEPS, MAX_FLOATS
+from herdlearn.dynamics import R_CAP, update_public
 from herdlearn.montecarlo import ExperimentResourceError, compute_aggregates
 
 from oracles import llr_stream, simulate_trajectory
@@ -96,6 +97,11 @@ class TestValidation:
             small_config(theta="q")
         with pytest.raises(InvalidParameterError, match="workers must be >= 1"):
             small_config(workers=0)
+        # The llr, r and q traces of a batch of 1024 are one array of
+        # 3 x 1024 x horizon floats.
+        with pytest.raises(InvalidParameterError, match="traced batch"):
+            small_config(record_traces=True, num_trajectories=1024,
+                         horizon=MAX_FLOATS // 1024)
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 5e-324, math.nan])
     def test_gamma_has_one_check(self, monkeypatch, gamma):
@@ -545,6 +551,26 @@ class TestTraces:
             expected = "g" if trace.llrs[t] >= -trace.r_before[t] else "b"
             assert trace.actions[t] == expected
         assert np.all((trace.q >= 0) & (trace.q <= 1))
+
+    def test_absorbed_means_the_cap_was_reached(self):
+        # Started at the cap with a near-flat noise law, most trajectories
+        # leave the cap and end below it; each is absorbed iff some step
+        # put |r| at R_CAP, whatever r is at the horizon.
+        config = ExperimentConfig(
+            GaussianSpec(1.0, 1e6), horizon=50, num_trajectories=200, omega=0,
+            initial_r=R_CAP, master_seed=4, record_traces=True,
+        )
+        result = run_experiment(config)
+        model = build_model(config.model)
+        reached, ended = [], []
+        for trace in result.traces:
+            r_final = update_public(model, float(trace.r_before[-1]), str(trace.actions[-1]))
+            after = np.append(trace.r_before[1:], r_final)
+            reached.append(bool(np.any(np.abs(after) >= R_CAP)))
+            ended.append(abs(r_final) >= R_CAP)
+        assert result.rows["absorbed"].tolist() == reached
+        # The case tells reaching from ending: absorbed runs that end below.
+        assert sum(a and not e for a, e in zip(reached, ended)) > 100
 
     def test_traces_absent_by_default(self):
         assert run_experiment(small_config()).traces is None
