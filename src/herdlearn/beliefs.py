@@ -114,10 +114,10 @@ class NormalCdf:
     ``log_cdf``/``log_sf`` stay accurate far beyond the range where the
     plain CDF underflows (log-probabilities down to about -1e6 carry ~13
     significant digits).  Every method maps a float to a numpy float and
-    an array elementwise.  ``dynamics.step`` makes the operations of both
-    tails in place on a stack of laws, with the standardized argument times
-    +1 (``log_cdf``) or -1 (``log_sf``), which is exact.  Its overflow is
-    ignored: ``log_ndtr`` of +-inf is exact, 0 or -inf.
+    an array elementwise.  ``dynamics.step`` evaluates both tails at -r in
+    place on a stack of laws, as ``(r + mean) / sd`` times -1 (``log_cdf``)
+    or +1 (``log_sf``): the same bits, because negation is exact.  Overflow
+    is ignored: ``log_ndtr`` of +-inf is exact, 0 or -inf.
     """
 
     mean: float

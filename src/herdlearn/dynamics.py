@@ -72,15 +72,16 @@ def step(model: LlrModel, r: np.ndarray, took_g, work: Workspace) -> tuple:
     Returns ``(r, lt_g, lt_b, lt_0)``: ``r`` moved in place by the jump
     ``lt_g - lt_b`` and clipped to [-R_CAP, R_CAP], and the
     log-probabilities under F_g, F_b and F_0, the rows of ``work.tails``,
-    valid until its next use.  The call allocates almost nothing.
+    valid until its next use.  The call allocates almost nothing and
+    negates nothing: a Normal law's tail at -r is ``log_ndtr`` of ``(r + m)
+    / s`` after a G and of its negation after a B, the bits of
+    ``NormalCdf``'s tails at -r (see ``walk``).
     """
-    sign = np.where(took_g, -1.0, 1.0)  # -1 selects the right tail, +1 the left
-    neg_r, stack, scratch = work.neg_r, work.stack, work.scratch
+    sign = np.where(took_g, 1.0, -1.0)  # +1 selects the right tail, -1 the left
+    stack, scratch = work.stack, work.scratch
     lt_g, lt_b, lt_0 = work.rows
-    np.negative(r, out=neg_r)
-    # NormalCdf.log_cdf's operations (log_sf's where sign is -1), once for
-    # every stacked law.
-    np.subtract(neg_r, work.means, out=stack)
+    # The tails of every stacked law at once.
+    np.add(r, work.means, out=stack)
     np.divide(stack, work.sds, out=stack)
     np.multiply(stack, sign, out=stack)
     log_ndtr(stack, out=stack)
@@ -109,7 +110,6 @@ class Workspace:
         self.tails = np.empty((3, n))
         self.rows = tuple(self.tails)
         self.stack = self.tails[: len(self.means)]
-        self.neg_r = np.empty(n)
         self.scratch = np.empty(n)
 
 
@@ -127,11 +127,12 @@ def walk(model: LlrModel, r: float, took_g: Sequence[bool]) -> np.ndarray:
     later value NaN.
 
     The tails call ``log_ndtr`` directly, not ``NormalCdf.log_sf`` or
-    ``log_cdf``, with each law's mean m and sd s in locals.  ``step``'s
-    argument ``(-r - m) / s * sign`` is ``(r + m) / s`` after a G (sign -1)
-    and its negation after a B, bit for bit, because negation is exact
-    under round-to-nearest.  Only the sign of a zero argument can differ (at
-    r = -m), and ``log_ndtr(+0.0) == log_ndtr(-0.0)``.
+    ``log_cdf``, with each law's mean m and sd s in locals, on ``(r + m) /
+    s`` after a G and its negation after a B, as ``step`` does.  That is
+    ``NormalCdf``'s argument at -r, ``(-r - m) / s``, negated after a G, bit
+    for bit, because negation is exact under round-to-nearest.  Only the
+    sign of a zero argument can differ (at r = -m), and ``log_ndtr(+0.0) ==
+    log_ndtr(-0.0)``.
     """
     m_g, s_g = model.cdf_g.mean, model.cdf_g.sd
     m_b, s_b = model.cdf_b.mean, model.cdf_b.sd
@@ -155,7 +156,7 @@ def jump_g(model: LlrModel, r: ArrayLike) -> ArrayLike:
     """Public-LLR jump caused by observing a G action at public LLR r.
 
     Computed entirely from log tails so that |r| up to ~1e3 stays accurate;
-    the IEEE operations of ``step``'s ``lt_g - lt_b`` after a G.  Always
+    the bits of ``step``'s ``lt_g - lt_b`` after a G.  Always
     nonnegative: a G action can only push the public belief toward G.
     """
     return model.cdf_g.log_sf(-r) - model.cdf_b.log_sf(-r)

@@ -279,7 +279,7 @@ class _Batch:
         config, model, work, acts = self.config, self.model, self.work, self.acts
         horizon, gamma, traced = config.horizon, config.gamma, config.record_traces
         r, log_liks, reach = self.r, self.log_liks, self.reach
-        neg_r, tails, scratch = work.neg_r, work.tails, work.scratch
+        tails, scratch = work.tails, work.scratch
         if traced:
             staged, trace_llrs = self.staged, self.trace_llrs
             trace_actions, trace_r, trace_q = self.trace_actions, self.trace_r, self.trace_q
@@ -294,7 +294,9 @@ class _Batch:
             act_hi = min(act_lo + ACT_ROWS, horizon)
             for j, t in enumerate(range(act_lo, act_hi)):
                 took_g = acts[j + 1]
-                np.greater_equal(block[:, t - start], np.negative(r, out=neg_r), out=took_g)
+                # G iff llr >= -r; -r goes to the scratch row that ``step``
+                # overwrites.
+                np.greater_equal(block[:, t - start], np.negative(r, out=scratch), out=took_g)
                 if traced:
                     staged[j, 3] = r
                 step(model, r, took_g, work)

@@ -326,9 +326,11 @@ def reference_fold(state: ObserverState, model: LlrModel, actions: Sequence[str]
 
 
 def csv_cell(value) -> str:
-    """Locale-independent CSV cell: shortest round-trip ``repr`` for floats,
-    an empty cell for NaN, one value at a time (``cli._cells`` formats a run
-    of equal floats once, and must give these cells)."""
+    """Locale-independent CSV cell: ``repr`` for floats, an empty cell for
+    NaN, one value at a time.  ``cli._cells`` and ``cli._csv_lines`` must
+    give these bytes, whether a float's cell comes from ``repr`` or from
+    ``herdlearn._shortest`` and whether a run of equal floats is formatted
+    once."""
     if isinstance(value, (float, np.floating)):
         value = float(value)
         if np.isnan(value):

@@ -195,10 +195,11 @@ class TestLogTail:
     def test_side_selected_tail_is_bitwise_the_two_sided_pick(
         self, gauss_fat, mixture_half, regime
     ):
-        """A tail whose side is chosen per element as ``dynamics.step``
-        chooses it, the standardized argument times -1 for the right tail
-        and +1 for the left, is the pick of ``log_sf`` and ``log_cdf``;
-        so is each float on its own."""
+        """A tail whose side is chosen per element by a sign, the
+        standardized argument times -1 for the right tail and +1 for the
+        left, is the pick of ``log_sf`` and ``log_cdf``; so is each float
+        on its own.  ``dynamics.step`` chooses the side so, on ``(r + m) /
+        s``, the standardized -r negated."""
         xs = np.concatenate([np.linspace(-60.0, 60.0, 241), [-1e3, 1e3, 0.0, -0.0]])
         right = np.arange(len(xs)) % 3 == 0
         sign = np.where(right, -1.0, 1.0)
