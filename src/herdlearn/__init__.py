@@ -34,12 +34,4 @@ from .montecarlo import (
 from .observer import (
     observer_init,
     observer_update,
-    posterior_columns,
-)
-from .tails import (
-    TailClassification,
-    Verdict,
-    classify_empirical,
-    classify_gaussian,
-    classify_mixture,
 )

@@ -29,20 +29,6 @@ import numpy as np
 import numpy.ma
 import numpy.random
 
-__all__ = [
-    "GOOD",
-    "BAD",
-    "ACTIONS",
-    "REGIMES",
-    "InvalidParameterError",
-    "NormalCdf",
-    "MixtureCdf",
-    "GaussianSpec",
-    "MixtureSpec",
-    "LlrModel",
-    "build_model",
-]
-
 GOOD = "g"
 BAD = "b"
 ACTIONS = (GOOD, BAD)

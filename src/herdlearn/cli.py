@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .beliefs import GaussianSpec, InvalidParameterError, MixtureSpec, build_model
+from .beliefs import REGIMES, GaussianSpec, InvalidParameterError, MixtureSpec, build_model
 from .consensus import (
     consensus_path,
     immediate_agreement_prob,
@@ -84,18 +84,15 @@ _DIGITS = tuple("0123456789")
 
 
 def _cells(column: np.ndarray) -> list:
-    """Locale-independent CSV cells: ``repr`` for floats (an empty cell for
-    NaN), ``str`` for everything else.  A column of dtype object holds its
-    cells already, as ``str``.
+    """Locale-independent CSV cells of a column that is not float: ``str``
+    of each value.  A column of dtype object holds its cells already, as
+    ``str``.  Float columns go through ``_float_columns`` instead.
 
     Bools, and integers spanning at most half as many values as the column
     has rows (such as 0/1 flags and small counts), are formatted once per
     value in a table of cells, which each row then indexes; a run of
     consecutive nonnegative integers, such as ``t``, a ``str`` per ten
-    values; any other integer column a ``str`` per row.  A float column
-    goes through ``_float_columns``: ``repr`` formats fewer than
-    ``FLOAT_KERNEL_CUTOVER`` values, ``_shortest`` more, and the bytes are
-    ``repr``'s either way.
+    values; any other integer column a ``str`` per row.
     """
     kind = column.dtype.kind
     if kind in "UO":
@@ -118,8 +115,6 @@ def _cells(column: np.ndarray) -> list:
             # Each ten's quotient, "" for 0, joined with each last digit.
             tens = (str(q) if q else "" for q in range(first // 10, last // 10 + 1))
             return [p + d for p in tens for d in _DIGITS][first % 10 : first % 10 + n]
-    if kind == "f":
-        return _float_columns([column])[0]
     return list(map(str, column.tolist()))
 
 
@@ -310,17 +305,9 @@ def _cmd_path(args: argparse.Namespace) -> tuple:
     return EXIT_OK, spec, csv_text, [("path.csv", csv_text)]
 
 
-_REGIME_ALIASES = {
-    "g": "g",
-    "b": "b",
-    "0": "0",
-    "f_g": "g",
-    "f_b": "b",
-    "f_0": "0",
-    "fg": "g",
-    "fb": "b",
-    "f0": "0",
-}
+# Each regime, also spelled with an "f" or "f_" prefix (the F_g, F_b, F_0
+# laws); matched in lower case.
+_REGIME_ALIASES = {prefix + r: r for r in REGIMES for prefix in ("", "f", "f_")}
 
 
 def _cmd_agree_prob(args: argparse.Namespace) -> tuple:

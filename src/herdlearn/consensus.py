@@ -32,17 +32,6 @@ import numpy as np
 from .beliefs import MAX_FLOATS, InvalidParameterError, LlrModel
 from .dynamics import R_CAP, WALK_BLOCK, walk
 
-__all__ = [
-    "ConsensusPath",
-    "SumVerdict",
-    "DivergenceResult",
-    "AgreementEstimate",
-    "consensus_path",
-    "divergence_test",
-    "tail_sum_upper_bound",
-    "immediate_agreement_prob",
-]
-
 DIVERGENCE_THRESHOLD = 20.0  # implied product < e^-20, below every tolerance used here
 CONVERGENCE_INCREMENT_CUTOFF = 1e-15
 CONVERGENCE_TAIL_TOL = 1e-9

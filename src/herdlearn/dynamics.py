@@ -29,16 +29,6 @@ from .beliefs import (
     log_ndtr,
 )
 
-__all__ = [
-    "R_CAP",
-    "agent_action",
-    "step",
-    "walk",
-    "jump_g",
-    "jump_b",
-    "update_public",
-]
-
 # Saturation cap on |r|: beyond this the jumps underflow to zero in double
 # precision, so further updates would only accumulate float drift.
 R_CAP = 1.0e6

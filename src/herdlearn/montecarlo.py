@@ -40,16 +40,6 @@ ACT_ROWS = 256
 # Trajectories per batch: it sets memory and scheduling, never a row.
 BATCH_SIZE = 1024
 
-__all__ = [
-    "ExperimentConfig",
-    "ExperimentResult",
-    "ExperimentResourceError",
-    "ROW_DTYPE",
-    "run_experiment",
-    "compute_aggregates",
-    "same_variance_experiment",
-]
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -372,13 +362,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     starts = range(0, n, size)  # each batch's first index, never listed
     parts: list = []  # finished batches, in index order
     broken: tuple = ()  # the pool's failure, imported by pooled runs only
+    # Under fork, the first submit starts max_workers processes, so a pool
+    # has no more of them than batches or usable CPUs.  A pool of one would
+    # only fork a process to run what this one runs as fast.
+    workers = min(config.workers, len(starts), _usable_cpus())
     try:
-        if config.workers > 1 and len(starts) > 1:
+        if workers > 1:
             from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
             broken = (BrokenProcessPool,)
-            # Under fork, the first submit starts max_workers processes, so
-            # the pool has no more of them than batches or usable CPUs.
-            workers = min(config.workers, len(starts), _usable_cpus())
             pool = ProcessPoolExecutor(max_workers=workers)
             try:
                 # At most two batches per worker in flight, read in index order.

@@ -29,15 +29,6 @@ import numpy as np
 from .beliefs import BAD, GOOD, InvalidParameterError, LlrModel
 from .dynamics import WALK_BLOCK, Workspace, is_g, step, walk
 
-__all__ = [
-    "ObserverState",
-    "observer_init",
-    "history_log_liks",
-    "observer_update",
-    "posterior_columns",
-    "replay",
-]
-
 # Both uninformative states have F_0's likelihood, so the log of their sum
 # is it plus LOG_2 (numpy's logaddexp(x, x) is exactly x + log 2).
 LOG_2 = math.log(2.0)

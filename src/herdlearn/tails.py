@@ -26,15 +26,6 @@ from .beliefs import (
     _equal_variance,
 )
 
-__all__ = [
-    "Verdict",
-    "TailClassification",
-    "tail_ratios",
-    "classify_gaussian",
-    "classify_mixture",
-    "classify_empirical",
-]
-
 # Trend threshold for the heuristic classifier: least-squares slope of a
 # log-ratio (per unit x) smaller than this in magnitude counts as flat.
 TREND_SLOPE_TOL = 1e-3

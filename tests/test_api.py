@@ -1,43 +1,33 @@
-"""The public API: the names ``herdlearn`` exports, and every ``__all__``.
+"""The public API: the names ``herdlearn`` exports.
 
-The package exports what the CLI and the acceptance criteria import, and
-nothing else; helpers that only tests use live in ``tests/oracles.py``.
+The package exports what the acceptance suite imports from it, plus the
+error every exported function raises, and nothing else.  Its export list
+is the one declaration of the API: no module assigns ``__all__``.  Helpers
+that only tests use live in ``tests/oracles.py``.
 """
 
+import ast
 import importlib
-import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
 import herdlearn
 from herdlearn.beliefs import LlrModel, NormalCdf
 
-EXPORTS = {
-    "ExperimentConfig",
-    "GaussianSpec",
-    "InvalidParameterError",
-    "MixtureSpec",
-    "SumVerdict",
-    "TailClassification",
-    "Verdict",
-    "agent_action",
-    "build_model",
-    "classify_empirical",
-    "classify_gaussian",
-    "classify_mixture",
-    "consensus_path",
-    "divergence_test",
-    "immediate_agreement_prob",
-    "observer_init",
-    "observer_update",
-    "posterior_columns",
-    "run_experiment",
-    "same_variance_experiment",
-    "update_public",
-}
+ACCEPTANCE = ast.parse(Path(__file__).with_name("test_acceptance.py").read_text())
 
-MODULES = sorted(m.name for m in pkgutil.iter_modules(herdlearn.__path__))
+# The names the acceptance suite imports from the package, and the error
+# every exported function raises.
+EXPORTS = {
+    alias.name
+    for node in ast.walk(ACCEPTANCE)
+    if isinstance(node, ast.ImportFrom) and node.module == "herdlearn"
+    for alias in node.names
+} | {"InvalidParameterError"}
+
+SOURCES = sorted(Path(herdlearn.__file__).parent.glob("*.py"))
 
 # Names that no module defines any more, as "module.attribute" or
 # "module.Class.attribute".
@@ -91,11 +81,13 @@ def test_package_exports_exactly_the_public_api():
     assert public == EXPORTS
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_every_all_entry_resolves(module):
-    mod = importlib.import_module(f"herdlearn.{module}")
-    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
-    assert missing == []
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_no_module_assigns_all(path):
+    tree = ast.parse(path.read_text())
+    assert not any(
+        isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
+        for node in ast.walk(tree)
+    )
 
 
 @pytest.mark.parametrize("path", REMOVED)
@@ -105,9 +97,6 @@ def test_removed_names_stay_removed(path):
     for attr in attrs[:-1]:
         owner = getattr(owner, attr)
     assert not hasattr(owner, attrs[-1])
-    for name in MODULES:
-        mod = importlib.import_module(f"herdlearn.{name}")
-        assert attrs[-1] not in getattr(mod, "__all__", ())
 
 
 def test_a_model_comes_only_from_a_spec():

@@ -192,6 +192,26 @@ class TestAgreeProb:
         code, _, _ = run_cli(capsys, "agree-prob", "--regime", "zz", "--sigma", "1")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("case", [str.lower, str.upper], ids=["lower", "upper"])
+    @pytest.mark.parametrize(
+        "spelling", ["g", "b", "0", "fg", "fb", "f0", "f_g", "f_b", "f_0"]
+    )
+    def test_regime_spellings(self, capsys, spelling, case):
+        argv = ("agree-prob", "--sigma", "1", "--tau", "0.5", "--horizon", "5", "--regime")
+        code, out, _ = run_cli(capsys, *argv, case(spelling))
+        assert code == EXIT_OK
+        assert out == run_cli(capsys, *argv, spelling[-1])[1]
+
+    @pytest.mark.parametrize("spelling", ["f", "f_", "_g", "ff_g", "f__g", "gg"])
+    def test_rejected_regime_spellings(self, capsys, spelling):
+        code, out, err = run_cli(capsys, "agree-prob", "--regime", spelling, "--sigma", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            "herdlearn: error: --regime must be one of g/b/0 (or f_g/f_b/f_0), "
+            f"got {spelling!r}\n"
+        )
+
     def test_a_negligible_first_cell_converges(self, capsys):
         # At --initial-r 41 the remainder integrand is negligible from its
         # first cell on; the bound then takes the first two cells' decay.

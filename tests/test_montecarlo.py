@@ -178,6 +178,17 @@ class TestDeterminism:
         assert pool.sizes == [2 if affinity else 3]
         np.testing.assert_array_equal(rows, _simulate_batch(config, 0, 12)[0])
 
+    def test_no_pool_of_one_process(self, monkeypatch):
+        # --workers 4 on one usable CPU would fork a single worker to run
+        # what the calling process runs as fast.
+        pool = _in_process_pool(monkeypatch)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(montecarlo, "BATCH_SIZE", 1)
+        config = small_config(horizon=5, num_trajectories=3, workers=4)
+        rows = run_experiment(config).rows
+        assert pool.sizes == []
+        np.testing.assert_array_equal(rows, _simulate_batch(config, 0, 3)[0])
+
     def test_pool_keeps_two_batches_per_worker_in_flight(self, monkeypatch):
         # Submitting every batch before reading any result would hold a
         # future per batch; the run submits the next as each is read.

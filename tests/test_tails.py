@@ -5,19 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from herdlearn import (
-    GaussianSpec,
-    InvalidParameterError,
-    MixtureSpec,
+from herdlearn import GaussianSpec, InvalidParameterError, MixtureSpec, build_model
+from herdlearn.beliefs import NormalCdf
+from herdlearn.cli import build_parser
+from herdlearn.tails import (
     Verdict,
-    build_model,
     classify_empirical,
     classify_gaussian,
     classify_mixture,
+    tail_ratios,
 )
-from herdlearn.beliefs import NormalCdf
-from herdlearn.cli import build_parser
-from herdlearn.tails import tail_ratios
 
 import oracles
 
