@@ -21,11 +21,12 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from typing import Union
+from typing import Mapping, Union
 
 import numpy as np
-# Imported here, at set-up, because scipy.special's init imported them and
-# the first command would otherwise import them inside its own run.
+# Imported here, at set-up, because the first ``simulate`` would otherwise
+# import them while it runs: numpy loads ``numpy.random`` on first use, and
+# its median and quantile reach ``numpy.ma``.
 import numpy.ma
 import numpy.random
 
@@ -163,19 +164,16 @@ class MixtureCdf:
 Cdf = Union[NormalCdf, MixtureCdf]
 
 
-def _require(spec, finite: tuple, positive: tuple) -> None:
-    """The named fields of ``spec`` must be finite, and those in ``positive``
-    positive."""
+def _require(values: Mapping, finite: tuple, positive: tuple = ()) -> None:
+    """The values named in ``finite`` must be finite, and those in
+    ``positive`` positive: the one check of either rule, for the model
+    specs and the run parameters alike."""
     for name in finite:
-        if not math.isfinite(getattr(spec, name)):
-            raise InvalidParameterError(
-                f"{name} must be finite, got {getattr(spec, name)}"
-            )
+        if not math.isfinite(values[name]):
+            raise InvalidParameterError(f"{name} must be finite, got {values[name]}")
     for name in positive:
-        if not getattr(spec, name) > 0:
-            raise InvalidParameterError(
-                f"{name} must be positive, got {getattr(spec, name)}"
-            )
+        if not values[name] > 0:
+            raise InvalidParameterError(f"{name} must be positive, got {values[name]}")
 
 
 def _require_llr_laws(spec, laws: tuple) -> None:
@@ -216,7 +214,7 @@ class GaussianSpec:
     kind = "gaussian"
 
     def __post_init__(self) -> None:
-        _require(self, finite=("sigma", "tau", "m0"), positive=("sigma", "tau"))
+        _require(vars(self), finite=("sigma", "tau", "m0"), positive=("sigma", "tau"))
         # Such noise would mimic the source perfectly.  The informative means
         # are +-1 in raw units at every sigma, so m0's test is absolute.
         if _equal_variance(self.sigma, self.tau) and (
@@ -257,7 +255,7 @@ class MixtureSpec:
     kind = "mixture"
 
     def __post_init__(self) -> None:
-        _require(self, finite=("sigma",), positive=("sigma",))
+        _require(vars(self), finite=("sigma",), positive=("sigma",))
         if not 0.0 < self.alpha < 1.0:
             raise InvalidParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
         laws = self.llr_laws() if self.sigma * self.sigma > 0 else (math.inf,) * 2

@@ -446,16 +446,15 @@ def _parse_actions(text: str) -> np.ndarray:
 def _cmd_observer_replay(args: argparse.Namespace) -> tuple:
     spec = _model_spec(args)
     model = build_model(spec)
-    gamma, initial_r = args.gamma, args.initial_r
+    state = observer_init(args.gamma, args.initial_r)  # checked before the file is read
     if args.actions_file is None:
         raise InvalidParameterError("observer-replay needs --actions-file")
     try:
         text = Path(args.actions_file).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(f"cannot read actions file: {exc}") from exc
-    took_g = _parse_actions(text)
-    log_liks, _ = history_log_liks(model, observer_init(gamma, initial_r), took_g)
-    q, log_odds = posterior_columns(log_liks, gamma)
+    log_liks, _ = history_log_liks(model, state, _parse_actions(text))
+    q, log_odds = posterior_columns(log_liks, args.gamma)
     csv_text = _csv_lines(("t", "q", "log_odds"), (_steps(len(q)), q, log_odds))
     return EXIT_OK, spec, csv_text, [("observer.csv", csv_text)]
 

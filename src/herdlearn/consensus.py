@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .beliefs import MAX_FLOATS, InvalidParameterError, LlrModel
+from .beliefs import MAX_FLOATS, InvalidParameterError, LlrModel, _require
 from .dynamics import R_CAP, WALK_BLOCK, walk
 
 DIVERGENCE_THRESHOLD = 20.0  # implied product < e^-20, below every tolerance used here
@@ -69,8 +69,7 @@ def consensus_path(
     """
     if not 1 <= horizon < MAX_FLOATS:  # the path holds horizon + 1 values
         raise InvalidParameterError(f"horizon must lie in [1, {MAX_FLOATS}), got {horizon}")
-    if not math.isfinite(initial_r):
-        raise InvalidParameterError("initial_r must be finite")
+    _require({"initial_r": initial_r}, finite=("initial_r",))
     walked = np.empty(horizon + 1)  # the values, then next_r
     walked[0] = r = float(initial_r)
     absorbed = False

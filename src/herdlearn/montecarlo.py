@@ -13,7 +13,6 @@ config regardless of batch size or worker count.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -28,6 +27,7 @@ from .beliefs import (
     GaussianSpec,
     InvalidParameterError,
     ModelSpec,
+    _require,
     build_model,
 )
 from .dynamics import R_CAP, Workspace, step
@@ -65,11 +65,18 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise InvalidParameterError(f"horizon must be >= 1, got {self.horizon}")
-        if self.num_trajectories < 1:
+        _require(
+            vars(self),
+            finite=("initial_r",),
+            positive=("horizon", "num_trajectories", "workers"),
+        )
+        # The rows of a run are one array, whose size in bytes must fit in a
+        # signed pointer-sized integer.
+        most = np.iinfo(np.intp).max // ROW_DTYPE.itemsize
+        if self.num_trajectories > most:
             raise InvalidParameterError(
-                f"num_trajectories must be >= 1, got {self.num_trajectories}"
+                f"num_trajectories must be at most {most}, the rows one array can "
+                f"hold, got {self.num_trajectories}"
             )
         _log_priors(self.gamma)
         if self.omega not in (None, 0, 1):
@@ -78,16 +85,10 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"theta must be None, 'g' or 'b', got {self.theta}"
             )
-        if not math.isfinite(self.initial_r):
-            raise InvalidParameterError(
-                f"initial_r must be finite, got {self.initial_r}"
-            )
         if not 0 <= self.master_seed < 2**64:
             raise InvalidParameterError(
                 f"master_seed must lie in [0, 2**64), got {self.master_seed}"
             )
-        if self.workers < 1:
-            raise InvalidParameterError(f"workers must be >= 1, got {self.workers}")
         batch = min(BATCH_SIZE, self.num_trajectories)
         # A traced batch holds its llr, r and q traces as one array, 3 floats a step.
         if self.record_traces and 3 * batch * self.horizon > MAX_FLOATS:
@@ -468,9 +469,10 @@ def same_variance_experiment(
     """
     if len(m0_grid) == 0:
         raise InvalidParameterError("the m0 grid must hold at least one value")
-    table = []
-    for m0 in m0_grid:
-        config = ExperimentConfig(
+    # Every point's config first, so that a bad point stops the sweep before
+    # any point runs.
+    configs = [
+        ExperimentConfig(
             model=GaussianSpec(sigma=sigma, tau=sigma, m0=float(m0)),
             gamma=gamma,
             horizon=horizon,
@@ -479,10 +481,14 @@ def same_variance_experiment(
             master_seed=master_seed,
             workers=workers,
         )
+        for m0 in m0_grid
+    ]
+    table = []
+    for config in configs:
         agg = run_experiment(config).aggregates
         table.append(
             {
-                "m0": float(m0),
+                "m0": config.model.m0,
                 "disagreement_rate": agg["switch_rate"],
                 "mean_switch_count": agg["mean_switch_count"],
                 "frac_switch_after_half": agg["frac_switch_after_half"],

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .beliefs import BAD, GOOD, InvalidParameterError, LlrModel
+from .beliefs import BAD, GOOD, InvalidParameterError, LlrModel, _require
 from .dynamics import WALK_BLOCK, Workspace, is_g, step, walk
 
 # Both uninformative states have F_0's likelihood, so the log of their sum
@@ -92,8 +92,7 @@ def posterior_columns(log_lik: np.ndarray, gamma: float) -> tuple:
 def observer_init(gamma: float, initial_r: float = 0.0) -> ObserverState:
     """Fresh filter: no evidence, so q equals the prior gamma."""
     _log_priors(gamma)
-    if not math.isfinite(initial_r):
-        raise InvalidParameterError("initial_r must be finite")
+    _require({"initial_r": initial_r}, finite=("initial_r",))
     return ObserverState(log_lik=np.zeros(3), gamma=gamma, r_track=initial_r, t=1)
 
 

@@ -1,7 +1,9 @@
 """Distribution-layer tests: induced laws, symmetry, stable tails, sampling."""
 
+import inspect
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,3 +442,19 @@ class TestSampling:
         a = oracles.sample_one(gauss_fat, 0, "g", philox(41), 50)
         b = oracles.sample_one(gauss_fat, 0, "b", philox(41), 50)
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("rule", ["must be finite, got", "must be positive, got"])
+def test_each_rule_is_worded_in_require_alone(rule):
+    """Every finite or positive parameter, of a spec or of a run, is checked
+    by ``beliefs._require``: no other line of the package words the rule."""
+    lines, first = inspect.getsourcelines(beliefs._require)
+    found = [
+        (path.name, n)
+        for path in sorted(Path(beliefs.__file__).parent.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), start=1)
+        if rule in line
+    ]
+    assert len(found) == 1
+    name, n = found[0]
+    assert name == "beliefs.py" and first <= n < first + len(lines)

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 import herdlearn
 
-from herdlearn import GaussianSpec, InvalidParameterError, cli, tails
+from herdlearn import GaussianSpec, InvalidParameterError, cli, montecarlo, tails
 from herdlearn.beliefs import MAX_FLOATS
 from herdlearn.cli import (
     EXIT_OK,
@@ -928,6 +929,18 @@ class TestOutputPath:
             assert list(tmp_path.iterdir()) == [kept]
             assert list(kept.iterdir()) == []
 
+    def test_manifest_add_is_add_relative_in_the_parent(self, tmp_path):
+        text = "a,b\n1,\u00e9\n"
+        by_path = cli._Manifest("path", {}, None, "")
+        relative = cli._Manifest("path", {}, None, "")
+        by_path.add(tmp_path / "a" / "sub" / "f.csv", text)
+        relative.add_relative(tmp_path / "b" / "sub", "f.csv", text)
+        for name, manifest in (("a", by_path), ("b", relative)):
+            assert (tmp_path / name / "sub" / "f.csv").read_bytes() == text.encode()
+            assert manifest.made == {tmp_path / name / "sub"}
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert by_path.outputs == relative.outputs == [{"path": "f.csv", "sha256": digest}]
+
     def test_removing_made_directories_stops_at_one_not_empty(self, tmp_path):
         # Deepest first: c goes, b holds a file, so b and a stay.
         a = tmp_path / "a"
@@ -1192,6 +1205,18 @@ class TestUsageErrors:
             (["simulate", "--sigma", "1", "--tau", "2", "--traces", "--trajectories",
               "1024", "--horizon", str(MAX_FLOATS // 3 // 1024)],
              "out of memory during simulation"),
+            # More rows than one array can hold, at any horizon.
+            (["simulate", "--sigma", "1", "--tau", "2", "--horizon", "3",
+              "--trajectories", str(10**30)], "num_trajectories must be at most "),
+            (["same-variance", "--sigma", "1", "--horizon", "3",
+              "--trajectories", str(10**30)], "num_trajectories must be at most "),
+            # Counts below one.
+            (["simulate", "--sigma", "1", "--tau", "2", "--horizon", "0",
+              "--trajectories", "3"], "horizon must be positive, got 0"),
+            (["simulate", "--sigma", "1", "--tau", "2", "--horizon", "3",
+              "--trajectories", "0"], "num_trajectories must be positive, got 0"),
+            (["same-variance", "--sigma", "1", "--workers", "-1"],
+             "workers must be positive, got -1"),
         ],
     )
     def test_runs_that_cannot_do_work_are_usage_errors(
@@ -1207,6 +1232,39 @@ class TestUsageErrors:
         assert err.startswith("herdlearn: error: ") and fragment in err
         assert "Traceback" not in err
         assert out == ""
+
+    def test_same_variance_checks_every_grid_point_before_any_run(
+        self, capsys, monkeypatch
+    ):
+        # m0 = 1 at tau = sigma coincides with an informative law; the two
+        # points before it must not run.
+        runs = []
+        run = montecarlo.run_experiment
+        monkeypatch.setattr(
+            montecarlo, "run_experiment", lambda config: runs.append(config) or run(config)
+        )
+        code, out, err = run_cli(
+            capsys, "same-variance", "--sigma", "1", "--m0-grid", "0,0.25,1",
+            "--horizon", "5", "--trajectories", "3",
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "coincides with an informative one" in err
+        assert runs == []
+
+    @pytest.mark.parametrize(
+        "flag, fragment",
+        [("--gamma=2", "gamma must lie in (0, 1)"),
+         ("--initial-r=inf", "initial_r must be finite, got inf")],
+    )
+    def test_observer_replay_checks_its_parameters_before_reading_the_file(
+        self, capsys, tmp_path, flag, fragment
+    ):
+        code, out, err = run_cli(
+            capsys, "observer-replay", "--sigma", "1", "--tau", "2", flag,
+            "--actions-file", str(tmp_path / "missing.txt"),
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert fragment in err and "actions file" not in err
 
     @pytest.mark.parametrize(
         "argv,fragment",

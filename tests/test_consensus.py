@@ -355,6 +355,17 @@ class TestImmediateAgreement:
             estimate = immediate_agreement_prob(model, regime, 0.0, 500)
             assert 0.0 <= estimate.lower <= estimate.upper <= 1.0
 
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [(0.6, 0.4), (-0.1, 0.5), (0.5, 1.5), (math.nan, 0.5), (0.0, math.nan)],
+    )
+    def test_a_bracket_outside_its_order_or_range_is_rejected(
+        self, gauss_fat, lower, upper
+    ):
+        estimate = immediate_agreement_prob(gauss_fat, "g", 2.0, 50)
+        with pytest.raises(InvalidParameterError, match="invalid bracket"):
+            dataclasses.replace(estimate, lower=lower, upper=upper)
+
 
 class TestEventualMonotonicity:
     def test_gaussian_map_is_monotone_from_the_left_edge(self, gauss_fat):

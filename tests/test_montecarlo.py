@@ -95,13 +95,40 @@ class TestValidation:
             small_config(omega=2)
         with pytest.raises(InvalidParameterError):
             small_config(theta="q")
-        with pytest.raises(InvalidParameterError, match="workers must be >= 1"):
+        with pytest.raises(InvalidParameterError, match="workers must be positive, got 0"):
             small_config(workers=0)
         # The llr, r and q traces of a batch of 1024 are one array of
         # 3 x 1024 x horizon floats.
         with pytest.raises(InvalidParameterError, match="traced batch"):
             small_config(record_traces=True, num_trajectories=1024,
                          horizon=MAX_FLOATS // 1024)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("horizon", 0, "horizon must be positive, got 0"),
+            ("num_trajectories", -3, "num_trajectories must be positive, got -3"),
+            ("initial_r", math.inf, "initial_r must be finite, got inf"),
+            ("initial_r", math.nan, "initial_r must be finite, got nan"),
+        ],
+    )
+    def test_run_parameters_have_the_spec_wording(self, field, value, message):
+        with pytest.raises(InvalidParameterError) as err:
+            small_config(**{field: value})
+        assert str(err.value) == message
+
+    def test_rows_must_fit_in_one_array(self):
+        # The rows of a run are one ROW_DTYPE array, whose size in bytes must
+        # fit in a signed pointer-sized integer.
+        most = np.iinfo(np.intp).max // montecarlo.ROW_DTYPE.itemsize
+        assert small_config(num_trajectories=most).num_trajectories == most
+        for n in (most + 1, 10**30):
+            with pytest.raises(InvalidParameterError) as err:
+                small_config(num_trajectories=n)
+            assert str(err.value) == (
+                f"num_trajectories must be at most {most}, the rows one array can "
+                f"hold, got {n}"
+            )
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 5e-324, math.nan])
     def test_gamma_has_one_check(self, monkeypatch, gamma):
