@@ -24,10 +24,8 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from typing import Mapping, Union
 
 import numpy as np
-# Imported here, at set-up, because the first ``simulate`` would otherwise
-# import them while it runs: numpy loads ``numpy.random`` on first use, and
-# its median and quantile reach ``numpy.ma``.
-import numpy.ma
+# Imported here, at set-up, because numpy loads it on first use, which would
+# otherwise fall inside the first ``simulate``.
 import numpy.random
 
 GOOD = "g"

@@ -450,7 +450,9 @@ def _cmd_observer_replay(args: argparse.Namespace) -> tuple:
     if args.actions_file is None:
         raise InvalidParameterError("observer-replay needs --actions-file")
     try:
-        text = Path(args.actions_file).read_text(encoding="utf-8")
+        # A leading byte-order mark is dropped, as the utf-8-sig codec would
+        # (which the first replay would then import while it runs).
+        text = Path(args.actions_file).read_text(encoding="utf-8").removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(f"cannot read actions file: {exc}") from exc
     log_liks, _ = history_log_liks(model, state, _parse_actions(text))
@@ -579,7 +581,7 @@ def _file_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     import configparser  # only --config runs load it
     path, config, defaults = args.config, configparser.ConfigParser(), {}
     try:
-        if not config.read(path, encoding="utf-8"):
+        if not config.read(path, encoding="utf-8-sig"):
             raise InvalidParameterError(f"config file not found: {path}")
         items = (item for section in config.sections() for item in config.items(section))
         flat = {key.replace("-", "_"): value for key, value in items}

@@ -13,6 +13,7 @@ config regardless of batch size or worker count.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -408,11 +409,44 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
+def _order_stats(values: np.ndarray, *ks: int) -> list:
+    """The order statistics ``ks`` of ``values``, as floats, from one partition
+    whose kth also holds the last index: each is the NaN there if there is
+    one, which numpy's median and quantile then return."""
+    part = np.partition(values, [*ks, len(values) - 1])
+    last = float(part[-1])
+    return [last if last != last else float(part[k]) for k in ks]
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median(values)`` bit for bit, without its use of ``numpy.ma``:
+    the mean of the middle order statistics, summed from 0.0 as numpy sums
+    (so the median of -0.0 is 0.0)."""
+    n = len(values)
+    a, b = _order_stats(values, (n - 1) // 2, n // 2)
+    return 0.0 + a if n % 2 else (0.0 + a + b) / 2.0
+
+
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` (linear) bit for bit, without its use of
+    ``numpy.ma``: numpy's ``_lerp`` from order statistic i to i + 1, with
+    numpy's indices, partition and weight t."""
+    n = len(values)
+    v = (n - 1) * q
+    # From v = n - 1 on, numpy takes index -1 for both, so t = v + 1.
+    i, j = (math.floor(v), math.floor(v) + 1) if v < n - 1 else (-1, -1)
+    t = v - i
+    # numpy partitions at index 0 too, which moves ties such as -0.0 and 0.0.
+    _, a, b = _order_stats(values, 0, i, j)
+    d = b - a
+    return a + d * t if t < 0.5 else b - d * (1 - t)
+
+
 def _quantiles(values: np.ndarray) -> dict:
     return {
-        "q25": float(np.quantile(values, 0.25)),
-        "median": float(np.quantile(values, 0.5)),
-        "q75": float(np.quantile(values, 0.75)),
+        "q25": _quantile(values, 0.25),
+        "median": _quantile(values, 0.5),
+        "q75": _quantile(values, 0.75),
     }
 
 
@@ -432,14 +466,15 @@ def compute_aggregates(rows: np.ndarray, horizon: int) -> dict:
         "frac_switch_after_half": float(np.mean(rows["last_switch_time"] > half)),
         "frac_consensus_second_half": float(np.mean(rows["last_switch_time"] <= half)),
         "mean_switch_count": float(np.mean(rows["switch_count"])),
-        "median_switch_count": float(np.median(rows["switch_count"])),
+        "median_switch_count": _median(rows["switch_count"]),
         "switch_rate": float(np.mean(rows["switch_count"]))
         / max(horizon - 1, 1),
         "n_absorbed": int(np.sum(rows["absorbed"])),
-        "median_q_final": float(np.median(rows["q_final"])),
+        "median_q_final": _median(rows["q_final"]),
         "q_by_regime": {
             f"omega={omega}": _quantiles(rows["q_final"][rows["omega"] == omega])
-            for omega in np.unique(rows["omega"]).tolist()
+            for omega in (0, 1)
+            if (rows["omega"] == omega).any()
         },
     }
 

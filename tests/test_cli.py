@@ -1321,6 +1321,35 @@ class TestBadInputFiles:
         assert "cannot read actions file" in err
 
 
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark, as some editors
+    write it, reads as the same file without one."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def test_actions_file(self, capsys, tmp_path):
+        digests = []
+        for name, data in (("bom", self.BOM + b"G\nB\n"), ("plain", b"G\nB\n")):
+            actions, out_dir = tmp_path / f"{name}.txt", tmp_path / name
+            actions.write_bytes(data)
+            code, _, _ = run_cli(
+                capsys, "observer-replay", "--sigma", "1", "--tau", "2",
+                "--actions-file", str(actions), "--out", str(out_dir),
+            )
+            assert code == EXIT_OK
+            digests.append(read_manifest(out_dir)["outputs"][0]["sha256"])
+        assert digests[0] == digests[1]
+
+    def test_config_file(self, capsys, tmp_path):
+        runs = []
+        for name, bom in (("bom", self.BOM), ("plain", b"")):
+            config = tmp_path / f"{name}.ini"
+            config.write_bytes(bom + b"[model]\nsigma = 1\ntau = 2\n")
+            runs.append(run_cli(capsys, "classify", "--config", str(config)))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == EXIT_OK and runs[0][1].splitlines()[0] == "Fatter"
+
+
 # Values for the fuzz.  Every flag draws from a usable strategy (odds 3 in 4)
 # or a hostile one (non-finite, extreme or garbage), so that both runs that
 # get past validation and runs that do not are common.
@@ -1609,11 +1638,34 @@ def test_log_ndtr_falls_back_to_the_package_import(failure):
     assert out == [True, True]
 
 
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy.ma costs set-up time and memory in every process that imports
+    # it; simulate's aggregates take numpy's median and quantiles without it.
+    commands = [TestOutputPath._argv(argv, tmp_path) for argv, _, _ in TestOutputPath.CASES]
+    loaded = _python("""
+        import contextlib, io, json, sys
+        import numpy
+
+        loaded = {"numpy": "numpy.ma" in sys.modules}
+        import herdlearn.cli
+
+        loaded["import"] = "numpy.ma" in sys.modules
+        for i, argv in enumerate(json.loads(sys.argv[1])):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = herdlearn.cli.main([*argv, "--out", f"{sys.argv[2]}/{i}"])
+            loaded[argv[0]] = [code, "numpy.ma" in sys.modules]
+        print(json.dumps(loaded))
+    """, json.dumps(commands), str(tmp_path))
+    if loaded.pop("numpy"):
+        pytest.skip("this numpy imports numpy.ma with numpy itself (numpy 1.x)")
+    assert loaded == {"import": False, **{argv[0]: [EXIT_OK, False] for argv in commands}}
+
+
 def test_no_command_imports_a_module_while_it_runs(tmp_path):
     # Every module a command uses is imported with herdlearn.cli, so no
-    # command pays for an import inside its own run.  scipy.special's init
-    # used to import numpy.random and numpy.ma, which the first simulate
-    # would otherwise import while it runs.
+    # command pays for an import inside its own run.  numpy loads
+    # numpy.random on first use, which would otherwise fall inside the first
+    # simulate, so herdlearn imports it at set-up.
     commands = [
         TestOutputPath._argv(argv, tmp_path)
         + (["--workers", "1"] if argv[0] in ("simulate", "same-variance") else [])

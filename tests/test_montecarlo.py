@@ -557,6 +557,75 @@ class TestAggregates:
         assert medians[0] < medians[1] < medians[2]
 
 
+def _bits(x) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+class TestOrderStatistics:
+    """The aggregates' median and linear quantiles are numpy's, bit for bit,
+    taken without ``np.median`` and ``np.quantile`` (which import numpy.ma)."""
+
+    CASES = [
+        [0.3],
+        [0.7, 0.2],
+        [0.5, 0.1, 0.9, 0.3, 0.7],
+        [0.5, 0.1, 0.9, 0.3, 0.7, 0.2],
+        [0.25, 0.25, 0.75, 0.25, 0.75, 0.75, 0.25, 0.75],
+        [-0.0],
+        [-0.0, -0.0],
+        [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0],
+        [-0.0, 0.0, -0.0, 5e-324, -5e-324, 0.0, -0.0, 2.2250738585072014e-308],
+        [5e-324, 1e-323, 5e-324, 2.225073858507201e-308, 1.5e-323, 5e-324],
+        # numpy's median is -2.1135844899913933e+52 here and its 0.5-quantile
+        # -2.1135844899913935e+52: the two formulas differ.
+        [-4.227169069454373e+52, 8.947158621961734e+44],
+    ]
+
+    @staticmethod
+    def _assert_numpys(values):
+        got = [montecarlo._median(values)]
+        got += [montecarlo._quantile(values, q) for q in (0.25, 0.5, 0.75)]
+        want = [np.median(values)] + [np.quantile(values, q) for q in (0.25, 0.5, 0.75)]
+        assert list(map(_bits, got)) == list(map(_bits, want)), (got, want)
+
+    @pytest.mark.parametrize("values", CASES, ids=range(len(CASES)))
+    def test_floats(self, values):
+        self._assert_numpys(np.array(values))
+
+    def test_the_pair_that_tells_the_formulas_apart(self):
+        values = np.array(self.CASES[-1])
+        assert montecarlo._median(values) == -2.1135844899913933e+52
+        assert montecarlo._quantile(values, 0.5) == -2.1135844899913935e+52
+
+    @pytest.mark.parametrize("values", [[3], [4, 1], [2, 7, 2], [0, 5, 5, 9, 2**40, 1]])
+    def test_int64_counts(self, values):
+        self._assert_numpys(np.array(values, dtype=np.int64))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    def test_a_nan_at_any_position(self, n):
+        for at in range(n):
+            values = np.linspace(-1.0, 1.0, n)
+            values[at] = np.nan
+            self._assert_numpys(values)
+            assert math.isnan(montecarlo._median(values))
+
+    def test_aggregates_of_run_rows(self):
+        rows = run_experiment(small_config(num_trajectories=301)).rows
+        for part in (rows, rows[:-1], rows[rows["omega"] == 1]):
+            agg = compute_aggregates(part, 120)
+            q = part["q_final"]
+            assert agg["median_q_final"] == float(np.median(q))
+            assert agg["median_switch_count"] == float(np.median(part["switch_count"]))
+            assert agg["q_by_regime"] == {
+                f"omega={omega}": {
+                    "q25": float(np.quantile(q[part["omega"] == omega], 0.25)),
+                    "median": float(np.quantile(q[part["omega"] == omega], 0.5)),
+                    "q75": float(np.quantile(q[part["omega"] == omega], 0.75)),
+                }
+                for omega in np.unique(part["omega"]).tolist()
+            }
+
+
 class TestCalibration:
     """With omega drawn from the prior, the observer's posterior is a
     martingale under its own prior, so E[q_T] = gamma and E[omega - q_T]
