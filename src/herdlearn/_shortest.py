@@ -31,10 +31,6 @@ M63 = 2**63 - 1
 # and a separator.  The bytes that stay 0 are deleted.
 ROW = np.dtype([("head", "V6"), ("body", "V18"), ("tail", "V6")])
 SEP = ","
-# The most values per pass, in passes of equal size.  Each pass holds about
-# 0.75 MB of temporaries; passes of 3072 values took longer per value than
-# passes of 2048, their temporaries being too large to reuse freed memory.
-CHUNK = 2048
 
 
 def _rows(texts, dtype) -> np.ndarray:
@@ -117,17 +113,10 @@ def _round_to_odd(b3, b2, b1, b0, cp):
 
 
 def cells(values: np.ndarray) -> list:
-    """``repr`` of each value as a Python float, an empty cell for NaN."""
+    """``repr`` of each value as a Python float, an empty cell for NaN, in
+    one pass over the whole array.  A pass holds about 370 B of temporaries
+    per value, so callers format a long array a block at a time."""
     x = np.ascontiguousarray(values, dtype=np.float64)
-    out = []
-    if len(x):
-        for part in np.array_split(x, -(-len(x) // CHUNK)):
-            out += _cells(part)
-    return out
-
-
-def _cells(x: np.ndarray) -> list:
-    """``cells`` of one pass: a contiguous float64 array."""
     n = len(x)
     limbs, pairs, head, tail, special, masks = _tables()
     bits = x.view(np.uint64)

@@ -73,9 +73,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# Rows formatted per block: whole-column cell lists would hold every cell of
-# a large file in memory at once.
-CSV_BLOCK_ROWS = 1024
+# The float values formatted per block of rows, in one ``_shortest.cells``
+# pass: whole-column cell lists would hold every cell of a large file in
+# memory at once, and passes of 3072 values took longer per value than
+# passes of 2048, their temporaries being too large to reuse freed memory.
+FLOATS_PER_BLOCK = 2048
 
 
 # The cell of each bool, indexed by its byte.
@@ -118,9 +120,20 @@ def _cells(column: np.ndarray) -> list:
     return list(map(str, column.tolist()))
 
 
+# From this many float values on, ``_float_columns`` formats them in one
+# kernel pass.  On a 2-vCPU x86-64 host the kernel took, against a ``repr``
+# per value, 1.4x the time at 256 values, 1.0x at 512, 0.7x at 1024 and 0.6x
+# at 2048 when called in a loop, as on the blocks of a long file; a single
+# call after a command's other work took 1.3x at 512 and about 1.0x at 1024.
+FLOAT_KERNEL_CUTOVER = 512
+
+
 def _float_columns(columns: Sequence[np.ndarray]) -> list:
-    """The cells of each float column, from one ``_float_cells`` call for
-    all of them.
+    """The cells of each float column, formatted together: the ``repr`` of
+    each value, an empty cell for NaN.  Below ``FLOAT_KERNEL_CUTOVER``
+    values each cell is a ``repr`` call; from there on one ``_shortest.cells``
+    pass computes them all (Schubfach on numpy arrays), which costs more per
+    call and less per value.  The bytes are the same either way.
 
     A column whose consecutive values repeat, such as converged partial
     sums, formats each run of equal values once.  Runs compare the values'
@@ -141,7 +154,16 @@ def _float_columns(columns: Sequence[np.ndarray]) -> list:
     values = [c if s is None else c[s] for c, s in zip(columns, starts)]
     if not values:
         return []
-    cells = _float_cells(values[0] if len(values) == 1 else np.concatenate(values))
+    flat = values[0] if len(values) == 1 else np.concatenate(values)
+    if len(flat) >= FLOAT_KERNEL_CUTOVER:
+        # Imported here: only the commands that use it compile it.
+        from . import _shortest
+
+        cells = _shortest.cells(flat)
+    else:
+        cells = list(map(repr, flat.tolist()))
+        for i in np.flatnonzero(np.isnan(flat)).tolist():
+            cells[i] = ""
     out, hi = [], 0
     for column, s, v in zip(columns, starts, values):
         lo, hi = hi, hi + len(v)
@@ -153,45 +175,20 @@ def _float_columns(columns: Sequence[np.ndarray]) -> list:
     return out
 
 
-# From this many float values on, ``_float_cells`` formats them all at once.
-# On a 2-vCPU x86-64 host the kernel took, against a ``repr`` per value, 1.4x
-# the time at 256 values, 1.0x at 512, 0.7x at 1024 and 0.6x at 2048 when
-# called in a loop, as on the blocks of a long file; a single call after a
-# command's other work took 1.3x at 512 and about 1.0x at 1024.
-FLOAT_KERNEL_CUTOVER = 512
-
-
-def _float_cells(values: np.ndarray) -> list:
-    """The cell of each float value: its ``repr``, an empty cell for NaN.
-
-    Below ``FLOAT_KERNEL_CUTOVER`` values each cell is a ``repr`` call;
-    from there on ``_shortest.cells`` computes them all at once (Schubfach
-    on numpy arrays), which costs more per call and less per value.  The
-    bytes are those of ``repr`` either way.
-    """
-    if len(values) >= FLOAT_KERNEL_CUTOVER:
-        # Imported here: only the commands that use it compile it.
-        from . import _shortest
-
-        return _shortest.cells(values)
-    cells = list(map(repr, values.tolist()))
-    for i in np.flatnonzero(np.isnan(values)).tolist():
-        cells[i] = ""
-    return cells
-
-
 def _csv_lines(
     header: Sequence[str], columns: Sequence, comments: Sequence[str] = ()
 ) -> str:
     """CSV text from equal-length columns, after ``# `` comment lines.  The
-    float columns of each block of rows are formatted together."""
+    float columns of each block of rows are formatted together, so a block
+    holds at most ``FLOATS_PER_BLOCK`` float cells."""
     columns = [np.asarray(c) for c in columns]
     buf = io.StringIO()
     for c in comments:
         buf.write(f"# {c}\n")
     buf.write(",".join(header) + "\n")
-    for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = [c[lo : lo + CSV_BLOCK_ROWS] for c in columns]
+    rows = FLOATS_PER_BLOCK // max(1, sum(c.dtype.kind == "f" for c in columns))
+    for lo in range(0, len(columns[0]), rows):
+        block = [c[lo : lo + rows] for c in columns]
         floats = iter(_float_columns([c for c in block if c.dtype.kind == "f"]))
         cells = [next(floats) if c.dtype.kind == "f" else _cells(c) for c in block]
         buf.write("\n".join(map(",".join, zip(*cells))) + "\n")

@@ -14,7 +14,8 @@ itself, ``step_at``, the kernel at one public LLR, and
 ``step_at`` one action at a time: the block filter must equal it bit for
 bit.  The observer's former posterior over four hypotheses,
 ``four_hypothesis_columns``, is an independent reference that
-``posterior_columns`` must match to rounding.
+``posterior_columns`` must match to rounding.  ``same_bits`` is the
+bit-for-bit comparison that the kernel's tests share.
 """
 
 import math
@@ -327,7 +328,7 @@ def reference_fold(state: ObserverState, model: LlrModel, actions: Sequence[str]
 
 def csv_cell(value) -> str:
     """Locale-independent CSV cell: ``repr`` for floats, an empty cell for
-    NaN, one value at a time.  ``cli._cells`` and ``cli._csv_lines`` must
+    NaN, one value at a time.  ``cli._float_columns`` and ``cli._csv_lines`` must
     give these bytes, whether a float's cell comes from ``repr`` or from
     ``herdlearn._shortest`` and whether a run of equal floats is formatted
     once."""
@@ -345,6 +346,21 @@ def csv_lines(header: Sequence[str], rows, comments: Sequence[str] = ()) -> str:
     lines.append(",".join(header) + "\n")
     lines.extend(",".join(csv_cell(v) for v in row) + "\n" for row in rows)
     return "".join(lines)
+
+
+def same_bits(a, b) -> bool:
+    """Whether two float arrays have the same shape, NaN at the same places
+    and the same bits everywhere else.  A NaN's sign and payload are not
+    compared: IEEE 754 leaves them open, and the scalar oracles and the
+    array kernel can give NaNs of opposite sign at the same input (at a
+    public LLR of +-1e300 under a line tracer, for one)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        return False
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(
+        a[~nan].view(np.uint64), b[~nan].view(np.uint64)
+    )
 
 
 # Frozen constants, all computed with mpmath at 50 digits.

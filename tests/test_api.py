@@ -69,6 +69,9 @@ REMOVED = [
     "montecarlo.ExperimentConfig.batch_size",
     "tails.TailClassification.authoritative",
     "cli.config_from_manifest",
+    "cli._float_cells",
+    "cli.CSV_BLOCK_ROWS",
+    "_shortest.CHUNK",
 ]
 
 

@@ -575,7 +575,10 @@ _SPECIAL_FLOATS = [
     np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-5, 1e16, -1e16,
     1e-4, 0.1, 1.0 / 3.0, 2.0**53, 1.7976931348623157e308,
 ]
-_B = cli.CSV_BLOCK_ROWS
+# Rows per block: of ``_mixed_columns``, with three float columns, and of a
+# (t, x, y) file, with two.
+_B = cli.FLOATS_PER_BLOCK // 3
+_B2 = cli.FLOATS_PER_BLOCK // 2
 
 
 def _mixed_columns(n: int) -> dict:
@@ -619,7 +622,7 @@ class TestCsvWriter:
     @settings(max_examples=60, deadline=None)
     @given(
         values=st.lists(st.floats(), min_size=1, max_size=40),
-        n=st.integers(1, 2 * _B + 2),
+        n=st.integers(1, 2 * _B2 + 2),
     )
     def test_random_float_columns(self, values, n):
         x = np.resize(np.array(values), n)
@@ -643,19 +646,20 @@ _FLOAT_BITS = st.one_of(
 
 
 class TestCsvRuns:
-    """``_cells`` formats a run of bit-equal floats once; the text must
-    equal a ``repr`` per value (an empty cell for NaN), whatever the runs."""
+    """``_float_columns`` formats a run of bit-equal floats once; the text
+    must equal a ``repr`` per value (an empty cell for NaN), whatever the
+    runs."""
 
     @settings(max_examples=80, deadline=None)
     @given(
         runs=st.lists(
-            st.tuples(_FLOAT_BITS, st.integers(1, 3 * _B // 2)), min_size=1, max_size=10
+            st.tuples(_FLOAT_BITS, st.integers(1, 3 * _B2 // 2)), min_size=1, max_size=10
         ),
-        n=st.integers(1, 3 * _B),
+        n=st.integers(1, 3 * _B2),
     )
-    @example(runs=[(0, _B - 1), (2**63, 2), (0, 1)], n=_B + 2)  # 0.0, -0.0, 0.0
+    @example(runs=[(0, _B2 - 1), (2**63, 2), (0, 1)], n=_B2 + 2)  # 0.0, -0.0, 0.0
     @example(
-        runs=[(np.float64(np.nan).view(np.uint64).item(), 2 * _B + 5)], n=2 * _B + 5
+        runs=[(np.float64(np.nan).view(np.uint64).item(), 2 * _B2 + 5)], n=2 * _B2 + 5
     )
     def test_runs_of_float64_bit_patterns(self, runs, n):
         bits = np.repeat(

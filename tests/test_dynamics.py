@@ -21,7 +21,7 @@ from herdlearn import (
 from herdlearn.dynamics import R_CAP, Workspace, jump_b, jump_g, step, walk
 
 import oracles
-from oracles import simulate_trajectory
+from oracles import same_bits, simulate_trajectory
 
 
 def philox(seed, index=0):
@@ -153,11 +153,6 @@ def strided(a: np.ndarray) -> np.ndarray:
     buf = np.zeros(2 * len(a), dtype=a.dtype)
     buf[::2] = a
     return buf[::2]
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def kernel_rs() -> np.ndarray:

@@ -23,7 +23,7 @@ from herdlearn.observer import (
 from herdlearn import ExperimentConfig, GaussianSpec, MixtureSpec, build_model, run_experiment
 
 import oracles
-from oracles import batch_posterior, history_log_prob
+from oracles import batch_posterior, history_log_prob, same_bits
 
 
 def philox(seed, index=0):
@@ -212,11 +212,6 @@ class TestReplay:
             with pytest.raises(InvalidParameterError, match="action 1 .* impossible"):
                 observer_update(state, gauss_fat, "b")
         assert observer_update(state, gauss_fat, "g").r_track == R_CAP
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestPosteriorColumns:

@@ -36,7 +36,10 @@ class TestShortestKernel:
         # NaN payloads of both signs and subnormals are among them.
         assert np.count_nonzero(np.isnan(x)) > 50
         assert np.count_nonzero((exponent == 0) & (bits << 12 != 0)) > 50
-        assert _shortest.cells(x) == _want(x)
+        # In passes of one CSV block, as the writer feeds the kernel.
+        step = cli.FLOATS_PER_BLOCK
+        got = [c for lo in range(0, len(x), step) for c in _shortest.cells(x[lo : lo + step])]
+        assert got == _want(x)
 
     @pytest.mark.parametrize(
         "values",
@@ -72,7 +75,9 @@ class TestShortestKernel:
             # Two columns of a block together reach the cutover.
             (cli.FLOAT_KERNEL_CUTOVER // 2, 2),
             (cli.FLOAT_KERNEL_CUTOVER // 2 - 1, 2),
-            (2 * cli.CSV_BLOCK_ROWS + 3, 3),
+            (2 * (cli.FLOATS_PER_BLOCK // 3) + 3, 3),
+            # Full blocks of 682 rows: one pass of 2046 values each.
+            (2000, 3),
         ],
     )
     def test_through_the_writer(self, n, columns):
@@ -88,4 +93,9 @@ class TestShortestKernel:
         with mock.patch.object(_shortest, "cells", wraps=_shortest.cells) as kernel:
             got = cli._csv_lines(header, table)
         assert kernel.called == (n * columns >= cli.FLOAT_KERNEL_CUTOVER)
+        # One pass per block of rows, of at most FLOATS_PER_BLOCK values.
+        sizes = [len(call.args[0]) for call in kernel.call_args_list]
+        assert max(sizes, default=0) <= cli.FLOATS_PER_BLOCK
+        rows = cli.FLOATS_PER_BLOCK // columns
+        assert sizes[: n // rows] == [rows * columns] * (n // rows)
         assert got == oracles.csv_lines(header, zip(*table))
